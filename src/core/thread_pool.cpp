@@ -1,5 +1,8 @@
 #include "core/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -63,6 +66,45 @@ void ThreadPool::worker_loop() {
     }
     idle_cv_.notify_all();
   }
+}
+
+void for_each_slot(std::size_t n, std::size_t threads,
+                   const std::function<bool()>& stop,
+                   const std::function<void(std::size_t)>& body) {
+  const auto stopped = [&stop] { return stop && stop(); };
+  if (threads <= 1 || n == 0) {
+    for (std::size_t i = 0; i < n && !stopped(); ++i) body(i);
+    return;
+  }
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::size_t error_slot = n;  // guarded by error_mu
+  std::exception_ptr error;    // guarded by error_mu
+  const auto worker = [&] {
+    while (!failed.load(std::memory_order_relaxed) && !stopped()) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (i < error_slot) {
+          error_slot = i;
+          error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  const std::size_t workers = std::min(threads, n);
+  {
+    ThreadPool pool(workers);
+    for (std::size_t t = 0; t < workers; ++t) pool.submit(worker);
+    pool.wait_idle();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace msbist::core

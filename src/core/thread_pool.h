@@ -53,4 +53,21 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// The deterministic slot executor the lot engines share: run body(i)
+/// once for each slot i in [0, n). With threads <= 1 the slots run
+/// inline, in order; otherwise min(threads, n) pooled workers claim slot
+/// indices from one atomic counter. Determinism is the body's part of
+/// the contract: slot i writes only storage slot i owns, and the caller
+/// aggregates in slot order after the call returns (every body has
+/// finished by then).
+///
+/// `stop` (optional; must not throw) is polled before each claim: once
+/// it returns true no further slot starts, and slots already running
+/// finish. A body that throws stops all claiming; once the workers have
+/// returned, the exception of the lowest throwing slot index is
+/// rethrown.
+void for_each_slot(std::size_t n, std::size_t threads,
+                   const std::function<bool()>& stop,
+                   const std::function<void(std::size_t)>& body);
+
 }  // namespace msbist::core

@@ -1,6 +1,6 @@
 #include "production/batch.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -611,12 +611,61 @@ BatchReport aggregate(std::vector<DeviceOutcome> slots, std::size_t threads) {
   return report;
 }
 
+/// Resume: splice prior-run outcomes into their slots before anything
+/// runs and return the restored mask; the engines skip those dies.
+/// Checkpoints beyond the population (a resubmitted lot shrank) are
+/// ignored, not an error.
+std::vector<char> splice_resume(const BatchResume* resume,
+                                std::vector<DeviceOutcome>& slots) {
+  std::vector<char> restored(slots.size(), 0);
+  if (resume == nullptr) return restored;
+  for (const auto& [i, done] : resume->completed) {
+    if (i >= slots.size()) continue;
+    slots[i] = done;
+    restored[i] = 1;
+  }
+  return restored;
+}
+
+/// Score one marched lane into its die's slot (index stamped first: the
+/// checkpoint document is spliced verbatim on resume).
+void score_lane(const DieSpec& spec, std::size_t index,
+                const circuit::BatchVariantOutcome& lane,
+                const LockstepPlan& plan, DeviceOutcome& out) {
+  out.index = index;
+  out.seed = spec.seed;
+  out.label = spec.label;
+  if (!lane.ok()) {
+    out.degraded = true;
+    out.failures.push_back(*lane.failure);
+    out.outcome =
+        core::Outcome::fail("lockstep lane failed: " + lane.failure->message());
+    return;
+  }
+  try {
+    out.outcome = plan.evaluate(spec, *lane.result);
+    if (out.outcome.pass && out.outcome.detail.empty()) {
+      out.outcome.detail = "pass";
+    }
+  } catch (const std::exception& e) {
+    out.degraded = true;
+    core::Failure f;
+    f.code = core::ErrorCode::kInternal;
+    f.analysis = "production/lockstep_evaluate";
+    f.detail = e.what();
+    out.failures.push_back(std::move(f));
+    out.outcome = core::Outcome::fail("lockstep evaluate aborted: " +
+                                      std::string(e.what()));
+  }
+}
+
 }  // namespace
 
 BatchReport run_batch(const std::vector<DieSpec>& population,
                       const TestPlan& plan, std::size_t threads,
                       const DeviceTestFn& test_fn, const BatchResume* resume,
-                      const DeviceCompleteFn& on_complete) {
+                      const DeviceCompleteFn& on_complete,
+                      const StopFn& stop) {
   const auto t0 = Clock::now();
   const std::size_t n = population.size();
   if (threads == 0) threads = core::ThreadPool::default_thread_count();
@@ -652,49 +701,18 @@ BatchReport run_batch(const std::vector<DieSpec>& population,
   };
 
   std::vector<DeviceOutcome> slots(n);
-  // Resume: splice prior-run outcomes into their slots before anything
-  // runs; workers skip those indices entirely. Checkpoints beyond the
-  // population (a resubmitted lot shrank) are ignored, not an error.
-  std::vector<char> restored(n, 0);
-  if (resume != nullptr) {
-    for (const auto& [i, done] : resume->completed) {
-      if (i >= n) continue;
-      slots[i] = done;
-      restored[i] = 1;
-    }
-  }
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (restored[i] != 0) continue;
-      slots[i] = run_one(population[i]);
-      // Stamp the slot index before the checkpoint hook fires: the
-      // checkpointed document is spliced verbatim on resume, so it must
-      // already carry its final position (aggregate() re-stamps typed
-      // outcomes but cannot reach inside a restored document).
-      slots[i].index = i;
-      if (on_complete) on_complete(i, slots[i]);
-    }
-    threads = 1;
-  } else {
-    // Determinism: device i owns slot [i]; workers claim indices from an
-    // atomic counter and only write their own slot. wait_idle() orders
-    // every slot write before aggregation (same scheme as
-    // faults::run_campaign_parallel).
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        if (restored[i] != 0) continue;
-        slots[i] = run_one(population[i]);
-        slots[i].index = i;  // before the hook — see the serial path
-        if (on_complete) on_complete(i, slots[i]);
-      }
-    };
-    core::ThreadPool pool(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.submit(worker);
-    pool.wait_idle();
-  }
+  const std::vector<char> restored = splice_resume(resume, slots);
+  // Determinism: device i owns slot [i] and only its own slot is written.
+  core::for_each_slot(n, threads, stop, [&](std::size_t i) {
+    if (restored[i] != 0) return;
+    slots[i] = run_one(population[i]);
+    // Stamp the slot index before the checkpoint hook fires: the
+    // checkpointed document is spliced verbatim on resume, so it must
+    // already carry its final position (aggregate() re-stamps typed
+    // outcomes but cannot reach inside a restored document).
+    slots[i].index = i;
+    if (on_complete) on_complete(i, slots[i]);
+  });
 
   BatchReport report = aggregate(std::move(slots), threads);
   report.wall_seconds = seconds_since(t0);
@@ -708,7 +726,8 @@ BatchReport run_batch(const BatchConfig& cfg) {
 BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
                                const LockstepPlan& plan,
                                const BatchResume* resume,
-                               const DeviceCompleteFn& on_complete) {
+                               const DeviceCompleteFn& on_complete,
+                               std::size_t threads, const StopFn& stop) {
   if (!plan.build || !plan.evaluate) {
     throw std::invalid_argument(
         "run_batch_lockstep: plan.build and plan.evaluate are required");
@@ -717,75 +736,55 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
   const std::size_t n = population.size();
 
   std::vector<DeviceOutcome> slots(n);
-  std::vector<char> restored(n, 0);
-  if (resume != nullptr) {
-    for (const auto& [i, done] : resume->completed) {
-      if (i >= n) continue;
-      slots[i] = done;
-      restored[i] = 1;
-    }
-  }
-  // lane k of the (smaller) resumed march is population die live[k].
+  const std::vector<char> restored = splice_resume(resume, slots);
   std::vector<std::size_t> live;
   live.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (restored[i] == 0) live.push_back(i);
   }
 
-  // Fabricate the incomplete dies' netlists up front; the lockstep
-  // engine needs its whole population at once (that is what it
-  // amortizes over).
-  std::vector<circuit::Netlist> nets(live.size());
-  std::vector<circuit::Netlist*> variants(live.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    plan.build(population[live[k]], nets[k]);
-    variants[k] = &nets[k];
-  }
-
-  if (!variants.empty()) {
-    const circuit::BatchTransient engine(plan.transient);
-    const circuit::BatchTransientReport sim = engine.run(variants);
-
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const std::size_t i = live[k];
-      DeviceOutcome& out = slots[i];
-      out.index = i;  // before the hook fires — checkpoints splice verbatim
-      out.seed = population[i].seed;
-      out.label = population[i].label;
-      const circuit::BatchVariantOutcome& lane = sim.variants[k];
-      if (!lane.ok()) {
-        out.degraded = true;
-        out.failures.push_back(*lane.failure);
-        out.outcome = core::Outcome::fail("lockstep lane failed: " +
-                                          lane.failure->message());
-        if (on_complete) on_complete(i, out);
-        continue;
-      }
-      try {
-        out.outcome = plan.evaluate(population[i], *lane.result);
-        if (out.outcome.pass && out.outcome.detail.empty()) {
-          out.outcome.detail = "pass";
-        }
-      } catch (const std::exception& e) {
-        out.degraded = true;
-        core::Failure f;
-        f.code = core::ErrorCode::kInternal;
-        f.analysis = "production/lockstep_evaluate";
-        f.detail = e.what();
-        out.failures.push_back(std::move(f));
-        out.outcome =
-            core::Outcome::fail("lockstep evaluate aborted: " +
-                                std::string(e.what()));
-      }
-      if (on_complete) on_complete(i, out);
+  const std::size_t blocks =
+      (live.size() + kLockstepBlockDies - 1) / kLockstepBlockDies;
+  if (threads == 0) threads = core::ThreadPool::default_thread_count();
+  threads = std::clamp<std::size_t>(threads, 1, std::max<std::size_t>(blocks, 1));
+  // Block b owns slots live[b*B .. b*B+B) and block_seconds[b].
+  std::vector<double> block_seconds(blocks, 0.0);
+  core::for_each_slot(blocks, threads, stop, [&](std::size_t b) {
+    const auto tb = Clock::now();
+    const std::size_t first = b * kLockstepBlockDies;
+    const std::size_t last = std::min(first + kLockstepBlockDies, live.size());
+    // Lane 0 is die live[0] in every block (see batch.h): blocks after
+    // the first march a rebuilt copy of it ahead of their own dies.
+    const std::size_t lead = b == 0 ? 0 : 1;
+    std::vector<circuit::Netlist> nets(lead + last - first);
+    std::vector<circuit::Netlist*> variants(nets.size());
+    for (std::size_t lane = 0; lane < nets.size(); ++lane) {
+      const std::size_t die = lane < lead ? live[0] : live[first + lane - lead];
+      plan.build(population[die], nets[lane]);
+      variants[lane] = &nets[lane];
     }
-  }
+    circuit::BatchTransientOptions opts = plan.transient;
+    opts.erc = opts.erc && b == 0;  // every block shares lane 0's topology
+    const circuit::BatchTransientReport sim =
+        circuit::BatchTransient(opts).run(variants);
+    for (std::size_t k = first; k < last; ++k) {
+      score_lane(population[live[k]], live[k], sim.variants[lead + k - first],
+                 plan, slots[live[k]]);
+    }
+    block_seconds[b] = seconds_since(tb);
+    if (on_complete) {
+      for (std::size_t k = first; k < last; ++k) {
+        on_complete(live[k], slots[live[k]]);
+      }
+    }
+  });
 
-  BatchReport report = aggregate(std::move(slots), /*threads=*/1);
+  BatchReport report = aggregate(std::move(slots), threads);
   report.wall_seconds = seconds_since(t0);
-  // Lockstep shares one solver pass across the lot, so per-die elapsed
-  // time is not separable; cpu_seconds reports the shared wall time.
-  report.cpu_seconds = report.wall_seconds;
+  // Lanes of a block share one march, so per-die elapsed time is not
+  // separable; cpu_seconds sums the blocks' own times instead.
+  report.cpu_seconds = 0.0;
+  for (const double s : block_seconds) report.cpu_seconds += s;
   return report;
 }
 

@@ -10,7 +10,7 @@
 // engine aggregates a BatchReport: per-device outcomes, yield,
 // parametric distributions, and which devices fail which tier.
 //
-// Execution fans out over core::ThreadPool with the same determinism
+// Execution runs on core::for_each_slot with the same determinism
 // contract as faults::run_campaign_parallel: every device owns a
 // pre-assigned result slot, aggregation walks slots in batch order, and
 // timing fields are excluded from canonical_outcomes() — so the report's
@@ -176,10 +176,21 @@ DeviceOutcome test_device(const DieSpec& spec, const TestPlan& plan);
 using DeviceTestFn = std::function<DeviceOutcome(const DieSpec&, const TestPlan&)>;
 
 /// Invoked after die `index` finishes testing (never for dies restored
-/// from a resume): the executor's checkpoint hook. Called from engine
-/// worker threads — must be thread-safe.
+/// from a resume, never for dies a stop left untested): the executor's
+/// checkpoint hook. Called from engine worker threads — must be
+/// thread-safe.
 using DeviceCompleteFn =
     std::function<void(std::size_t index, const DeviceOutcome& outcome)>;
+
+/// Cooperative stop predicate, polled before each unit of work is
+/// claimed (a die under run_batch, a lane block under
+/// run_batch_lockstep). Once it returns true no further unit starts;
+/// units already running finish and fire DeviceCompleteFn. Slots of
+/// units that never ran stay default-constructed, so a caller that
+/// stops a lot must discard the report unless every die completed
+/// (restored dies plus DeviceCompleteFn calls cover the population).
+/// Called from engine worker threads: thread-safe, must not throw.
+using StopFn = std::function<bool()>;
 
 /// Already-completed dies from a prior interrupted run of the SAME
 /// population and plan, keyed by batch index. The engines splice these
@@ -203,12 +214,13 @@ DeviceOutcome decode_device_checkpoint(const core::JsonValue& v);
 /// a degraded failing DeviceOutcome carrying the Failure record, never an
 /// aborted batch. `resume` (optional) pre-fills the listed slots and
 /// skips testing them; `on_complete` fires after each die actually
-/// tested in this run.
+/// tested in this run; `stop` (optional) is polled before each die.
 BatchReport run_batch(const std::vector<DieSpec>& population,
                       const TestPlan& plan, std::size_t threads = 1,
                       const DeviceTestFn& test_fn = {},
                       const BatchResume* resume = nullptr,
-                      const DeviceCompleteFn& on_complete = {});
+                      const DeviceCompleteFn& on_complete = {},
+                      const StopFn& stop = {});
 
 /// make_population + run_batch.
 BatchReport run_batch(const BatchConfig& cfg);
@@ -217,11 +229,12 @@ BatchReport run_batch(const BatchConfig& cfg);
 /// netlist, how to march the population, and how to judge the waveforms.
 ///
 /// The contract mirrors DeviceTestFn — one die in, one verdict out — but
-/// the middle runs through circuit::BatchTransient: build() is called
-/// once per die to produce value-variants of ONE topology (same nodes,
-/// same elements; only parameters may depend on the spec), the whole
-/// population is simulated in lockstep, and evaluate() scores each die's
-/// waveforms into its DeviceOutcome.
+/// the middle runs through circuit::BatchTransient: build() produces
+/// value-variants of ONE topology (same nodes, same elements; only
+/// parameters may depend on the spec), the population is simulated in
+/// lockstep lane blocks, and evaluate() scores each die's waveforms into
+/// its DeviceOutcome. build() and evaluate() run on engine worker
+/// threads when threads > 1 and must be thread-safe.
 struct LockstepPlan {
   /// Fabricate die `spec` into the (empty) netlist. Must build the same
   /// topology for every die; draw only element values from the spec.
@@ -233,6 +246,11 @@ struct LockstepPlan {
       evaluate;
 };
 
+/// Dies per lockstep block. Memory and per-die cost stay flat in lot
+/// size because no block outgrows the cache; DESIGN.md §13 records the
+/// block-size measurement behind the value.
+inline constexpr std::size_t kLockstepBlockDies = 32;
+
 /// Fabricate-and-screen a population in lockstep. Produces the same
 /// BatchReport shape as run_batch (ordered slots, deterministic
 /// aggregation); dies whose lane failed (typed solver failure) or whose
@@ -240,18 +258,34 @@ struct LockstepPlan {
 /// DeviceTestFn that threw under run_batch. Throws std::invalid_argument
 /// when build() violates the shared-topology contract and
 /// core::SingularMatrixError when a die's matrix defeats even private
-/// re-pivoting (see circuit/batch_transient.h).
+/// re-pivoting (see circuit/batch_transient.h); with several failing
+/// blocks, the lowest block's error is the one thrown.
 ///
-/// Resume semantics: lanes listed in `resume` are excluded from the
-/// lockstep march entirely (their netlists are never built) and their
-/// restored outcomes spliced into the report; the remaining lanes march
-/// as a smaller population. The march itself is atomic — checkpoints
-/// (`on_complete`, fired per lane after evaluation) only exist once the
-/// whole march lands, so a crash mid-march restarts the incomplete
-/// lanes, never resumes half a march.
+/// The dies still to test (the "live" dies: population order, restored
+/// dies excluded) march in blocks of kLockstepBlockDies, one
+/// core::for_each_slot unit each, on `threads` workers (0 = hardware
+/// concurrency). Each block builds its dies' netlists, runs one
+/// circuit::BatchTransient march, evaluates, fires `on_complete` for
+/// each of its dies, and frees everything, so engine memory is bounded
+/// by the block size times the thread count, not by the lot. Every
+/// block marches with the first live die's netlist as its lane 0 (a
+/// leader lane, discarded in every block but the first): lane 0 defines
+/// the pivot sequence all lanes replay, so each die's waveforms — and
+/// the report — are byte-identical to one march over every live die at
+/// once, at any thread count. The ERC runs once per lot, in the first
+/// block. `cpu_seconds` sums the blocks' build + march + evaluate times.
+///
+/// Resume and stop semantics: dies listed in `resume` are never built
+/// or marched; their restored outcomes are spliced into the report.
+/// `stop` is polled before each block is claimed. A block is atomic —
+/// its checkpoints (`on_complete`) fire only once the whole block has
+/// been marched and evaluated, so a crash or stop mid-block re-tests that
+/// block's dies on resume, never half a march.
 BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
                                const LockstepPlan& plan,
                                const BatchResume* resume = nullptr,
-                               const DeviceCompleteFn& on_complete = {});
+                               const DeviceCompleteFn& on_complete = {},
+                               std::size_t threads = 1,
+                               const StopFn& stop = {});
 
 }  // namespace msbist::production

@@ -66,6 +66,47 @@ production::BatchResume decode_batch_resume(
   return out;
 }
 
+/// A lot engine (run_batch or run_batch_lockstep) bound to its request,
+/// called with the decoded resume table and the checkpoint hook.
+using LotEngine = std::function<production::BatchReport(
+    const production::BatchResume&, const production::DeviceCompleteFn&)>;
+
+/// Run a lot engine under the executor hooks. Every die the engine
+/// actually tests journals its checkpoint and then ticks progress; dies a
+/// stop left untested do neither. A lot that did not complete (restored
+/// plus tested dies short of the population) returns the explicit
+/// "stopped" non-answer, never the partial report.
+DispatchResult run_lot(std::size_t total, const DispatchHooks& hooks,
+                       const LotEngine& engine) {
+  const production::BatchResume resume = decode_batch_resume(hooks.resume, total);
+  std::atomic<std::size_t> done{resume.completed.size()};
+  if (hooks.progress) hooks.progress(resume.completed.size(), total);
+  const production::DeviceCompleteFn on_complete =
+      [&hooks, &done, total](std::size_t index,
+                             const production::DeviceOutcome& outcome) {
+        if (hooks.unit_complete) {
+          hooks.unit_complete(index, total,
+                              production::encode_device_checkpoint(outcome));
+        }
+        const std::size_t n = done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (hooks.progress) hooks.progress(n, total);
+      };
+
+  DispatchResult res;
+  res.resumed_units = resume.completed.size();
+  res.report_kind = "batch_report";
+  production::BatchReport report = engine(resume, on_complete);
+  if (done.load(std::memory_order_relaxed) < total) {
+    res.stopped = true;
+    res.outcome = core::Outcome::fail("job stopped before completion");
+    return res;
+  }
+  res.outcome = report.outcome();
+  res.report_json = core::to_json(report);
+  res.batch = std::move(report);
+  return res;
+}
+
 DispatchResult run_batch_job(const core::JobRequest& req,
                              const std::vector<production::DieSpec>& population,
                              const DispatchHooks& hooks) {
@@ -73,96 +114,26 @@ DispatchResult run_batch_job(const core::JobRequest& req,
   plan.tiers = parse_tiers(req.tiers);
   plan.full_spec = req.full_spec;
   plan.fault_spot_check = req.fault_spot_check;
-
-  const std::size_t total = population.size();
-  const production::BatchResume resume = decode_batch_resume(hooks.resume, total);
-  auto done = std::make_shared<std::atomic<std::size_t>>(resume.completed.size());
-  auto stopped = std::make_shared<std::atomic<bool>>(false);
-
-  production::DeviceTestFn test_fn;
-  if (hooks.should_stop || hooks.progress) {
-    test_fn = [hooks, done, stopped, total](const production::DieSpec& spec,
-                                            const production::TestPlan& plan) {
-      if (hooks.should_stop && hooks.should_stop()) {
-        stopped->store(true, std::memory_order_relaxed);
-        production::DeviceOutcome out;
-        out.seed = spec.seed;
-        out.label = spec.label;
-        out.outcome = core::Outcome::fail("skipped: job stopping");
-        return out;
-      }
-      production::DeviceOutcome out = production::test_device(spec, plan);
-      const std::size_t n = done->fetch_add(1, std::memory_order_relaxed) + 1;
-      if (hooks.progress) hooks.progress(n, total);
-      return out;
-    };
-  }
-  production::DeviceCompleteFn on_complete;
-  if (hooks.unit_complete) {
-    on_complete = [hooks, total](std::size_t index,
-                                 const production::DeviceOutcome& outcome) {
-      hooks.unit_complete(index, total,
-                          production::encode_device_checkpoint(outcome));
-    };
-  }
-
-  DispatchResult res;
-  res.resumed_units = resume.completed.size();
-  res.batch = production::run_batch(population, plan, effective_threads(req),
-                                    test_fn, &resume, on_complete);
-  res.stopped = stopped->load(std::memory_order_relaxed);
-  res.report_kind = "batch_report";
-  if (!res.stopped) {
-    res.outcome = res.batch->outcome();
-    res.report_json = core::to_json(*res.batch);
-  } else {
-    res.outcome = core::Outcome::fail("job stopped before completion");
-    res.batch.reset();
-  }
-  return res;
+  return run_lot(population.size(), hooks,
+                 [&](const production::BatchResume& resume,
+                     const production::DeviceCompleteFn& on_complete) {
+                   return production::run_batch(population, plan,
+                                                effective_threads(req), {},
+                                                &resume, on_complete,
+                                                hooks.should_stop);
+                 });
 }
 
 DispatchResult run_lockstep_job(const core::JobRequest& req,
                                 const std::vector<production::DieSpec>& population,
                                 const DispatchHooks& hooks) {
-  if (hooks.should_stop && hooks.should_stop()) {
-    DispatchResult res;
-    res.stopped = true;
-    res.report_kind = "batch_report";
-    res.outcome = core::Outcome::fail("job stopped before start");
-    return res;
-  }
-  (void)req;
-
-  const std::size_t total = population.size();
-  const production::BatchResume resume = decode_batch_resume(hooks.resume, total);
-  auto done = std::make_shared<std::atomic<std::size_t>>(resume.completed.size());
-  if (hooks.progress) {
-    hooks.progress(done->load(std::memory_order_relaxed), total);
-  }
-  production::DeviceCompleteFn on_complete;
-  if (hooks.unit_complete || hooks.progress) {
-    on_complete = [hooks, done, total](std::size_t index,
-                                       const production::DeviceOutcome& outcome) {
-      if (hooks.unit_complete) {
-        hooks.unit_complete(index, total,
-                            production::encode_device_checkpoint(outcome));
-      }
-      if (hooks.progress) {
-        const std::size_t n = done->fetch_add(1, std::memory_order_relaxed) + 1;
-        hooks.progress(n, total);
-      }
-    };
-  }
-
-  DispatchResult res;
-  res.resumed_units = resume.completed.size();
-  res.batch = production::run_batch_lockstep(population, lockstep_screen_plan(),
-                                             &resume, on_complete);
-  res.report_kind = "batch_report";
-  res.outcome = res.batch->outcome();
-  res.report_json = core::to_json(*res.batch);
-  return res;
+  return run_lot(population.size(), hooks,
+                 [&](const production::BatchResume& resume,
+                     const production::DeviceCompleteFn& on_complete) {
+                   return production::run_batch_lockstep(
+                       population, lockstep_screen_plan(), &resume, on_complete,
+                       effective_threads(req), hooks.should_stop);
+                 });
 }
 
 DispatchResult run_campaign_job(const core::JobRequest& req,

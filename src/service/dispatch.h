@@ -36,12 +36,18 @@ namespace msbist::service {
 /// Executor-provided hooks. All are optional and must be thread-safe:
 /// the engines invoke them from worker threads.
 struct DispatchHooks {
-  /// Polled between units of work (per die / per fault). Returning true
-  /// makes dispatch wind down early: remaining units are skipped and the
-  /// result comes back with stopped = true (report discarded).
+  /// Polled before the engine claims its next unit of work: each die
+  /// (batch), each block of kLockstepBlockDies dies (lockstep), each
+  /// fault (campaigns). Returning true makes dispatch wind down early:
+  /// units already running finish, later ones never start, and the
+  /// result comes back with stopped = true (report discarded). Batch and
+  /// lockstep units that never ran get no progress tick and no
+  /// checkpoint; campaigns still record (and checkpoint) a "skipped"
+  /// result for each fault they skip.
   std::function<bool()> should_stop;
   /// Incremental progress: units completed so far / total units. With a
-  /// resume, `done` starts at the restored-unit count.
+  /// resume, `done` starts at the restored-unit count. Lockstep dies
+  /// complete a block at a time.
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Checkpoint hook: fired after each unit actually executed in this
   /// run (never for restored units) with the unit's engine checkpoint

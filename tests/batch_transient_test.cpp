@@ -1,12 +1,15 @@
 // circuit::BatchTransient + production::run_batch_lockstep: lockstep
 // waveforms must match one-die-at-a-time sparse transients (bitwise for
 // the pivot-defining variant, < 1e-9 relative for the rest), per-lane
-// failures must stay in their lane, and topology-contract violations
-// must be rejected up front.
+// failures must stay in their lane, topology-contract violations must be
+// rejected, and the lane-block march must report exactly what one march
+// over the whole lot would.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,8 @@
 #include "circuit/netlist.h"
 #include "circuit/transient.h"
 #include "core/error.h"
+#include "core/json_value.h"
+#include "core/outcome.h"
 #include "production/batch.h"
 
 namespace msbist::circuit {
@@ -302,6 +307,186 @@ TEST(RunBatchLockstep, EvaluateExceptionDegradesOnlyThatDie) {
   EXPECT_EQ(report.devices[1].failures[0].code, core::ErrorCode::kInternal);
   EXPECT_EQ(report.devices[1].failures[0].analysis,
             "production/lockstep_evaluate");
+}
+
+/// Seed-derived resistance spread over six decades (1 mOhm .. 1 kOhm).
+double decade_spread(std::uint64_t seed, std::uint64_t salt) {
+  const std::uint64_t h = (seed ^ salt) * 0x9E3779B97F4A7C15ull;
+  const double u =
+      static_cast<double>(h >> 11) / static_cast<double>(1ull << 53);
+  return std::pow(10.0, 6.0 * u - 3.0);
+}
+
+/// An RC ladder whose resistors each spread over six decades, so dies
+/// disagree on the partial-pivoting sequence. Lanes replay lane 0's
+/// pivots, so a die's low-order waveform bits depend on which die leads
+/// its march — what the block march's leader lane has to pin down.
+void build_pivot_sensitive_die(const DieSpec& spec, Netlist& n) {
+  NodeId prev = n.node("in");
+  n.add<VoltageSource>(prev, kGround,
+                       std::make_shared<circuit::SineWave>(2.5, 2.0, 50e3));
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    const NodeId node = n.node("n" + std::to_string(i));
+    n.add<Resistor>(prev, node, decade_spread(spec.seed, 10 + i));
+    n.add<Resistor>(node, kGround, decade_spread(spec.seed, 20 + i));
+    n.add<Capacitor>(node, kGround, 1e-6);
+    if (i >= 2) {
+      n.add<Resistor>(node, n.node("n" + std::to_string(i - 2)),
+                      decade_spread(spec.seed, 30 + i));
+    }
+    prev = node;
+  }
+  const NodeId out = n.node("out");
+  n.add<Resistor>(prev, out, decade_spread(spec.seed, 40));
+  n.add<Resistor>(out, kGround, 10.0);
+  n.add<Capacitor>(out, kGround, 1e-6);
+}
+
+/// A verdict carrying the exact bits of the die's waveform (hex-float
+/// sum), so any arithmetic difference shows up in the report.
+core::Outcome judge_bits(const DieSpec&, const circuit::TransientResult& tr) {
+  double sum = 0.0;
+  for (const double v : tr.voltage("out")) sum += v;
+  char bits[48];
+  std::snprintf(bits, sizeof bits, "%a", sum);
+  return core::Outcome::ok(bits);
+}
+
+LockstepPlan pivot_sensitive_plan() {
+  LockstepPlan plan;
+  plan.build = build_pivot_sensitive_die;
+  plan.transient.dt = 1e-6;
+  plan.transient.t_stop = 20e-6;
+  plan.evaluate = judge_bits;
+  return plan;
+}
+
+std::vector<DieSpec> lot(std::size_t n, std::uint64_t batch_seed) {
+  std::vector<DieSpec> population(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    population[i].seed = device_seed(batch_seed, i);
+    population[i].label = "die " + std::to_string(i + 1);
+  }
+  return population;
+}
+
+/// What the block march must reproduce: every die in ONE
+/// BatchTransient::run (die 0 leading), lane i scored into slot i.
+BatchReport one_pass_reference(const std::vector<DieSpec>& population,
+                               const LockstepPlan& plan) {
+  std::vector<Netlist> nets(population.size());
+  std::vector<Netlist*> lanes;
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    plan.build(population[i], nets[i]);
+    lanes.push_back(&nets[i]);
+  }
+  const circuit::BatchTransientReport sim =
+      circuit::BatchTransient(plan.transient).run(lanes);
+  BatchReport ref;
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    EXPECT_TRUE(sim.variants[i].ok()) << "die " << i;
+    DeviceOutcome d;
+    d.index = i;
+    d.seed = population[i].seed;
+    d.label = population[i].label;
+    d.outcome = plan.evaluate(population[i], *sim.variants[i].result);
+    if (d.outcome.pass) ++ref.passed;
+    ref.devices.push_back(std::move(d));
+  }
+  return ref;
+}
+
+/// The report document minus wall-clock members.
+std::string without_timing(const BatchReport& report) {
+  core::JsonValue doc = core::parse_json(core::to_json(report));
+  doc.erase("wall_seconds");
+  doc.erase("cpu_seconds");
+  doc.erase("devices_per_second");
+  core::JsonValue devices = core::JsonValue::array();
+  for (core::JsonValue d : doc.find("devices")->items()) {
+    d.erase("elapsed_seconds");
+    devices.push_back(std::move(d));
+  }
+  doc.set("devices", std::move(devices));
+  return doc.dump();
+}
+
+TEST(RunBatchLockstep, BlockMarchEqualsOnePassMarchAtAnyThreadCount) {
+  // Six full blocks plus a partial tail.
+  const std::size_t n = 6 * kLockstepBlockDies + kLockstepBlockDies / 4;
+  const std::vector<DieSpec> population = lot(n, 20260808);
+  const LockstepPlan plan = pivot_sensitive_plan();
+  BatchReport ref = one_pass_reference(population, plan);
+
+  // The premise: some die leads a march to different bits for die 0
+  // than die 0 leading its own, so a block without the leader lane would
+  // not reproduce the one-pass march.
+  bool leader_matters = false;
+  for (std::size_t j = 1; j < n && !leader_matters; ++j) {
+    Netlist lead;
+    Netlist die0;
+    plan.build(population[j], lead);
+    plan.build(population[0], die0);
+    const circuit::BatchTransientReport sim =
+        circuit::BatchTransient(plan.transient).run({&lead, &die0});
+    leader_matters = plan.evaluate(population[0], *sim.variants[1].result)
+                         .detail != ref.devices[0].outcome.detail;
+  }
+  ASSERT_TRUE(leader_matters);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const BatchReport report =
+        run_batch_lockstep(population, plan, nullptr, {}, threads);
+    EXPECT_EQ(report.threads_used, threads);
+    ref.threads_used = threads;
+    EXPECT_EQ(report.canonical_outcomes(), ref.canonical_outcomes())
+        << "threads " << threads;
+    EXPECT_EQ(without_timing(report), without_timing(ref))
+        << "threads " << threads;
+  }
+}
+
+TEST(RunBatchLockstep, TopologyViolationInTheLastBlockStillThrows) {
+  const std::vector<DieSpec> population = lot(3 * kLockstepBlockDies + 5, 9);
+  LockstepPlan plan;
+  plan.build = [&population](const DieSpec& spec, Netlist& n) {
+    build_die(spec, n);
+    if (spec.seed == population.back().seed) {
+      n.add<Resistor>(n.find_node("out"), kGround, 1e6);  // one extra element
+    }
+  };
+  plan.transient.dt = 5e-6;
+  plan.transient.t_stop = 50e-6;
+  plan.evaluate = [](const DieSpec&, const circuit::TransientResult&) {
+    return core::Outcome::ok();
+  };
+  for (const std::size_t threads : {1u, 2u}) {
+    EXPECT_THROW(run_batch_lockstep(population, plan, nullptr, {}, threads),
+                 std::invalid_argument)
+        << "threads " << threads;
+  }
+}
+
+TEST(RunBatchLockstep, StopBetweenBlocksCompletesOnlyWholeBlocks) {
+  const std::vector<DieSpec> population = lot(5 * kLockstepBlockDies, 4);
+  LockstepPlan plan;
+  plan.build = build_die;
+  plan.transient.dt = 5e-6;
+  plan.transient.t_stop = 50e-6;
+  plan.evaluate = [](const DieSpec&, const circuit::TransientResult&) {
+    return core::Outcome::ok();
+  };
+  std::vector<std::size_t> completed;
+  (void)run_batch_lockstep(
+      population, plan, nullptr,
+      [&completed](std::size_t index, const DeviceOutcome& out) {
+        EXPECT_EQ(out.index, index);
+        completed.push_back(index);
+      },
+      1, [&completed] { return !completed.empty(); });
+  // The stop lands after the first block: its dies, and nothing else.
+  ASSERT_EQ(completed.size(), kLockstepBlockDies);
+  for (std::size_t i = 0; i < completed.size(); ++i) EXPECT_EQ(completed[i], i);
 }
 
 }  // namespace

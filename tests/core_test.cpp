@@ -1,9 +1,11 @@
-// Unit tests for the Device/Batch fabrication model, report tables and
-// the thread pool behind the parallel campaign engine.
+// Unit tests for the Device/Batch fabrication model, report tables, and
+// the thread pool and slot executor behind the parallel engines.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/device.h"
 #include "core/report.h"
@@ -120,6 +122,54 @@ TEST(ThreadPool, DestructorDrainsPendingJobs) {
     }
   }  // destructor joins after draining the queue
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, ForEachSlotRunsEverySlotOnce) {
+  for (const std::size_t threads : {0u, 1u, 4u, 64u}) {
+    std::vector<std::atomic<int>> hits(100);
+    for_each_slot(hits.size(), threads, {},
+                  [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "slot " << i << ", threads " << threads;
+    }
+  }
+  for_each_slot(0, 4, {}, [](std::size_t) { FAIL() << "no slot to run"; });
+}
+
+TEST(ThreadPool, ForEachSlotStopsClaimingOnceStopped) {
+  for (const std::size_t threads : {1u, 4u}) {
+    std::atomic<std::size_t> ran{0};
+    for_each_slot(
+        1000, threads, [&ran] { return ran.load() >= 10; },
+        [&ran](std::size_t) { ran.fetch_add(1); });
+    // Each worker can be past its last poll when the tenth slot lands.
+    EXPECT_GE(ran.load(), 10u);
+    EXPECT_LE(ran.load(), 10u + threads - 1) << "threads " << threads;
+  }
+  std::atomic<std::size_t> ran{0};
+  for_each_slot(
+      10, 4, [] { return true; }, [&ran](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 0u);
+}
+
+TEST(ThreadPool, ForEachSlotRethrowsTheLowestThrowingSlot) {
+  for (const std::size_t threads : {1u, 4u}) {
+    std::atomic<std::size_t> ran{0};
+    try {
+      for_each_slot(1000, threads, {}, [&ran](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 3 || i == 7) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& e) {
+      // Slot 3 was claimed before slot 7, so it always ran and threw.
+      EXPECT_STREQ(e.what(), "3") << "threads " << threads;
+    }
+    // Inline, claiming stops at the throw instead of running the lot.
+    if (threads == 1) {
+      EXPECT_EQ(ran.load(), 4u);
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/device.h"
 #include "production/batch.h"
@@ -205,6 +206,31 @@ TEST(ProductionBatch, ThrowingTestFnDegradesDieWithoutAbortingBatch) {
   const std::string json = core::to_json(serial);
   EXPECT_NE(json.find("\"degraded_count\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"non_convergent\""), std::string::npos);
+}
+
+TEST(ProductionBatch, StopLeavesUntestedDiesUntouched) {
+  production::BatchConfig cfg;
+  cfg.device_count = 20;
+  const auto pop = production::make_population(cfg);
+  std::size_t tested = 0;
+  const production::DeviceTestFn count_tests =
+      [&tested](const production::DieSpec& spec, const production::TestPlan&) {
+        ++tested;
+        production::DeviceOutcome out;
+        out.seed = spec.seed;
+        out.outcome = core::Outcome::ok("tested");
+        return out;
+      };
+  std::vector<std::size_t> completed;
+  (void)production::run_batch(
+      pop, {}, 1, count_tests, nullptr,
+      [&completed](std::size_t index, const production::DeviceOutcome&) {
+        completed.push_back(index);
+      },
+      [&completed] { return completed.size() >= 3; });
+  // No die past the stop is tested, fabricated or checkpointed.
+  EXPECT_EQ(tested, 3u);
+  EXPECT_EQ(completed, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(ProductionBatch, EmptyPopulationIsWellFormed) {

@@ -4,10 +4,13 @@
 // dispatch-layer wiring (DispatchHooks::unit_complete / resume).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -182,6 +185,50 @@ TEST(Resume, LockstepResumeMarchesOnlyLiveLanes) {
   EXPECT_EQ(resumed.canonical_outcomes(), control.canonical_outcomes());
   EXPECT_EQ(strip_batch_timing(parse_json(core::to_json(resumed))).dump(),
             strip_batch_timing(parse_json(core::to_json(control))).dump());
+}
+
+TEST(Resume, LockstepResumeStraddlingBlockBoundariesMatchesControl) {
+  constexpr std::size_t kBlock = production::kLockstepBlockDies;
+  const auto population =
+      service::lockstep_screen_population(5 * kBlock + 3, 7);
+  const production::LockstepPlan plan = service::lockstep_screen_plan();
+
+  for (const std::size_t threads : {1u, 2u}) {
+    std::mutex mu;  // on_complete fires from engine worker threads
+    std::map<std::size_t, std::string> checkpoints;
+    const production::BatchReport control = production::run_batch_lockstep(
+        population, plan, nullptr,
+        [&](std::size_t index, const production::DeviceOutcome& outcome) {
+          std::string checkpoint = production::encode_device_checkpoint(outcome);
+          const std::lock_guard<std::mutex> lock(mu);
+          checkpoints[index] = std::move(checkpoint);
+        },
+        threads);
+    ASSERT_EQ(checkpoints.size(), population.size());
+
+    // Restored dies on both sides of the first block boundary and deep
+    // in a later block: every block of the resumed march is re-formed
+    // from the live dies, led by live die 1.
+    production::BatchResume resume;
+    for (const std::size_t die : {std::size_t{0}, kBlock - 1, kBlock,
+                                  4 * kBlock + 2}) {
+      resume.completed.emplace(die, production::decode_device_checkpoint(
+                                        parse_json(checkpoints[die])));
+    }
+    std::atomic<std::size_t> retested{0};
+    const production::BatchReport resumed = production::run_batch_lockstep(
+        population, plan, &resume,
+        [&retested](std::size_t, const production::DeviceOutcome&) {
+          retested.fetch_add(1);
+        },
+        threads);
+
+    EXPECT_EQ(retested.load(), population.size() - resume.completed.size());
+    EXPECT_EQ(resumed.canonical_outcomes(), control.canonical_outcomes());
+    EXPECT_EQ(strip_batch_timing(parse_json(core::to_json(resumed))).dump(),
+              strip_batch_timing(parse_json(core::to_json(control))).dump())
+        << "threads " << threads;
+  }
 }
 
 TEST(Resume, CampaignResumeSerialAndParallel) {

@@ -16,7 +16,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -850,6 +852,154 @@ TEST(Durability, UncleanJournalRecoversResumesAndCompletes) {
   const JsonValue* gauges = m.find("gauges");
   EXPECT_GT(gauges->find("journal_bytes")->as_u64(), 0u);
   EXPECT_GE(gauges->find("journal_segments")->as_u64(), 1u);
+}
+
+/// Rewrite every journal segment under `dir` without its result records
+/// and clean-shutdown marker: the state a SIGKILL between a job's stop
+/// and its result append leaves on disk.
+void drop_terminal_records(const std::string& dir) {
+  std::vector<std::string> segments;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".wal") == 0) {
+        segments.push_back(dir + "/" + name);
+      }
+    }
+    ::closedir(d);
+  }
+  ASSERT_FALSE(segments.empty());
+  for (const std::string& path : segments) {
+    std::string kept;
+    {
+      std::ifstream in(path);
+      std::string line;
+      while (std::getline(in, line)) {
+        // "<crc32-hex> <payload>"
+        const std::string type =
+            parse_json(line.substr(9)).find("type")->as_string();
+        if (type != "result" && type != "clean_shutdown") kept += line + '\n';
+      }
+    }
+    std::ofstream(path, std::ios::trunc) << kept;
+  }
+}
+
+/// Poll an in-process manager until job `id` is terminal (60 s deadline).
+service::JobSnapshot await_job(const service::JobManager& manager,
+                               std::uint64_t id) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    const std::optional<service::JobSnapshot> snap = manager.get(id);
+    if (!snap) {
+      ADD_FAILURE() << "job " << id << " vanished";
+      return {};
+    }
+    if (service::is_terminal(snap->state) ||
+        std::chrono::steady_clock::now() > deadline) {
+      return *snap;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Cancellation must never journal work that did not run. A stopped batch
+// job once journaled a fabricated "skipped: job stopping" checkpoint for
+// every die it never tested, and a recovery that lost the terminal
+// record then "resumed" those fakes into a plausible but wrong report.
+TEST(Durability, CancelledLotJournalsOnlyDiesThatRanAndResumesToControl) {
+  const std::string dir = fresh_state_dir("cancel_resume");
+  const core::JobRequest req = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1000,"batch_seed":17,"threads":2})");
+  const service::DispatchResult control = service::dispatch(req);
+  ASSERT_TRUE(control.batch.has_value());
+
+  std::uint64_t id = 0;
+  {
+    service::JobManager manager(durable_options(dir));
+    id = manager.submit(req);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (manager.get(id)->progress_done < 10 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(manager.cancel(id));
+    ASSERT_EQ(await_job(manager, id).state, service::JobState::kCancelled);
+  }
+
+  drop_terminal_records(dir);
+  const service::RecoveredState replayed = service::Journal::replay(dir);
+  const service::RecoveredJob& job = replayed.jobs.at(id);
+  ASSERT_FALSE(job.has_result);
+  EXPECT_GE(job.checkpoints.size(), 10u);
+  EXPECT_LT(job.checkpoints.size(), req.device_count);
+  for (const auto& [unit, payload] : job.checkpoints) {
+    const production::DeviceOutcome die =
+        production::decode_device_checkpoint(parse_json(payload));
+    const production::DeviceOutcome& tested = control.batch->devices.at(unit);
+    EXPECT_NE(die.outcome.detail, "skipped: job stopping") << "die " << unit;
+    EXPECT_EQ(die.seed, tested.seed) << "die " << unit;
+    EXPECT_EQ(die.outcome.pass, tested.outcome.pass) << "die " << unit;
+    EXPECT_EQ(die.outcome.detail, tested.outcome.detail) << "die " << unit;
+  }
+
+  // Recovery resumes from the real checkpoints and lands on the control.
+  service::JobManager manager(durable_options(dir));
+  manager.recover_jobs();
+  const service::JobSnapshot done = await_job(manager, id);
+  ASSERT_EQ(done.state, service::JobState::kSucceeded);
+  EXPECT_EQ(done.resumed_units, job.checkpoints.size());
+  EXPECT_EQ(strip_timing(parse_json(done.report_json)).dump(),
+            strip_timing(parse_json(control.report_json)).dump());
+}
+
+TEST(Durability, TimedOutLockstepJournalsOnlyMarchedBlocks) {
+  constexpr std::size_t kBlock = production::kLockstepBlockDies;
+  const std::string dir = fresh_state_dir("lockstep_timeout");
+  const core::JobRequest req = core::JobRequest::from_json_text(
+      R"({"kind":"lockstep_batch","device_count":16384,"batch_seed":31,)"
+      R"("threads":2,"limits":{"wall_timeout_s":0.2}})");
+  std::uint64_t id = 0;
+  {
+    service::JobManager manager(durable_options(dir));
+    id = manager.submit(req);
+    const service::JobSnapshot done = await_job(manager, id);
+    ASSERT_EQ(done.state, service::JobState::kTimedOut);
+    EXPECT_EQ(done.failure.code, core::ErrorCode::kTimeout);
+    EXPECT_TRUE(done.report_json.empty());
+  }
+
+  drop_terminal_records(dir);
+  const service::RecoveredState replayed = service::Journal::replay(dir);
+  const service::RecoveredJob& job = replayed.jobs.at(id);
+  ASSERT_FALSE(job.checkpoints.empty());
+  ASSERT_LT(job.checkpoints.size(), req.device_count);
+
+  // Blocks land whole: each block's dies are journaled together or not
+  // at all, and every journaled die carries the verdict a march of its
+  // block really produced (blocks are led by die 0, so a march of the
+  // lot's prefix reproduces them).
+  const std::size_t last_block = job.checkpoints.rbegin()->first / kBlock;
+  const auto population =
+      service::lockstep_screen_population(req.device_count, req.batch_seed);
+  const production::BatchReport marched = production::run_batch_lockstep(
+      {population.begin(),
+       population.begin() + static_cast<std::ptrdiff_t>((last_block + 1) * kBlock)},
+      service::lockstep_screen_plan());
+  std::map<std::size_t, std::size_t> per_block;
+  for (const auto& [unit, payload] : job.checkpoints) {
+    const production::DeviceOutcome die =
+        production::decode_device_checkpoint(parse_json(payload));
+    EXPECT_EQ(die.seed, population[unit].seed) << "die " << unit;
+    EXPECT_EQ(die.outcome.detail, marched.devices[unit].outcome.detail)
+        << "die " << unit;
+    ++per_block[unit / kBlock];
+  }
+  for (const auto& [block, dies] : per_block) {
+    EXPECT_EQ(dies, kBlock) << "block " << block;
+  }
 }
 
 TEST(Durability, RecoveredJobWithUnknownPopulationFailsOnce) {

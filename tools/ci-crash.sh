@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Crash-recovery gate: boot a Release msbistd on a --state-dir journal,
-# submit a lot-scale batch job, SIGKILL the daemon mid-lot, restart it
-# on the same state directory, and assert the recovery contract.
-# Mirrors the "crash" CI job:
+# submit a lot-scale job, SIGKILL the daemon mid-lot, restart it on the
+# same state directory, and assert the recovery contract. Two scenarios:
+# a full-spec batch lot (checkpoints land per die) and a lockstep screen
+# (checkpoints land per lane block). Mirrors the "crash" CI job:
 #
 #   tools/ci-crash.sh [build-dir] [dies] [kill-after-dies]
 #
-# Assertions:
+# dies / kill-after-dies size the batch scenario; the lockstep scenario
+# is a 16384-die screen on 2 engine threads, killed once 2 blocks of
+# production::kLockstepBlockDies have landed.
+#
+# Assertions, per scenario:
 #   1. The restarted daemon detects the unclean shutdown, re-admits the
 #      interrupted job under its original id, and runs it to completion.
 #   2. The resumed report's die results are identical to an
@@ -17,22 +22,23 @@
 #      index, every index present.
 #   4. The resume measurably beat from-scratch: /metrics shows
 #      jobs_recovered and jobs_resumed of 1 and units_resumed at least
-#      the checkpoint threshold — the restarted daemon re-simulated
-#      strictly fewer dies than the lot holds.
+#      the kill threshold — the restarted daemon re-simulated strictly
+#      fewer dies than the lot holds.
 #   5. A second clean restart finds a clean-shutdown marker and the
 #      journaled terminal result still queryable (no third execution).
 #
-# The verdict is left in CRASHTEST.json (uploaded as a CI artifact).
+# The verdicts are left in CRASHTEST.json (uploaded as a CI artifact).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-crash}"
 DIES="${2:-160}"
 KILL_AFTER="${3:-30}"
+LOCKSTEP_DIES=16384
+LOCKSTEP_BLOCK="$(sed -n 's/.*kLockstepBlockDies = \([0-9]*\);.*/\1/p' \
+  src/production/batch.h)"
+[ -n "$LOCKSTEP_BLOCK" ] || { echo "kLockstepBlockDies not found"; exit 1; }
 STATE_DIR="$(mktemp -d)"
-JOB_BODY="{\"kind\":\"batch\",\"device_count\":$DIES,\"batch_seed\":777,\
-\"full_spec\":true,\"threads\":1,\"label\":\"crash-lot\",\
-\"idempotency_key\":\"crash-gate-lot\"}"
 
 # Release without -Werror, same as the bench/load gates: GCC 12's
 # libstdc++ emits a known -Wrestrict false positive at -O2.
@@ -48,6 +54,7 @@ cleanup() {
 trap cleanup EXIT
 
 # Boot one daemon and wait for its port. Sets $daemon, $log, $port.
+# Extra arguments are appended to the daemon's command line.
 boot() {
   log="$(mktemp)"
   # --fsync-every 1: the crash-test setting — every checkpoint is
@@ -80,43 +87,51 @@ await_result() { # await_result PORT ID OUT_FILE
   echo "job $id never finished"; return 1
 }
 
-# --- Control: the same lot, uninterrupted ----------------------------
-boot
-control_port="$port"
-curl -sSf -X POST "http://127.0.0.1:$control_port/jobs" -d "$JOB_BODY" > /dev/null
-await_result "$control_port" 1 control-result.json
-kill -TERM "$daemon"; wait "$daemon" || true
-daemon=""
-rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
+echo "[]" > CRASHTEST.json
 
-# --- Crash run: SIGKILL mid-lot --------------------------------------
-boot
-curl -sSf -X POST "http://127.0.0.1:$port/jobs" -d "$JOB_BODY" > /dev/null
-done_dies=0
-for _ in $(seq 1 600); do
-  done_dies="$(curl -sSf "http://127.0.0.1:$port/jobs/1" |
-    python3 -c 'import json,sys; print(json.load(sys.stdin)["progress"]["done"])')"
-  [ "$done_dies" -ge "$KILL_AFTER" ] && break
-  sleep 0.05
-done
-[ "$done_dies" -ge "$KILL_AFTER" ] || {
-  echo "lot never reached $KILL_AFTER dies (at $done_dies)"; exit 1; }
-kill -9 "$daemon"
-wait "$daemon" 2>/dev/null || true
-daemon=""
-echo "crash gate: SIGKILLed mid-lot at $done_dies/$DIES dies"
+# crash_scenario NAME JOB_BODY DIES KILL_AFTER [daemon args...]
+crash_scenario() {
+  local name="$1" body="$2" dies="$3" kill_after="$4"
+  shift 4
 
-# --- Restart on the same state dir: recover, resume, complete --------
-boot
-grep -q "unclean shutdown detected" "$log" || {
-  echo "restarted daemon did not report the unclean shutdown"; cat "$log"; exit 1; }
-await_result "$port" 1 resumed-result.json
-curl -sSf "http://127.0.0.1:$port/metrics" > resumed-metrics.json
-curl -sSf "http://127.0.0.1:$port/healthz" > resumed-healthz.json
+  # --- Control: the same lot, uninterrupted --------------------------
+  rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
+  boot "$@"
+  curl -sSf -X POST "http://127.0.0.1:$port/jobs" -d "$body" > /dev/null
+  await_result "$port" 1 control-result.json
+  kill -TERM "$daemon"; wait "$daemon" || true
+  daemon=""
+  rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
 
-python3 - "$DIES" "$KILL_AFTER" <<'EOF'
+  # --- Crash run: SIGKILL mid-lot ------------------------------------
+  boot "$@"
+  curl -sSf -X POST "http://127.0.0.1:$port/jobs" -d "$body" > /dev/null
+  local done_dies=0
+  for _ in $(seq 1 600); do
+    done_dies="$(curl -sSf "http://127.0.0.1:$port/jobs/1" |
+      python3 -c 'import json,sys; print(json.load(sys.stdin)["progress"]["done"])')"
+    [ "$done_dies" -ge "$kill_after" ] && break
+    sleep 0.05
+  done
+  [ "$done_dies" -ge "$kill_after" ] || {
+    echo "$name: lot never reached $kill_after dies (at $done_dies)"; exit 1; }
+  kill -9 "$daemon"
+  wait "$daemon" 2>/dev/null || true
+  daemon=""
+  echo "crash gate ($name): SIGKILLed mid-lot at $done_dies/$dies dies"
+
+  # --- Restart on the same state dir: recover, resume, complete ------
+  boot "$@"
+  grep -q "unclean shutdown detected" "$log" || {
+    echo "$name: restarted daemon did not report the unclean shutdown"
+    cat "$log"; exit 1; }
+  await_result "$port" 1 resumed-result.json
+  curl -sSf "http://127.0.0.1:$port/metrics" > resumed-metrics.json
+  curl -sSf "http://127.0.0.1:$port/healthz" > resumed-healthz.json
+
+  python3 - "$name" "$dies" "$kill_after" <<'EOF'
 import json, sys
-dies, kill_after = int(sys.argv[1]), int(sys.argv[2])
+name, dies, kill_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 
 def canon(path):
     report = json.load(open(path))["report"]
@@ -145,8 +160,10 @@ assert g["journal_bytes"] > 0 and g["journal_segments"] >= 1, g
 h = json.load(open("resumed-healthz.json"))["recovery"]
 assert h["clean_shutdown"] is False and h["resumed_jobs"] == 1, h
 
-json.dump({
+verdicts = json.load(open("CRASHTEST.json"))
+verdicts.append({
     "kind": "crash_test",
+    "scenario": name,
     "dies": dies,
     "killed_after_dies": kill_after,
     "units_resumed": resumed_units,
@@ -155,21 +172,39 @@ json.dump({
     "journal_segments": g["journal_segments"],
     "journal_degraded": c.get("journal_degraded", 0),
     "report_identical_modulo_timing": True,
-}, open("CRASHTEST.json", "w"), indent=2)
-print("crash gate: resumed %d/%d dies from checkpoints, re-tested %d, "
-      "report identical to control" % (resumed_units, dies, dies - resumed_units))
+})
+json.dump(verdicts, open("CRASHTEST.json", "w"), indent=2)
+print("crash gate (%s): resumed %d/%d dies from checkpoints, re-tested %d, "
+      "report identical to control" % (name, resumed_units, dies, dies - resumed_units))
 EOF
 
-# --- Second restart: clean drain leaves nothing to redo --------------
-kill -TERM "$daemon"; wait "$daemon" || true
-daemon=""
-boot
-if grep -q "unclean shutdown detected" "$log"; then
-  echo "clean drain did not write the shutdown marker"; cat "$log"; exit 1
-fi
-state="$(curl -sSf "http://127.0.0.1:$port/jobs/1" |
-  python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')"
-[ "$state" = "succeeded" ] || { echo "journaled result lost: $state"; exit 1; }
-kill -TERM "$daemon"; wait "$daemon" || true
-daemon=""
-echo "crash gate: journaled result survives a clean restart"
+  # --- Second restart: clean drain leaves nothing to redo ------------
+  kill -TERM "$daemon"; wait "$daemon" || true
+  daemon=""
+  boot "$@"
+  if grep -q "unclean shutdown detected" "$log"; then
+    echo "$name: clean drain did not write the shutdown marker"; cat "$log"; exit 1
+  fi
+  local state
+  state="$(curl -sSf "http://127.0.0.1:$port/jobs/1" |
+    python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')"
+  [ "$state" = "succeeded" ] || { echo "$name: journaled result lost: $state"; exit 1; }
+  kill -TERM "$daemon"; wait "$daemon" || true
+  daemon=""
+  echo "crash gate ($name): journaled result survives a clean restart"
+}
+
+crash_scenario batch \
+  "{\"kind\":\"batch\",\"device_count\":$DIES,\"batch_seed\":777,\
+\"full_spec\":true,\"threads\":1,\"label\":\"crash-lot\",\
+\"idempotency_key\":\"crash-gate-lot\"}" \
+  "$DIES" "$KILL_AFTER"
+
+# Lockstep checkpoints land a block at a time, so the journal syncs once
+# per block's worth of records instead of once per die (a SIGKILL loses
+# nothing write()n either way; the page cache survives the process).
+crash_scenario lockstep \
+  "{\"kind\":\"lockstep_batch\",\"device_count\":$LOCKSTEP_DIES,\
+\"batch_seed\":778,\"threads\":2,\"label\":\"crash-screen\",\
+\"idempotency_key\":\"crash-gate-screen\"}" \
+  "$LOCKSTEP_DIES" "$((2 * LOCKSTEP_BLOCK))" --fsync-every "$LOCKSTEP_BLOCK"
