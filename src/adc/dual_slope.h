@@ -18,6 +18,7 @@
 // bench maps it to the paper's "input code equivalent" axis.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -31,10 +32,18 @@
 namespace msbist::adc {
 
 /// Datapath widths of the Figure-1 converter. 10 bits comfortably hold the
-/// worst-case code (timeout_counts = 400 < 1024); fault knobs referring to
-/// bits at or above these widths are no-ops (see production spot check).
+/// worst-case code (timeout_counts = 400 < 1024). Latch mask bits at or
+/// above kAdcLatchBits are no-ops. A counter stuck bit at or above
+/// kAdcCounterBits is not: digital::BinaryCounter rejects it, so every
+/// conversion of such a config throws std::invalid_argument. Only the
+/// production spot check's static collapse treats it as a no-op, because
+/// it never simulates that clone.
 inline constexpr std::uint32_t kAdcCounterBits = 10;
 inline constexpr std::uint32_t kAdcLatchBits = 10;
+
+/// Conversions DualSlopeAdc::convert_n marches together in one pass of
+/// its kernel. DESIGN.md §10 records the lane-width sweep behind the value.
+inline constexpr std::size_t kConversionLanes = 8;
 
 struct DualSlopeAdcConfig {
   double vref = 2.5;                ///< full-scale reference [V]
@@ -80,8 +89,21 @@ class DualSlopeAdc {
  public:
   explicit DualSlopeAdc(DualSlopeAdcConfig cfg);
 
-  /// Run one full conversion of the given input voltage.
+  /// Run one full conversion of the given input voltage (convert_n of
+  /// one input).
   ConversionResult convert(double vin);
+
+  /// Convert vin[0..n) into out[0..n): the results, and the noise-stream
+  /// position afterwards, are bit-identical to n successive convert()
+  /// calls. Each conversion's comparator noise is drawn in call order,
+  /// then kConversionLanes conversions march together: the control
+  /// sequence (auto-zero, the fixed integrate count, a frozen-phase
+  /// fault) is the same for every lane of one config, so it runs once per
+  /// block, and only the comparator trip or timeout that ends
+  /// de-integration is tracked per lane. Throws std::invalid_argument for
+  /// an invalid config before drawing any noise, with the message the
+  /// offending sub-macro's constructor gives.
+  void convert_n(const double* vin, std::size_t n, ConversionResult* out);
 
   /// Convenience: just the output code.
   std::uint32_t code_for(double vin) { return convert(vin).code; }
@@ -103,6 +125,10 @@ class DualSlopeAdc {
 
   /// Reset the conversion-noise stream (reproducible characterization).
   void reseed_noise(std::uint64_t seed);
+
+  /// The conversion-noise stream; its position after a run of
+  /// conversions is part of the converter's observable state.
+  const std::mt19937_64& noise_stream() const { return noise_rng_; }
 
  private:
   DualSlopeAdcConfig cfg_;

@@ -9,26 +9,10 @@
 
 namespace msbist::adc {
 
-TransitionLevels measure_transitions_ramp(const AdcTransferFn& adc, double v_lo,
-                                          double v_hi, double step_v,
-                                          int samples_per_point) {
-  if (step_v <= 0 || v_hi <= v_lo || samples_per_point < 1) {
-    throw std::invalid_argument("measure_transitions_ramp: bad sweep parameters");
+std::vector<double> ramp_sweep_points(double v_lo, double v_hi, double step_v) {
+  if (step_v <= 0 || v_hi <= v_lo) {
+    throw std::invalid_argument("ramp_sweep_points: bad sweep parameters");
   }
-  const auto mean_code = [&](double v) {
-    double acc = 0.0;
-    for (int s = 0; s < samples_per_point; ++s) acc += static_cast<double>(adc(v));
-    return acc / static_cast<double>(samples_per_point);
-  };
-
-  TransitionLevels out;
-  double prev_v = v_lo;
-  double prev_mean = mean_code(v_lo);
-  out.base_code = static_cast<std::uint32_t>(std::llround(prev_mean));
-  // The next half-level the mean code must cross upward.
-  double next_level = std::floor(prev_mean) + 0.5;
-  if (prev_mean >= next_level) next_level += 1.0;
-
   // Index-based stepping (v = v_lo + i * step_v): accumulating `v += step_v`
   // compounds rounding error, and with a `v <= v_hi` guard an exactly
   // divisible span like 2.5 V / 0.1 V lands just past v_hi and silently
@@ -36,10 +20,51 @@ TransitionLevels measure_transitions_ramp(const AdcTransferFn& adc, double v_lo,
   // exactly-divisible endpoint inside the sweep.
   const auto steps = static_cast<std::size_t>(
       std::floor((v_hi - v_lo) / step_v * (1.0 + 1e-12) + 1e-12));
+  std::vector<double> points;
+  points.reserve(steps + 1);
+  points.push_back(v_lo);
   for (std::size_t i = 1; i <= steps; ++i) {
     double v = v_lo + static_cast<double>(i) * step_v;
     if (v > v_hi) v = v_hi;  // final point may overshoot by one rounding ulp
-    const double mean = mean_code(v);
+    points.push_back(v);
+  }
+  return points;
+}
+
+TransitionLevels measure_transitions_ramp(const AdcTransferFn& adc, double v_lo,
+                                          double v_hi, double step_v,
+                                          int samples_per_point) {
+  if (step_v <= 0 || v_hi <= v_lo || samples_per_point < 1) {
+    throw std::invalid_argument("measure_transitions_ramp: bad sweep parameters");
+  }
+  const std::vector<double> points = ramp_sweep_points(v_lo, v_hi, step_v);
+  std::vector<double> means;
+  means.reserve(points.size());
+  for (double v : points) {
+    double acc = 0.0;
+    for (int s = 0; s < samples_per_point; ++s) acc += static_cast<double>(adc(v));
+    means.push_back(acc / static_cast<double>(samples_per_point));
+  }
+  return transitions_from_sweep(points, means);
+}
+
+TransitionLevels transitions_from_sweep(const std::vector<double>& points,
+                                        const std::vector<double>& mean_codes) {
+  if (points.empty() || mean_codes.size() != points.size()) {
+    throw std::invalid_argument(
+        "transitions_from_sweep: need one mean code per sweep point");
+  }
+  TransitionLevels out;
+  double prev_v = points[0];
+  double prev_mean = mean_codes[0];
+  out.base_code = std::llround(prev_mean);
+  // The next half-level the mean code must cross upward.
+  double next_level = std::floor(prev_mean) + 0.5;
+  if (prev_mean >= next_level) next_level += 1.0;
+
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    const double v = points[i];
+    const double mean = mean_codes[i];
     // Record one transition per half-level crossed upward this step; a
     // multi-code jump (missing code) deposits several transitions at the
     // same voltage, which shows up as DNL = -1 at the skipped step.

@@ -38,7 +38,9 @@ using AdcTransferFn = std::function<std::uint32_t(double)>;
 /// flag tells the caller the transfer rebounded and the voltages near the
 /// reverse crossings deserve scrutiny.
 struct TransitionLevels {
-  std::uint32_t base_code = 0;
+  /// The rounded mean code at the sweep's first point. Signed: a code
+  /// axis mapped from a faulty converter can start below zero.
+  std::int64_t base_code = 0;
   std::vector<double> transitions;
   bool monotonic = true;  ///< false if any downward half-level crossing seen
   std::vector<double> reverse_transitions;  ///< downward-crossing voltages
@@ -53,6 +55,20 @@ struct TransitionLevels {
 TransitionLevels measure_transitions_ramp(const AdcTransferFn& adc, double v_lo,
                                           double v_hi, double step_v,
                                           int samples_per_point = 1);
+
+/// The sweep points measure_transitions_ramp visits, in order: v_lo, then
+/// v_lo + i * step_v up to v_hi (a final point past v_hi by one rounding
+/// ulp is pinned to v_hi). Throws std::invalid_argument unless step_v > 0
+/// and v_hi > v_lo.
+std::vector<double> ramp_sweep_points(double v_lo, double v_hi, double step_v);
+
+/// The transition search of measure_transitions_ramp, over the mean code
+/// already measured at each of its sweep points: for callers that convert
+/// a whole sweep in one batch. The first point's mean sets base_code.
+/// Throws std::invalid_argument unless there is one mean per point and at
+/// least one point.
+TransitionLevels transitions_from_sweep(const std::vector<double>& points,
+                                        const std::vector<double>& mean_codes);
 
 /// Locate one transition voltage by servo (bisection) search: the input
 /// where the converter outputs >= target_code on at least half of

@@ -22,9 +22,9 @@ ComparatorModel::ComparatorModel(ComparatorParams p) : params_(p) {
 }
 
 void ComparatorModel::reset(bool output_high) {
-  out_high_ = output_high;
-  pending_valid_ = false;
-  pending_timer_ = 0.0;
+  state_.out_high = output_high;
+  state_.pending_valid = false;
+  state_.pending_timer = 0.0;
 }
 
 }  // namespace msbist::analog

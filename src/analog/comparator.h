@@ -23,6 +23,14 @@ struct ComparatorParams {
   ComparatorParams varied(ProcessVariation& pv) const;
 };
 
+/// The comparator's state between steps.
+struct ComparatorState {
+  bool out_high = false;       ///< committed (visible) output state
+  bool pending_valid = false;  ///< an edge is in flight
+  bool pending_state = false;
+  double pending_timer = 0.0;
+};
+
 /// Clocked/continuous comparator with hysteresis and a transport delay
 /// realized as a pending-edge timer. Call step() once per simulation step.
 class ComparatorModel {
@@ -32,46 +40,53 @@ class ComparatorModel {
   void reset(bool output_high = false);
 
   /// Advance by dt with the given inputs; returns the (possibly delayed)
-  /// output level. Inline: runs once per simulation step, millions of
-  /// times per production batch.
+  /// output level.
   double step(double v_plus, double v_minus, double dt) {
     if (dt <= 0) throw std::invalid_argument("ComparatorModel::step: dt must be > 0");
-    const double vid = v_plus - v_minus + params_.offset_v;
+    return decide(params_, state_, v_plus, v_minus, dt) ? params_.v_high
+                                                        : params_.v_low;
+  }
+
+  /// The decision step() makes, on explicit state: returns the committed
+  /// output state after dt (dt > 0). The single definition shared by
+  /// step() and the dual-slope ADC's lane-batched conversion kernel, which
+  /// keeps one state per lane. Inline: runs once per simulation step,
+  /// millions of times per production batch.
+  static bool decide(const ComparatorParams& p, ComparatorState& s,
+                     double v_plus, double v_minus, double dt) {
+    const double vid = v_plus - v_minus + p.offset_v;
     // Hysteresis around zero: the comparison target shifts away from the
     // current committed state.
-    const double half_hyst = 0.5 * params_.hysteresis_v;
-    const bool raw = out_high_ ? (vid > -half_hyst) : (vid > half_hyst);
+    const double half_hyst = 0.5 * p.hysteresis_v;
+    const bool raw = s.out_high ? (vid > -half_hyst) : (vid > half_hyst);
 
-    if (params_.delay_s <= 0.0) {
-      out_high_ = raw;
-    } else if (raw != out_high_) {
-      if (!pending_valid_ || pending_state_ != raw) {
-        pending_valid_ = true;
-        pending_state_ = raw;
-        pending_timer_ = params_.delay_s;
+    if (p.delay_s <= 0.0) {
+      s.out_high = raw;
+    } else if (raw != s.out_high) {
+      if (!s.pending_valid || s.pending_state != raw) {
+        s.pending_valid = true;
+        s.pending_state = raw;
+        s.pending_timer = p.delay_s;
       } else {
-        pending_timer_ -= dt;
-        if (pending_timer_ <= 0.0) {
-          out_high_ = pending_state_;
-          pending_valid_ = false;
+        s.pending_timer -= dt;
+        if (s.pending_timer <= 0.0) {
+          s.out_high = s.pending_state;
+          s.pending_valid = false;
         }
       }
     } else {
       // Input went back before the delay elapsed: cancel the edge.
-      pending_valid_ = false;
+      s.pending_valid = false;
     }
-    return out_high_ ? params_.v_high : params_.v_low;
+    return s.out_high;
   }
 
-  bool output_high() const { return out_high_; }
+  bool output_high() const { return state_.out_high; }
   const ComparatorParams& params() const { return params_; }
 
  private:
   ComparatorParams params_;
-  bool out_high_ = false;       ///< committed (visible) output state
-  bool pending_valid_ = false;  ///< an edge is in flight
-  bool pending_state_ = false;
-  double pending_timer_ = 0.0;
+  ComparatorState state_;
 };
 
 }  // namespace msbist::analog

@@ -58,21 +58,39 @@ class ScIntegratorModel {
 
   void reset(double vout = 0.0);
 
+  /// The terms of one cycle that the input sample and its polarity fix.
+  struct Drive {
+    double step_gain;   ///< (1/k)(1 + ratio_error) * vin
+    double input_gain;  ///< 1 + input_nonlinearity * vin
+    bool invert;
+  };
+
   /// One switched-capacitor cycle with input sample vin (the sample taken
   /// in the previous phase, matching the z^-1 in the design equation).
   /// Positive direction integrates up; pass invert=true for the dual-slope
-  /// run-down phase (switch control flips the sampled polarity). Inline:
-  /// runs once per ADC clock, millions of times per production batch.
+  /// run-down phase (switch control flips the sampled polarity).
   double update(double vin, bool invert = false) {
-    const double gain = (1.0 / params_.cap_ratio) * (1.0 + params_.ratio_error);
+    vout_ = next_output(params_, drive(params_, vin, invert), vout_);
+    return vout_;
+  }
+
+  /// drive() and next_output() are the single definition of a cycle,
+  /// shared by update() and the dual-slope ADC's lane-batched conversion
+  /// kernel, which computes each lane's drive once per phase and keeps
+  /// one output per lane. Inline: next_output runs once per ADC clock,
+  /// millions of times per production batch.
+  static Drive drive(const ScIntegratorParams& p, double vin, bool invert) {
+    const double gain = (1.0 / p.cap_ratio) * (1.0 + p.ratio_error);
+    return {gain * vin, 1.0 + p.input_nonlinearity * vin, invert};
+  }
+  static double next_output(const ScIntegratorParams& p, const Drive& d,
+                            double vout) {
     // The nonlinearity models capacitor voltage-coefficient effects: the
     // per-cycle step depends weakly on the present output level.
-    double step = gain * vin * (1.0 + params_.nonlinearity * vout_) *
-                  (1.0 + params_.input_nonlinearity * vin);
-    if (invert) step = -step * (1.0 + params_.invert_gain_mismatch);
-    double next = vout_ * (1.0 - params_.leak) + step + params_.offset_per_cycle;
-    vout_ = std::clamp(next, params_.vout_min, params_.vout_max);
-    return vout_;
+    double step = d.step_gain * (1.0 + p.nonlinearity * vout) * d.input_gain;
+    if (d.invert) step = -step * (1.0 + p.invert_gain_mismatch);
+    const double next = vout * (1.0 - p.leak) + step + p.offset_per_cycle;
+    return std::clamp(next, p.vout_min, p.vout_max);
   }
 
   double output() const { return vout_; }

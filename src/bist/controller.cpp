@@ -17,6 +17,14 @@ std::string fmt(double v) {
   return os.str();
 }
 
+/// Convert a tier's inputs, all known up front, in one lane-batched call.
+std::vector<adc::ConversionResult> convert_all(adc::DualSlopeAdc& adc,
+                                               const std::vector<double>& vin) {
+  std::vector<adc::ConversionResult> out(vin.size());
+  adc.convert_n(vin.data(), vin.size(), out.data());
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(Tier t) {
@@ -188,9 +196,10 @@ AnalogTestResult BistController::analog_test(adc::DualSlopeAdc& adc) const {
   AnalogTestResult res;
   res.step_levels = steps_.levels();
   const double vref = adc.config().vref;
-  for (double v : res.step_levels) {
-    const adc::ConversionResult conv = adc.convert(v);
-    res.fall_times_s.push_back(conv.fall_time_s);
+  const std::vector<adc::ConversionResult> conv = convert_all(adc, res.step_levels);
+  for (std::size_t i = 0; i < conv.size(); ++i) {
+    const double v = res.step_levels[i];
+    res.fall_times_s.push_back(conv[i].fall_time_s);
     // Expected law: T2 = (Vref - Vin) * (T1/Vref) + pedestal time.
     const double t1 = static_cast<double>(adc.config().integrate_counts) /
                       adc.config().clock_hz;
@@ -212,11 +221,9 @@ AnalogTestResult BistController::analog_test(adc::DualSlopeAdc& adc) const {
 RampTestResult BistController::ramp_test(adc::DualSlopeAdc& adc) const {
   RampTestResult res;
   res.sample_times_s = ramp_.measurement_times();
+  for (double t : res.sample_times_s) res.sample_voltages.push_back(ramp_.value(t));
   bool all_complete = true;
-  for (double t : res.sample_times_s) {
-    const double v = ramp_.value(t);
-    res.sample_voltages.push_back(v);
-    const adc::ConversionResult conv = adc.convert(v);
+  for (const adc::ConversionResult& conv : convert_all(adc, res.sample_voltages)) {
     res.codes.push_back(conv.code);
     all_complete = all_complete && conv.completed && !conv.timed_out;
   }
@@ -233,19 +240,22 @@ RampTestResult BistController::ramp_test(adc::DualSlopeAdc& adc) const {
 DigitalTestResult BistController::digital_test(adc::DualSlopeAdc& adc) const {
   DigitalTestResult res;
   // Worst-case conversion time occurs at zero input (longest run-down).
-  const adc::ConversionResult worst = adc.convert(0.0);
-  res.max_conversion_time_s = worst.conversion_time_s;
-
   // Fall-time step per code: one-LSB input change. Conversion noise on a
   // single difference is ~0.8 counts RMS, so the estimate averages enough
   // repeats to push its sigma well inside the half-count pass window.
   const double lsb = adc.lsb_volts();
-  double acc = 0.0;
   const int reps = 32;
+  std::vector<double> vin{0.0};
   for (int r = 0; r < reps; ++r) {
-    const adc::ConversionResult a = adc.convert(1.0);
-    const adc::ConversionResult b = adc.convert(1.0 + lsb);
-    acc += a.fall_time_s - b.fall_time_s;
+    vin.push_back(1.0);
+    vin.push_back(1.0 + lsb);
+  }
+  const std::vector<adc::ConversionResult> conv = convert_all(adc, vin);
+  const adc::ConversionResult& worst = conv[0];
+  res.max_conversion_time_s = worst.conversion_time_s;
+  double acc = 0.0;
+  for (std::size_t i = 1; i < conv.size(); i += 2) {
+    acc += conv[i].fall_time_s - conv[i + 1].fall_time_s;
   }
   res.fall_time_per_code_s = acc / static_cast<double>(reps);
   res.volts_per_code = lsb;
@@ -262,24 +272,27 @@ CompressedTestResult BistController::compressed_test(
   CompressedTestResult res;
   const ToleranceCompressor comp = make_compressor(adc);
 
+  // Inputs: the consecutive steps (digital signature), then the ramp
+  // samples and the zero-input conversion, the true maximum excursion
+  // (analogue signature).
+  const std::size_t steps = steps_.levels().size();
+  std::vector<double> vin = steps_.levels();
+  for (double t : ramp_.measurement_times()) vin.push_back(ramp_.value(t));
+  vin.push_back(0.0);
+  const std::vector<adc::ConversionResult> conv = convert_all(adc, vin);
+
   // Digital signature from the consecutive step inputs.
   std::vector<std::uint32_t> codes;
-  double peak = 0.0;
-  for (double v : steps_.levels()) {
-    const adc::ConversionResult conv = adc.convert(v);
-    codes.push_back(conv.code);
-  }
+  for (std::size_t i = 0; i < steps; ++i) codes.push_back(conv[i].code);
   res.digital_signature = comp.signature(codes);
   res.expected_signature = comp.golden_signature();
 
   // Analogue signature: ramp the input and compress the maximum
   // integrator voltage through the DC level sensor.
-  for (double t : ramp_.measurement_times()) {
-    const adc::ConversionResult conv = adc.convert(ramp_.value(t));
-    peak = std::max(peak, conv.integrator_peak_v);
+  double peak = 0.0;
+  for (std::size_t i = steps; i < conv.size(); ++i) {
+    peak = std::max(peak, conv[i].integrator_peak_v);
   }
-  // Include the zero-input conversion: the true maximum excursion.
-  peak = std::max(peak, adc.convert(0.0).integrator_peak_v);
   res.analog_signature = sensor_.classify(peak);
 
   res.pass = res.digital_signature == res.expected_signature &&

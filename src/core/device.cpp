@@ -1,5 +1,8 @@
 #include "core/device.h"
 
+#include <cstdint>
+#include <vector>
+
 namespace msbist::core {
 
 namespace {
@@ -39,13 +42,19 @@ bist::BistReport Device::run_bist() { return bist_.run_all(adc_); }
 
 adc::AdcMetrics Device::characterize() {
   const double lsb = adc_.lsb_volts();
-  const std::uint32_t full = adc_.full_scale_code();
-  const adc::AdcTransferFn xfer = [&](double v) -> std::uint32_t {
-    // Ascending "input code equivalent" axis of the paper's Figure 2.
-    return full + 40u - adc_.code_for(v);
-  };
-  const adc::TransitionLevels tl =
-      adc::measure_transitions_ramp(xfer, -0.008, 1.012, 0.001, 1);
+  // One single-shot conversion per sweep point, all in one batch.
+  const std::vector<double> volts = adc::ramp_sweep_points(-0.008, 1.012, 0.001);
+  std::vector<adc::ConversionResult> conv(volts.size());
+  adc_.convert_n(volts.data(), volts.size(), conv.data());
+  // Ascending "input code equivalent" axis of the paper's Figure 2. Signed:
+  // a faulty die's codes can exceed full + 40 (latch bits stuck high), and
+  // its axis must then go negative, not wrap to ~2^32 codes to sweep.
+  const auto full = static_cast<std::int64_t>(adc_.full_scale_code());
+  std::vector<double> axis(conv.size());
+  for (std::size_t i = 0; i < conv.size(); ++i) {
+    axis[i] = static_cast<double>(full + 40 - static_cast<std::int64_t>(conv[i].code));
+  }
+  const adc::TransitionLevels tl = adc::transitions_from_sweep(volts, axis);
   const double ideal_first =
       (static_cast<double>(tl.base_code) - 40.0 + 0.5) * lsb;
   return adc::compute_metrics(tl, lsb, ideal_first);

@@ -275,6 +275,18 @@ DeviceOutcome test_device(const DieSpec& spec, const TestPlan& plan) {
       out.spec = core::Outcome::fail("characterization aborted: " +
                                      std::string(e.what()));
       out.outcome &= out.spec;
+    } catch (const std::exception& e) {
+      // A transfer too broken to measure (fewer than three transitions):
+      // the spec verdict fails, and the die keeps its tier results.
+      out.degraded = true;
+      core::Failure f;
+      f.code = core::ErrorCode::kInternal;
+      f.analysis = "production/full_spec";
+      f.detail = e.what();
+      out.failures.push_back(std::move(f));
+      out.spec = core::Outcome::fail("characterization aborted: " +
+                                     std::string(e.what()));
+      out.outcome &= out.spec;
     }
   }
 

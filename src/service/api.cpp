@@ -133,7 +133,8 @@ HttpResponse job_result(const JobSnapshot& snap) {
     w.key("outcome");
     snap.outcome.to_json(w);
     w.member("report_kind", snap.report_kind);
-    w.key("report").raw_value(snap.report_json);
+    w.key("report").raw_value(snap.report_json ? std::string_view(*snap.report_json)
+                                               : "null");
   } else if (snap.failure.code != core::ErrorCode::kNone) {
     w.key("failure");
     snap.failure.to_json(w);

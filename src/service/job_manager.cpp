@@ -102,7 +102,9 @@ struct JobManager::Job {
 
   core::Outcome outcome;
   core::Failure failure;
-  std::string report_json;
+  /// Shared with the journal's table (and, for a restored job, with the
+  /// journal's recovered() snapshot): the one retained copy.
+  ReportBuffer report_json;
   std::string report_kind;
   double queued_seconds = 0.0;
   double started_seconds = 0.0;
@@ -171,7 +173,7 @@ void JobManager::restore_terminal_jobs() {
       }
     }
     job->report_kind = rec.report_kind;
-    if (rec.report_json != "null") job->report_json = rec.report_json;
+    job->report_json = rec.report_json;
     job->recovered = true;
     // Timestamps belong to the previous process' clock: zeroed, and
     // to_json omits started/finished when 0.
@@ -218,7 +220,7 @@ void JobManager::recover_jobs() {
           job->finished_seconds = now_seconds();
           jobs_.emplace(id, job);
           journal_->append_result(id, "failed", "null",
-                                  to_json_text(job->failure), "", "null");
+                                  to_json_text(job->failure), "", nullptr);
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -467,7 +469,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
   JobState final_state = JobState::kSucceeded;
   core::Outcome outcome;
   core::Failure failure;
-  std::string report_json;
+  ReportBuffer report_json;
   std::string report_kind;
   std::size_t resumed_units = 0;
   try {
@@ -488,7 +490,10 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
       }
     } else {
       outcome = std::move(result.outcome);
-      report_json = std::move(result.report_json);
+      if (!result.report_json.empty()) {
+        report_json =
+            std::make_shared<const std::string>(std::move(result.report_json));
+      }
       report_kind = std::move(result.report_kind);
     }
   } catch (const core::SolverError& e) {
@@ -508,7 +513,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     journal_->append_result(
         job->id, to_string(final_state), to_json_text(outcome),
         failure.code != core::ErrorCode::kNone ? to_json_text(failure) : "",
-        report_kind, report_json.empty() ? "null" : report_json);
+        report_kind, report_json);
   }
 
   {
@@ -602,7 +607,7 @@ bool JobManager::cancel(std::uint64_t id) {
     ++tag.completed;
     metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
     if (journal_) {
-      journal_->append_result(job.id, "cancelled", "null", "", "", "null");
+      journal_->append_result(job.id, "cancelled", "null", "", "", nullptr);
     }
   }
   return true;

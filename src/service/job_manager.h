@@ -85,8 +85,9 @@ struct JobSnapshot {
   core::Outcome outcome;
   /// Structured error; meaningful in kFailed/kTimedOut.
   core::Failure failure;
-  /// Full report JSON; non-empty in kSucceeded only.
-  std::string report_json;
+  /// Full report JSON; set in kSucceeded only. The job's own buffer,
+  /// shared rather than copied into every snapshot.
+  ReportBuffer report_json;
   std::string report_kind;
   double queued_seconds = 0.0;   ///< since service start
   double started_seconds = 0.0;  ///< 0 while queued

@@ -151,7 +151,8 @@ bool apply_payload(const std::string& payload,
     job.state = state->as_string();
     job.outcome_json = outcome->dump();
     job.report_kind = report_kind->as_string();
-    job.report_json = report->dump();
+    job.report_json =
+        report->is_null() ? nullptr : std::make_shared<const std::string>(report->dump());
     if (const core::JsonValue* failure = doc.find("failure")) {
       job.failure_json = failure->dump();
     }
@@ -236,7 +237,7 @@ std::string result_payload(std::uint64_t id, std::string_view state,
                            std::string_view outcome_json,
                            std::string_view failure_json,
                            std::string_view report_kind,
-                           std::string_view report_json) {
+                           const ReportBuffer& report) {
   core::JsonWriter w;
   w.begin_object()
       .member("type", "result")
@@ -245,7 +246,7 @@ std::string result_payload(std::uint64_t id, std::string_view state,
   w.key("outcome").raw_value(outcome_json);
   if (!failure_json.empty()) w.key("failure").raw_value(failure_json);
   w.member("report_kind", report_kind);
-  w.key("report").raw_value(report_json);
+  w.key("report").raw_value(report ? std::string_view(*report) : "null");
   w.end_object();
   return w.str();
 }
@@ -391,11 +392,6 @@ bool Journal::write_all_locked(std::string_view data) {
 
 void Journal::append_locked(std::string_view payload, bool always_sync) {
   if (degraded_) return;
-  // Fold the record into the compaction table first (under the same
-  // lock); a failed write degrades the journal anyway, so a table ahead
-  // of disk is harmless.
-  bool clean = false;
-  apply_payload(std::string(payload), table_, &clean);
   const std::string line = frame(payload);
   if (!write_all_locked(line)) return;
   appended_since_compact_ += line.size();
@@ -465,13 +461,22 @@ void Journal::evict_terminal_locked() {
   }
 }
 
+// Each append folds its record into the compaction table first (under the
+// same lock), so a compaction the append triggers already includes it; a
+// failed write degrades the journal anyway, so a table ahead of disk is
+// harmless.
+
 void Journal::append_admit(std::uint64_t id, std::string_view request_json) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (degraded_) return;
+  table_[id].request_json = request_json;
   append_locked(admit_payload(id, request_json), /*always_sync=*/true);
 }
 
 void Journal::append_state(std::uint64_t id, std::string_view state) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (degraded_) return;
+  table_[id].state = state;
   append_locked(state_payload(id, state), /*always_sync=*/false);
 }
 
@@ -479,6 +484,10 @@ void Journal::append_checkpoint(std::uint64_t id, std::size_t unit,
                                 std::size_t total,
                                 std::string_view data_json) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (degraded_) return;
+  RecoveredJob& job = table_[id];
+  job.checkpoints[unit] = data_json;
+  job.checkpoint_total = total;
   append_locked(checkpoint_payload(id, unit, total, data_json),
                 /*always_sync=*/false);
 }
@@ -486,12 +495,22 @@ void Journal::append_checkpoint(std::uint64_t id, std::size_t unit,
 void Journal::append_result(std::uint64_t id, std::string_view state,
                             std::string_view outcome_json,
                             std::string_view failure_json,
-                            std::string_view report_kind,
-                            std::string_view report_json) {
+                            std::string_view report_kind, ReportBuffer report) {
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(result_payload(id, state, outcome_json, failure_json,
-                               report_kind, report_json),
-                /*always_sync=*/true);
+  if (degraded_) return;
+  const std::string payload = result_payload(id, state, outcome_json,
+                                             failure_json, report_kind, report);
+  RecoveredJob& job = table_[id];
+  job.has_result = true;
+  job.result_state = state;
+  job.state = state;
+  job.outcome_json = outcome_json;
+  if (!failure_json.empty()) job.failure_json = failure_json;
+  job.report_kind = report_kind;
+  job.report_json = std::move(report);
+  // A finished job needs no resume state; drop the bulk now.
+  job.checkpoints.clear();
+  append_locked(payload, /*always_sync=*/true);
 }
 
 void Journal::append_clean_shutdown() {

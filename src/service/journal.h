@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -80,6 +81,11 @@ struct JournalOptions {
       write_override;
 };
 
+/// A terminal job's report document, retained once: the JobManager's job,
+/// the journal's compaction table and the boot-time recovered() snapshot
+/// share one buffer. Null when the job has no report.
+using ReportBuffer = std::shared_ptr<const std::string>;
+
 /// Everything the replay learned about one job.
 struct RecoveredJob {
   std::string request_json;  ///< admit envelope (JobRequest::to_json text)
@@ -92,7 +98,7 @@ struct RecoveredJob {
   std::string outcome_json;   ///< Outcome document
   std::string failure_json;   ///< Failure document; empty = none
   std::string report_kind;
-  std::string report_json;    ///< full engine report document
+  ReportBuffer report_json;   ///< full engine report document; null = none
 };
 
 struct RecoveredState {
@@ -124,15 +130,20 @@ class Journal {
 
   // Append one record. All appends are thread-safe and never throw: a
   // failing append degrades the journal (see degraded()) and returns.
+  // Each append also updates the compaction table from its arguments
+  // (never by parsing the record back); the documents passed in are
+  // stored as given, so they must be the canonical JSON that replay's
+  // parse-and-dump reproduces (what core::JsonWriter emits).
   void append_admit(std::uint64_t id, std::string_view request_json);
   void append_state(std::uint64_t id, std::string_view state);
   void append_checkpoint(std::uint64_t id, std::size_t unit,
                          std::size_t total, std::string_view data_json);
+  /// The table keeps `report` itself, not a copy (null = no report,
+  /// journaled as JSON null).
   void append_result(std::uint64_t id, std::string_view state,
                      std::string_view outcome_json,
                      std::string_view failure_json,  // "" = no failure
-                     std::string_view report_kind,
-                     std::string_view report_json);
+                     std::string_view report_kind, ReportBuffer report);
   void append_clean_shutdown();
 
   /// Force any batched records to disk now.
@@ -163,7 +174,6 @@ class Journal {
   void degrade_locked(const char* what);
   bool write_all_locked(std::string_view data);
   void append_locked(std::string_view payload, bool always_sync);
-  void apply_locked(const std::string& payload);
   void compact_locked();
   void evict_terminal_locked();
   bool open_segment_locked(std::uint64_t seq);
@@ -180,9 +190,9 @@ class Journal {
   std::uint64_t degraded_events_ = 0;
   std::size_t segment_count_ = 0;
   RecoveredState recovered_;             ///< snapshot at open; never mutated
-  /// Compaction tail table: the journal's own replay of everything it
-  /// has recovered *and* appended, so it can rewrite minimal state
-  /// without the JobManager's cooperation.
+  /// Compaction tail table: everything the journal has recovered *and*
+  /// appended, kept up to date by the typed appends, so it can rewrite
+  /// minimal state without the JobManager's cooperation.
   std::map<std::uint64_t, RecoveredJob> table_;
 };
 

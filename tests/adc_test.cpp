@@ -299,6 +299,9 @@ TEST(Metrics, HistogramDnlEmptyInputs) {
 TEST(Metrics, ValidationThrows) {
   EXPECT_THROW(measure_transitions_ramp(ideal_quantizer(0.01), 1.0, 0.0, 0.001),
                std::invalid_argument);
+  EXPECT_THROW(ramp_sweep_points(0.0, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(transitions_from_sweep({}, {}), std::invalid_argument);
+  EXPECT_THROW(transitions_from_sweep({0.0, 0.1}, {1.0}), std::invalid_argument);
   TransitionLevels t;
   t.transitions = {0.1, 0.2};
   EXPECT_THROW(compute_metrics(t, 0.01, 0.1), std::invalid_argument);

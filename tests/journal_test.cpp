@@ -16,6 +16,8 @@
 
 #include "core/crc32.h"
 #include "core/error.h"
+#include "core/job.h"
+#include "production/batch.h"
 #include "service/journal.h"
 
 namespace {
@@ -66,6 +68,10 @@ JournalOptions options_for(const std::string& dir) {
   return o;
 }
 
+service::ReportBuffer report(std::string json) {
+  return std::make_shared<const std::string>(std::move(json));
+}
+
 TEST(Crc32, KnownVectors) {
   // The standard CRC-32 (IEEE 802.3) check value.
   EXPECT_EQ(core::crc32("123456789"), 0xCBF43926u);
@@ -101,7 +107,8 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
     j.append_checkpoint(7, 2, 3, R"({"die":2})");
     j.append_admit(8, R"({"kind":"testability"})");
     j.append_result(8, "succeeded", R"({"pass":true,"detail":"ok"})", "",
-                    "testability_report", R"({"kind":"testability_report"})");
+                    "testability_report",
+                    report(R"({"kind":"testability_report"})"));
     EXPECT_FALSE(j.degraded());
     EXPECT_GT(j.bytes(), 0u);
     EXPECT_EQ(j.segments(), 1u);
@@ -127,6 +134,8 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
   EXPECT_EQ(finished.outcome_json, R"({"pass":true,"detail":"ok"})");
   EXPECT_TRUE(finished.failure_json.empty());
   EXPECT_EQ(finished.report_kind, "testability_report");
+  ASSERT_NE(finished.report_json, nullptr);
+  EXPECT_EQ(*finished.report_json, R"({"kind":"testability_report"})");
   // A result clears the job's checkpoints: finished jobs need no resume.
   EXPECT_TRUE(finished.checkpoints.empty());
 }
@@ -229,6 +238,90 @@ TEST(Journal, OnlineCompactionRollsTheSegment) {
   EXPECT_EQ(reopened.recovered().jobs.at(1).checkpoints.size(), 64u);
 }
 
+TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
+  // Real engine documents: job requests, per-die checkpoints and a batch
+  // report, with full-precision doubles. The journal's table stores them
+  // as appended; the records on disk must replay to the same bytes, both
+  // after online compactions (table rewrites) and after a reopen.
+  const std::string dir = fresh_state_dir("typed_append");
+  production::BatchConfig lot;
+  lot.device_count = 3;
+  lot.batch_seed = 5;
+  lot.plan = production::TestPlan::bist_only();
+  const auto pop = production::make_population(lot);
+  std::vector<std::string> checkpoints;
+  for (const production::DieSpec& die : pop) {
+    checkpoints.push_back(production::encode_device_checkpoint(
+        production::test_device(die, lot.plan)));
+  }
+  const std::string batch_report = core::to_json(production::run_batch(lot));
+
+  core::JobRequest batch;
+  batch.kind = core::JobKind::kBatch;
+  batch.device_count = 3;
+  batch.batch_seed = 5;
+  core::JobRequest campaign;
+  campaign.kind = core::JobKind::kFaultCampaign;
+  campaign.circuit = "op1_follower";
+  campaign.client_tag = "tag \"quoted\" \\ tab\t";
+  const std::string requests[] = {core::to_json(batch), core::to_json(campaign)};
+  const std::string failure =
+      R"({"code":"bad_input","analysis":"recovery","detail":"x"})";
+
+  JournalOptions o = options_for(dir);
+  o.max_segment_bytes = 2048;  // several online compactions below
+  std::size_t appended = 0;
+  {
+    Journal j(o);
+    j.append_admit(1, requests[0]);
+    j.append_state(1, "running");
+    for (int pass = 0; pass < 3; ++pass) {  // superseded twice
+      for (std::size_t unit = 0; unit < checkpoints.size(); ++unit) {
+        j.append_checkpoint(1, unit, checkpoints.size(), checkpoints[unit]);
+        appended += checkpoints[unit].size();
+      }
+    }
+    j.append_admit(2, requests[1]);
+    const service::ReportBuffer shared = report(batch_report);
+    j.append_result(2, "succeeded", R"({"pass":true,"detail":"3/3"})", "",
+                    "batch_report", shared);
+    // The table keeps the caller's buffer, not a copy.
+    EXPECT_EQ(shared.use_count(), 2);
+    j.append_admit(3, requests[0]);
+    j.append_result(3, "failed", "null", failure, "", nullptr);
+    appended += batch_report.size();
+    EXPECT_FALSE(j.degraded());
+    // Compaction dropped the superseded checkpoints.
+    EXPECT_LT(j.bytes(), appended);
+  }
+
+  const auto check = [&](const RecoveredState& state, const char* when) {
+    ASSERT_EQ(state.jobs.size(), 3u) << when;
+    EXPECT_EQ(state.skipped_records, 0u) << when;
+    const service::RecoveredJob& running = state.jobs.at(1);
+    EXPECT_EQ(running.request_json, requests[0]) << when;
+    EXPECT_EQ(running.state, "running") << when;
+    ASSERT_EQ(running.checkpoints.size(), checkpoints.size()) << when;
+    for (std::size_t unit = 0; unit < checkpoints.size(); ++unit) {
+      EXPECT_EQ(running.checkpoints.at(unit), checkpoints[unit]) << when;
+    }
+    const service::RecoveredJob& done = state.jobs.at(2);
+    EXPECT_EQ(done.request_json, requests[1]) << when;
+    ASSERT_NE(done.report_json, nullptr) << when;
+    EXPECT_EQ(*done.report_json, batch_report) << when;
+    const service::RecoveredJob& failed = state.jobs.at(3);
+    EXPECT_EQ(failed.failure_json, failure) << when;
+    EXPECT_EQ(failed.outcome_json, "null") << when;
+    EXPECT_EQ(failed.report_json, nullptr) << when;
+  };
+  check(Journal::replay(dir), "after online compaction");
+  {
+    Journal reopened(o);
+    check(reopened.recovered(), "at reopen");
+  }
+  check(Journal::replay(dir), "after boot compaction");
+}
+
 TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
   const std::string dir = fresh_state_dir("evict");
   JournalOptions o = options_for(dir);
@@ -238,7 +331,7 @@ TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
     for (std::uint64_t id = 1; id <= 4; ++id) {
       j.append_admit(id, R"({"kind":"testability"})");
       j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                      "testability_report", "null");
+                      "testability_report", nullptr);
     }
     j.append_admit(5, R"({"kind":"batch"})");  // live: never evicted
   }
@@ -278,7 +371,7 @@ TEST(Journal, WriteFailureDegradesInsteadOfThrowing) {
   // Post-degrade appends are silent no-ops — never a crash, never a
   // second warning.
   j.append_result(1, "succeeded", R"({"pass":true,"detail":""})", "", "",
-                  "null");
+                  nullptr);
   j.append_clean_shutdown();
   j.sync();
   EXPECT_EQ(j.degraded_events(), 1u);

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/device.h"
+#include "core/json_value.h"
 #include "production/batch.h"
 
 namespace {
@@ -333,6 +337,109 @@ TEST(ProductionSpotCheck, CatchesInjectedMacroFaults) {
   EXPECT_EQ(out.spot_check.undetectable_labels[0], "counter-stuck-bit12");
   EXPECT_EQ(out.spot_check.undetectable_labels[1], "latch-stuck-low-0xC00");
   EXPECT_TRUE(out.outcome.pass) << out.outcome.detail;
+}
+
+TEST(ProductionFullSpec, LatchStuckHighDieFailsSpecAndKeepsTierResults) {
+  // Latch bits 2 and 6 stuck high (the spot-check menu's 0x44 mask) push
+  // codes past full scale + 40, e.g. 260 | 0x44 = 324. Characterization
+  // must map them onto a negative axis, not wrap to ~2^32 codes to sweep.
+  production::DieSpec die;
+  die.seed = 1996;
+  die.config = adc::DualSlopeAdcConfig::characterized();
+  die.config.latch_faults.stuck_high_mask = 0x44;
+  die.label = "latch 0x44";
+  const production::DeviceOutcome out =
+      production::test_device(die, production::TestPlan::full());
+
+  EXPECT_FALSE(out.outcome.pass);
+  EXPECT_FALSE(out.degraded) << out.outcome.detail;
+  ASSERT_TRUE(out.has_metrics);
+  EXPECT_FALSE(out.spec.pass) << out.spec.detail;
+  EXPECT_NE(out.spec.detail.find("out of spec"), std::string::npos) << out.spec.detail;
+  // One DNL entry per code step: bounded by the code range, not by 2^32.
+  EXPECT_LT(out.metrics.dnl_lsb.size(), 1024u);
+  // The axis starts below zero; the offset is large but not a wrapped one.
+  EXPECT_LT(std::abs(out.metrics.offset_lsb), 1024.0);
+  // The BIST tiers ran and their results survive next to the spec verdict.
+  EXPECT_EQ(out.tiers_run.size(), bist::kAllTiers.size());
+  EXPECT_EQ(out.bist.analog.fall_times_s.size(), bist::paper_step_levels().size());
+  EXPECT_FALSE(out.bist.ramp.codes.empty());
+  EXPECT_FALSE(out.bist.compressed.pass);
+  EXPECT_TRUE(out.spot_check_run);
+}
+
+TEST(ProductionFullSpec, UnmeasurableTransferFailsSpecAndKeepsTierResults) {
+  // A latch that never loads outputs one constant code: no transitions to
+  // measure. The spec verdict fails; the die keeps its tier results.
+  production::DieSpec die;
+  die.seed = 1996;
+  die.config = adc::DualSlopeAdcConfig::characterized();
+  die.config.latch_faults.load_disabled = true;
+  die.label = "latch never loads";
+  const production::DeviceOutcome out =
+      production::test_device(die, production::TestPlan::full());
+
+  EXPECT_FALSE(out.outcome.pass);
+  EXPECT_FALSE(out.has_metrics);
+  EXPECT_FALSE(out.spec.pass);
+  EXPECT_NE(out.spec.detail.find("characterization aborted"), std::string::npos)
+      << out.spec.detail;
+  EXPECT_TRUE(out.degraded);
+  ASSERT_EQ(out.failures.size(), 1u);
+  EXPECT_EQ(out.failures[0].analysis, "production/full_spec");
+  EXPECT_EQ(out.tiers_run.size(), bist::kAllTiers.size());
+  EXPECT_EQ(out.bist.analog.fall_times_s.size(), bist::paper_step_levels().size());
+  EXPECT_TRUE(out.spot_check_run);
+}
+
+bool is_timing_key(const std::string& key) {
+  const auto ends_with = [&](std::string_view suffix) {
+    return key.size() >= suffix.size() &&
+           key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  return ends_with("_seconds") || ends_with("_per_second");
+}
+
+/// The report with every wall-clock member removed, at any depth.
+core::JsonValue strip_timing(const core::JsonValue& v) {
+  if (v.is_object()) {
+    core::JsonValue out = core::JsonValue::object();
+    for (const auto& [key, child] : v.members()) {
+      if (!is_timing_key(key)) out.set(key, strip_timing(child));
+    }
+    return out;
+  }
+  if (v.is_array()) {
+    core::JsonValue out = core::JsonValue::array();
+    for (const core::JsonValue& item : v.items()) out.push_back(strip_timing(item));
+    return out;
+  }
+  return v;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(MSBIST_GOLDEN_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden file " << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(ProductionGolden, FullSpecLotMatchesCommittedGolden) {
+  // 24 dies of lot 1995 under TestPlan::full() (BIST tiers, full-spec
+  // characterization, spot check): canonical outcomes and the report
+  // without its timing members, byte for byte, as committed.
+  production::BatchConfig cfg;
+  cfg.device_count = 24;
+  cfg.batch_seed = 1995;
+  cfg.threads = 2;
+  cfg.plan = production::TestPlan::full();
+  const production::BatchReport rep = production::run_batch(cfg);
+
+  EXPECT_EQ(rep.canonical_outcomes(),
+            read_golden("fullspec_lot_1995x24.canonical.txt"));
+  EXPECT_EQ(strip_timing(core::parse_json(core::to_json(rep))).dump() + "\n",
+            read_golden("fullspec_lot_1995x24.report.json"));
 }
 
 }  // namespace

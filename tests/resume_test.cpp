@@ -255,7 +255,8 @@ TEST(Resume, CampaignResumeSerialAndParallel) {
     faults::CampaignOptions opts;
     opts.threads = parallel ? 4 : 0;
     opts.resume = &resume;
-    std::size_t resimulated = 0;
+    // Fired from engine worker threads when parallel.
+    std::atomic<std::size_t> resimulated{0};
     opts.on_fault_complete = [&resimulated](std::size_t, std::size_t,
                                             const faults::FaultResult&) {
       ++resimulated;
@@ -263,7 +264,7 @@ TEST(Resume, CampaignResumeSerialAndParallel) {
     const faults::CampaignReport resumed =
         parallel ? faults::run_campaign_parallel(universe, probe, opts)
                  : faults::run_campaign(universe, probe, opts);
-    EXPECT_EQ(resimulated, universe.size() - resume.completed.size());
+    EXPECT_EQ(resimulated.load(), universe.size() - resume.completed.size());
     EXPECT_EQ(resumed.canonical_outcomes(), control.canonical_outcomes());
     EXPECT_EQ(resumed.detected_count, control.detected_count);
     EXPECT_EQ(resumed.simulated_count, control.simulated_count);

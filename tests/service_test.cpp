@@ -951,7 +951,8 @@ TEST(Durability, CancelledLotJournalsOnlyDiesThatRanAndResumesToControl) {
   const service::JobSnapshot done = await_job(manager, id);
   ASSERT_EQ(done.state, service::JobState::kSucceeded);
   EXPECT_EQ(done.resumed_units, job.checkpoints.size());
-  EXPECT_EQ(strip_timing(parse_json(done.report_json)).dump(),
+  ASSERT_NE(done.report_json, nullptr);
+  EXPECT_EQ(strip_timing(parse_json(*done.report_json)).dump(),
             strip_timing(parse_json(control.report_json)).dump());
 }
 
@@ -968,7 +969,7 @@ TEST(Durability, TimedOutLockstepJournalsOnlyMarchedBlocks) {
     const service::JobSnapshot done = await_job(manager, id);
     ASSERT_EQ(done.state, service::JobState::kTimedOut);
     EXPECT_EQ(done.failure.code, core::ErrorCode::kTimeout);
-    EXPECT_TRUE(done.report_json.empty());
+    EXPECT_EQ(done.report_json, nullptr);
   }
 
   drop_terminal_records(dir);

@@ -15,11 +15,13 @@ BUILD_DIR="${1:-build-bench}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_step_response --target bench_batch \
-  --target bench_sparse_transient --target bench_batch_lockstep
+  --target bench_sparse_transient --target bench_batch_lockstep \
+  --target bench_adc_characterization
 
 # Curated subset: the transient-solver trajectory benchmarks (cached vs
-# from-scratch), the 1000-die production batch, the sparse-vs-dense MNA
-# backend comparison, and the lockstep Monte-Carlo screen. Fixed
+# from-scratch), the compute-only production batch, the sparse-vs-dense MNA
+# backend comparison, the lockstep Monte-Carlo screen, and one die's
+# full-spec ADC characterization (the lane-batched conversion kernel). Fixed
 # iteration counts on the batch keep the job's wall time bounded; the
 # sparse/lockstep mains also print their PR-7 acceptance comparisons
 # (>= 3x sparse-over-dense, >= 2x lockstep-over-scalar) to the job log.
@@ -30,6 +32,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 "$BUILD_DIR"/bench/bench_batch \
   --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_batch.json \
   --benchmark_out_format=json > /dev/null
+"$BUILD_DIR"/bench/bench_adc_characterization \
+  --benchmark_filter=BM_FullCharacterization \
+  --benchmark_format=json --benchmark_out="$BUILD_DIR"/bench_adc.json \
+  --benchmark_out_format=json > /dev/null
 "$BUILD_DIR"/bench/bench_sparse_transient \
   --benchmark_format=console --benchmark_out="$BUILD_DIR"/bench_sparse.json \
   --benchmark_out_format=json
@@ -38,7 +44,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --benchmark_out_format=json
 
 python3 - "$BUILD_DIR"/bench_step.json "$BUILD_DIR"/bench_batch.json \
-  "$BUILD_DIR"/bench_sparse.json "$BUILD_DIR"/bench_lockstep.json <<'EOF'
+  "$BUILD_DIR"/bench_adc.json "$BUILD_DIR"/bench_sparse.json \
+  "$BUILD_DIR"/bench_lockstep.json <<'EOF'
 import json, sys
 merged = None
 for path in sys.argv[1:]:
