@@ -68,8 +68,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void for_each_slot(std::size_t n, std::size_t threads,
-                   const std::function<bool()>& stop,
+void for_each_slot(std::size_t n, std::size_t threads, const StopFn& stop,
                    const std::function<void(std::size_t)>& body) {
   const auto stopped = [&stop] { return stop && stop(); };
   if (threads <= 1 || n == 0) {

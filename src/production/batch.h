@@ -31,6 +31,7 @@
 #include "core/error.h"
 #include "core/json_value.h"
 #include "core/outcome.h"
+#include "core/thread_pool.h"
 #include "production/plan.h"
 #include "production/stats.h"
 
@@ -182,16 +183,6 @@ using DeviceTestFn = std::function<DeviceOutcome(const DieSpec&, const TestPlan&
 using DeviceCompleteFn =
     std::function<void(std::size_t index, const DeviceOutcome& outcome)>;
 
-/// Cooperative stop predicate, polled before each unit of work is
-/// claimed (a die under run_batch, a lane block under
-/// run_batch_lockstep). Once it returns true no further unit starts;
-/// units already running finish and fire DeviceCompleteFn. Slots of
-/// units that never ran stay default-constructed, so a caller that
-/// stops a lot must discard the report unless every die completed
-/// (restored dies plus DeviceCompleteFn calls cover the population).
-/// Called from engine worker threads: thread-safe, must not throw.
-using StopFn = std::function<bool()>;
-
 /// Already-completed dies from a prior interrupted run of the SAME
 /// population and plan, keyed by batch index. The engines splice these
 /// into their slots without re-testing; with deterministic seeding the
@@ -215,12 +206,19 @@ DeviceOutcome decode_device_checkpoint(const core::JsonValue& v);
 /// aborted batch. `resume` (optional) pre-fills the listed slots and
 /// skips testing them; `on_complete` fires after each die actually
 /// tested in this run; `stop` (optional) is polled before each die.
+///
+/// Stop semantics (both lot engines): once `stop` returns true no
+/// further unit (die, or lane block under run_batch_lockstep) starts;
+/// units already running finish and fire DeviceCompleteFn. Slots of
+/// units that never ran stay default-constructed, so a caller that
+/// stops a lot must discard the report unless every die completed
+/// (restored dies plus DeviceCompleteFn calls cover the population).
 BatchReport run_batch(const std::vector<DieSpec>& population,
                       const TestPlan& plan, std::size_t threads = 1,
                       const DeviceTestFn& test_fn = {},
                       const BatchResume* resume = nullptr,
                       const DeviceCompleteFn& on_complete = {},
-                      const StopFn& stop = {});
+                      const core::StopFn& stop = {});
 
 /// make_population + run_batch.
 BatchReport run_batch(const BatchConfig& cfg);
@@ -286,6 +284,6 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
                                const BatchResume* resume = nullptr,
                                const DeviceCompleteFn& on_complete = {},
                                std::size_t threads = 1,
-                               const StopFn& stop = {});
+                               const core::StopFn& stop = {});
 
 }  // namespace msbist::production

@@ -47,60 +47,85 @@ tsrt::CircuitKind parse_circuit(const std::string& name) {
               "\" (expected op1_follower or sc_integrator_comparator)");
 }
 
-/// Decode an executor's resume map into a typed BatchResume. Entries
-/// beyond the population or failing to decode are dropped: those units
-/// simply re-run — a corrupt checkpoint must never fail the job.
-production::BatchResume decode_batch_resume(
-    const std::map<std::size_t, std::string>* resume, std::size_t total) {
-  production::BatchResume out;
-  if (resume == nullptr) return out;
-  for (const auto& [unit, payload] : *resume) {
-    if (unit >= total) continue;
-    try {
-      out.completed[unit] =
-          production::decode_device_checkpoint(core::parse_json(payload));
-    } catch (const std::exception&) {
-      // re-run this unit
+/// The unit accounting every resumable job shares (lots and campaigns).
+/// The resume table keeps only in-range checkpoints that decode — any
+/// other unit simply re-runs, a corrupt checkpoint never fails the job.
+/// Each unit the engine actually runs journals its checkpoint and then
+/// ticks progress, counting on from the restored units; units a stop
+/// left unrun do neither. A job whose restored plus completed units fall
+/// short of the work list returns the explicit "stopped" non-answer,
+/// never the partial report. `Resume` is the engine's resume table
+/// (production::BatchResume or faults::CampaignResume).
+template <typename Resume>
+class UnitLedger {
+ public:
+  using Unit = typename decltype(Resume::completed)::mapped_type;
+
+  UnitLedger(std::size_t total, const DispatchHooks& hooks,
+             Unit (*decode)(const core::JsonValue&),
+             std::string (*encode)(const Unit&))
+      : total_(total), hooks_(hooks), encode_(encode) {
+    if (hooks.resume != nullptr) {
+      for (const auto& [unit, payload] : *hooks.resume) {
+        if (unit >= total) continue;
+        try {
+          resume.completed[unit] = decode(core::parse_json(payload));
+        } catch (const std::exception&) {
+          // re-run this unit
+        }
+      }
     }
+    done_.store(resume.completed.size(), std::memory_order_relaxed);
+    if (hooks.progress) hooks.progress(resume.completed.size(), total);
   }
-  return out;
-}
+
+  /// The restored units, for the engine to splice instead of re-running.
+  Resume resume;
+
+  /// The engine ran `unit` to completion. Thread-safe.
+  void complete(std::size_t unit, const Unit& result) {
+    if (hooks_.unit_complete) hooks_.unit_complete(unit, total_, encode_(result));
+    const std::size_t n = done_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (hooks_.progress) hooks_.progress(n, total_);
+  }
+
+  /// Record the resumed-unit count in `res`; when the engine returned
+  /// short of the work list, also mark it stopped and return false.
+  bool settle(DispatchResult& res) const {
+    res.resumed_units = resume.completed.size();
+    if (done_.load(std::memory_order_relaxed) >= total_) return true;
+    res.stopped = true;
+    res.outcome = core::Outcome::fail("job stopped before completion");
+    return false;
+  }
+
+ private:
+  std::size_t total_;
+  const DispatchHooks& hooks_;
+  std::string (*encode_)(const Unit&);
+  std::atomic<std::size_t> done_{0};
+};
 
 /// A lot engine (run_batch or run_batch_lockstep) bound to its request,
 /// called with the decoded resume table and the checkpoint hook.
 using LotEngine = std::function<production::BatchReport(
     const production::BatchResume&, const production::DeviceCompleteFn&)>;
 
-/// Run a lot engine under the executor hooks. Every die the engine
-/// actually tests journals its checkpoint and then ticks progress; dies a
-/// stop left untested do neither. A lot that did not complete (restored
-/// plus tested dies short of the population) returns the explicit
-/// "stopped" non-answer, never the partial report.
+/// Run a lot engine under the executor hooks and the shared unit
+/// accounting.
 DispatchResult run_lot(std::size_t total, const DispatchHooks& hooks,
                        const LotEngine& engine) {
-  const production::BatchResume resume = decode_batch_resume(hooks.resume, total);
-  std::atomic<std::size_t> done{resume.completed.size()};
-  if (hooks.progress) hooks.progress(resume.completed.size(), total);
-  const production::DeviceCompleteFn on_complete =
-      [&hooks, &done, total](std::size_t index,
-                             const production::DeviceOutcome& outcome) {
-        if (hooks.unit_complete) {
-          hooks.unit_complete(index, total,
-                              production::encode_device_checkpoint(outcome));
-        }
-        const std::size_t n = done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (hooks.progress) hooks.progress(n, total);
-      };
-
+  UnitLedger<production::BatchResume> ledger(
+      total, hooks, production::decode_device_checkpoint,
+      production::encode_device_checkpoint);
   DispatchResult res;
-  res.resumed_units = resume.completed.size();
   res.report_kind = "batch_report";
-  production::BatchReport report = engine(resume, on_complete);
-  if (done.load(std::memory_order_relaxed) < total) {
-    res.stopped = true;
-    res.outcome = core::Outcome::fail("job stopped before completion");
-    return res;
-  }
+  production::BatchReport report = engine(
+      ledger.resume,
+      [&ledger](std::size_t index, const production::DeviceOutcome& outcome) {
+        ledger.complete(index, outcome);
+      });
+  if (!ledger.settle(res)) return res;
   res.outcome = report.outcome();
   res.report_json = core::to_json(report);
   res.batch = std::move(report);
@@ -150,56 +175,18 @@ DispatchResult run_campaign_job(const core::JobRequest& req,
   const tsrt::TsrtOptions opts = tsrt::paper_options(kind);
   const tsrt::TsrtRun golden =
       tsrt::run_transient_test(kind, std::nullopt, opts);
-
-  auto stopped = std::make_shared<std::atomic<bool>>(false);
-  const faults::FaultTestFn test = [kind, opts, &golden, hooks,
-                                    stopped](const faults::FaultSpec& fault) {
+  const faults::FaultTestFn test = [kind, opts,
+                                    &golden](const faults::FaultSpec& fault) {
     faults::FaultResult r;
     r.fault = fault;
-    if (hooks.should_stop && hooks.should_stop()) {
-      stopped->store(true, std::memory_order_relaxed);
-      r.detail = "skipped: job stopping";
-      return r;
-    }
     const tsrt::TsrtRun faulty = tsrt::run_transient_test(kind, fault, opts);
     r.score = tsrt::combined_detection_percent(golden, faulty);
     r.detected = tsrt::is_detected(r.score);
     return r;
   };
 
-  // Decode prior-run checkpoints (work-item indexed; entries that fail
-  // to decode are dropped and their faults re-run).
-  faults::CampaignResume resume;
-  if (hooks.resume != nullptr) {
-    for (const auto& [unit, payload] : *hooks.resume) {
-      try {
-        resume.completed[unit] =
-            faults::decode_fault_checkpoint(core::parse_json(payload));
-      } catch (const std::exception&) {
-        // re-run this fault
-      }
-    }
-  }
-  const std::size_t resumed = resume.completed.size();
-
-  faults::CampaignOptions copts;
-  copts.threads = effective_threads(req);
-  if (hooks.progress) {
-    copts.progress = [hooks, resumed](std::size_t completed, std::size_t total,
-                                      const faults::FaultResult&) {
-      hooks.progress(completed + resumed, total);
-    };
-  }
-  if (hooks.unit_complete) {
-    copts.on_fault_complete = [hooks](std::size_t index, std::size_t total,
-                                      const faults::FaultResult& result) {
-      hooks.unit_complete(index, total,
-                          faults::encode_fault_checkpoint(result));
-    };
-  }
-  if (resumed > 0) copts.resume = &resume;
-
   // The collapse analysis must outlive the engine call.
+  faults::CampaignOptions copts;
   std::optional<faults::CollapsedUniverse> cu;
   if (req.collapse) {
     faults::CollapseOptions col;
@@ -207,22 +194,28 @@ DispatchResult run_campaign_job(const core::JobRequest& req,
     cu = faults::collapse(universe, circuit.netlist, circuit.node_map, col);
     copts.collapse = &*cu;
   }
+  // Work items: the universe, or its class representatives under collapse.
+  const std::size_t total = cu ? cu->map.simulated_count() : universe.size();
+  UnitLedger<faults::CampaignResume> ledger(total, hooks,
+                                            faults::decode_fault_checkpoint,
+                                            faults::encode_fault_checkpoint);
+  copts.threads = effective_threads(req);
+  copts.stop = hooks.should_stop;
+  copts.on_fault_complete = [&ledger](std::size_t index, std::size_t,
+                                      const faults::FaultResult& result) {
+    ledger.complete(index, result);
+  };
+  copts.resume = &ledger.resume;
 
   DispatchResult res;
-  res.resumed_units = resumed;
-  res.campaign = copts.threads > 1
-                     ? faults::run_campaign_parallel(universe, test, copts)
-                     : faults::run_campaign(universe, test, copts);
-  res.stopped = stopped->load(std::memory_order_relaxed);
   res.report_kind = "campaign_report";
-  if (!res.stopped) {
-    res.outcome = res.campaign->outcome();
-    res.report_json = core::to_json(*res.campaign);
-    res.collapsed = std::move(cu);
-  } else {
-    res.outcome = core::Outcome::fail("job stopped before completion");
-    res.campaign.reset();
-  }
+  faults::CampaignReport report =
+      faults::run_campaign_parallel(universe, test, copts);
+  if (!ledger.settle(res)) return res;
+  res.outcome = report.outcome();
+  res.report_json = core::to_json(report);
+  res.campaign = std::move(report);
+  res.collapsed = std::move(cu);
   return res;
 }
 

@@ -2,7 +2,7 @@
 //
 // service::dispatch(JobRequest) maps the unified core::JobRequest
 // envelope onto the engine it names — production::run_batch,
-// production::run_batch_lockstep, faults::run_campaign[_parallel] (with
+// production::run_batch_lockstep, faults::run_campaign_parallel (with
 // static collapsing), or the analysis testability engine — and reduces
 // the engine's report to one DispatchResult: the unified core::Outcome,
 // the full report JSON document (already carrying the kind /
@@ -27,6 +27,7 @@
 #include "analysis/testability.h"
 #include "core/job.h"
 #include "core/outcome.h"
+#include "core/thread_pool.h"
 #include "faults/campaign.h"
 #include "faults/collapse.h"
 #include "production/batch.h"
@@ -40,11 +41,9 @@ struct DispatchHooks {
   /// (batch), each block of kLockstepBlockDies dies (lockstep), each
   /// fault (campaigns). Returning true makes dispatch wind down early:
   /// units already running finish, later ones never start, and the
-  /// result comes back with stopped = true (report discarded). Batch and
-  /// lockstep units that never ran get no progress tick and no
-  /// checkpoint; campaigns still record (and checkpoint) a "skipped"
-  /// result for each fault they skip.
-  std::function<bool()> should_stop;
+  /// result comes back with stopped = true (report discarded). Units
+  /// that never ran get no progress tick and no checkpoint.
+  core::StopFn should_stop;
   /// Incremental progress: units completed so far / total units. With a
   /// resume, `done` starts at the restored-unit count. Lockstep dies
   /// complete a block at a time.
@@ -57,8 +56,9 @@ struct DispatchHooks {
       unit_complete;
   /// Prior-run checkpoints to splice instead of re-executing: unit index
   /// -> the checkpoint_json a previous unit_complete reported (not owned;
-  /// must outlive the dispatch call). Entries that fail to decode are
-  /// dropped — that unit simply re-runs. Unit indexing is per-engine:
+  /// must outlive the dispatch call). Entries that fail to decode or
+  /// name a unit past the work list are dropped — that unit simply
+  /// re-runs. Unit indexing is per-engine:
   /// batch/lockstep use the die's batch index; campaigns use the
   /// work-item index (universe index, or representative index under
   /// collapse). Applies to batch, lockstep, and campaign kinds;

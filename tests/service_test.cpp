@@ -27,6 +27,7 @@
 #include "core/job.h"
 #include "core/json_value.h"
 #include "core/outcome.h"
+#include "faults/campaign.h"
 #include "production/batch.h"
 #include "service/api.h"
 #include "service/dispatch.h"
@@ -382,19 +383,22 @@ TEST(Service, PopulationRegistryOverTheWire) {
 }
 
 /// Strip the nondeterministic timing fields (wall clock, CPU seconds,
-/// throughput) so two reports from different runs compare bit-identical
-/// on everything the engines guarantee deterministic.
+/// throughput, per-die or per-fault elapsed time) so two reports from
+/// different runs compare bit-identical on everything the engines
+/// guarantee deterministic.
 JsonValue strip_timing(JsonValue report) {
   report.erase("wall_seconds");
   report.erase("cpu_seconds");
   report.erase("devices_per_second");
-  if (const JsonValue* devices = report.find("devices")) {
-    JsonValue cleaned = JsonValue::array();
-    for (JsonValue d : devices->items()) {
-      d.erase("elapsed_seconds");
-      cleaned.push_back(std::move(d));
+  for (const char* units : {"devices", "results"}) {
+    if (const JsonValue* items = report.find(units)) {
+      JsonValue cleaned = JsonValue::array();
+      for (JsonValue d : items->items()) {
+        d.erase("elapsed_seconds");
+        cleaned.push_back(std::move(d));
+      }
+      report.set(units, std::move(cleaned));
     }
-    report.set("devices", std::move(cleaned));
   }
   return report;
 }
@@ -956,12 +960,72 @@ TEST(Durability, CancelledLotJournalsOnlyDiesThatRanAndResumesToControl) {
             strip_timing(parse_json(control.report_json)).dump());
 }
 
+// The campaign twin of the lot test above: a cancelled campaign journals
+// only the faults that really ran. Its stop check once sat inside the
+// fault test, which returned a fabricated "skipped: job stopping" result
+// — journaled as a checkpoint — for every fault left, so a recovery that
+// lost the terminal record "resumed" the fakes as escapes.
+TEST(Durability, CancelledCampaignJournalsOnlyFaultsThatRanAndResumesToControl) {
+  const std::string dir = fresh_state_dir("cancel_campaign");
+  // Half the universe keeps the three runs short under TSan.
+  const core::JobRequest req = core::JobRequest::from_json_text(
+      R"({"kind":"fault_campaign","circuit":"sc_integrator_comparator",)"
+      R"("max_faults":6,"threads":2})");
+  const service::DispatchResult control = service::dispatch(req);
+  ASSERT_TRUE(control.campaign.has_value());
+  const std::size_t work_items = control.campaign->results.size();
+
+  std::uint64_t id = 0;
+  {
+    service::JobManager manager(durable_options(dir));
+    id = manager.submit(req);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (manager.get(id)->progress_done < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(manager.cancel(id));
+    ASSERT_EQ(await_job(manager, id).state, service::JobState::kCancelled);
+  }
+
+  drop_terminal_records(dir);
+  const service::RecoveredState replayed = service::Journal::replay(dir);
+  const service::RecoveredJob& job = replayed.jobs.at(id);
+  ASSERT_FALSE(job.has_result);
+  EXPECT_GE(job.checkpoints.size(), 2u);
+  EXPECT_LT(job.checkpoints.size(), work_items);
+  for (const auto& [unit, payload] : job.checkpoints) {
+    const faults::FaultResult fault =
+        faults::decode_fault_checkpoint(parse_json(payload));
+    const faults::FaultResult& tested = control.campaign->results.at(unit);
+    EXPECT_NE(fault.detail, "skipped: job stopping") << "fault " << unit;
+    EXPECT_EQ(fault.fault.label, tested.fault.label) << "fault " << unit;
+    EXPECT_EQ(fault.detected, tested.detected) << "fault " << unit;
+    EXPECT_EQ(fault.score, tested.score) << "fault " << unit;
+  }
+
+  // Recovery resumes from the real checkpoints and lands on the control.
+  service::JobManager manager(durable_options(dir));
+  manager.recover_jobs();
+  const service::JobSnapshot done = await_job(manager, id);
+  ASSERT_EQ(done.state, service::JobState::kSucceeded);
+  EXPECT_EQ(done.resumed_units, job.checkpoints.size());
+  ASSERT_NE(done.report_json, nullptr);
+  EXPECT_EQ(strip_timing(parse_json(*done.report_json)).dump(),
+            strip_timing(parse_json(control.report_json)).dump());
+}
+
 TEST(Durability, TimedOutLockstepJournalsOnlyMarchedBlocks) {
   constexpr std::size_t kBlock = production::kLockstepBlockDies;
   const std::string dir = fresh_state_dir("lockstep_timeout");
+  // The timeout must outlast the work before the first block claim
+  // (building the population and its result slots: 0.16 s under TSan on
+  // a 4-vCPU VM, 0.3 s with six such jobs sharing it) and fall short of
+  // the whole lot (1.75 s in Release on 2 threads without fsync there).
   const core::JobRequest req = core::JobRequest::from_json_text(
       R"({"kind":"lockstep_batch","device_count":16384,"batch_seed":31,)"
-      R"("threads":2,"limits":{"wall_timeout_s":0.2}})");
+      R"("threads":2,"limits":{"wall_timeout_s":0.6}})");
   std::uint64_t id = 0;
   {
     service::JobManager manager(durable_options(dir));

@@ -412,8 +412,10 @@ TEST(CollapsedCampaign, UndetectableFaultsNeverReachTheSolver) {
   faults::CampaignOptions opts;
   opts.collapse = &cu;
   std::size_t progress_total = 0;
-  opts.progress = [&](std::size_t, std::size_t total,
-                      const faults::FaultResult&) { progress_total = total; };
+  opts.on_fault_complete = [&](std::size_t, std::size_t total,
+                               const faults::FaultResult&) {
+    progress_total = total;
+  };
   const faults::CampaignReport rep =
       faults::run_campaign(universe, probe, opts);
 

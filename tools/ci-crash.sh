@@ -1,29 +1,33 @@
 #!/usr/bin/env bash
 # Crash-recovery gate: boot a Release msbistd on a --state-dir journal,
-# submit a lot-scale job, SIGKILL the daemon mid-lot, restart it on the
-# same state directory, and assert the recovery contract. Two scenarios:
-# a full-spec batch lot (checkpoints land per die) and a lockstep screen
-# (checkpoints land per lane block). Mirrors the "crash" CI job:
+# submit a lot-scale job, SIGKILL the daemon mid-job, restart it on the
+# same state directory, and assert the recovery contract. Three
+# scenarios: a full-spec batch lot (checkpoints land per die), a lockstep
+# screen (checkpoints land per lane block), and a fault campaign on the
+# switched-capacitor integrator (checkpoints land per fault). Mirrors the
+# "crash" CI job:
 #
 #   tools/ci-crash.sh [build-dir] [dies] [kill-after-dies]
 #
 # dies / kill-after-dies size the batch scenario; the lockstep scenario
 # is a 16384-die screen on 2 engine threads, killed once 2 blocks of
-# production::kLockstepBlockDies have landed.
+# production::kLockstepBlockDies have landed; the campaign scenario runs
+# the 12-fault sc_integrator_comparator universe on 1 engine thread,
+# killed once 3 faults have landed.
 #
-# Assertions, per scenario:
+# Assertions, per scenario (a "unit" is a die, or a fault in a campaign):
 #   1. The restarted daemon detects the unclean shutdown, re-admits the
 #      interrupted job under its original id, and runs it to completion.
-#   2. The resumed report's die results are identical to an
-#      uninterrupted control run of the same lot — modulo wall-clock
-#      timing only (batch wall/cpu seconds, per-die elapsed seconds on
-#      re-tested dies).
-#   3. Zero duplicated and zero lost dies: exactly one result per die
-#      index, every index present.
+#   2. The resumed report's unit results are identical to an
+#      uninterrupted control run of the same job — modulo wall-clock
+#      timing only (wall/cpu seconds, per-unit elapsed seconds on
+#      re-run units).
+#   3. Zero duplicated and zero lost units: exactly one result per die
+#      index (every index present), or per fault label.
 #   4. The resume measurably beat from-scratch: /metrics shows
 #      jobs_recovered and jobs_resumed of 1 and units_resumed at least
-#      the kill threshold — the restarted daemon re-simulated strictly
-#      fewer dies than the lot holds.
+#      the kill threshold — the restarted daemon re-ran strictly fewer
+#      units than the job holds.
 #   5. A second clean restart finds a clean-shutdown marker and the
 #      journaled terminal result still queryable (no third execution).
 #
@@ -89,7 +93,7 @@ await_result() { # await_result PORT ID OUT_FILE
 
 echo "[]" > CRASHTEST.json
 
-# crash_scenario NAME JOB_BODY DIES KILL_AFTER [daemon args...]
+# crash_scenario NAME JOB_BODY UNITS KILL_AFTER [daemon args...]
 crash_scenario() {
   local name="$1" body="$2" dies="$3" kill_after="$4"
   shift 4
@@ -103,7 +107,7 @@ crash_scenario() {
   daemon=""
   rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
 
-  # --- Crash run: SIGKILL mid-lot ------------------------------------
+  # --- Crash run: SIGKILL mid-job ------------------------------------
   boot "$@"
   curl -sSf -X POST "http://127.0.0.1:$port/jobs" -d "$body" > /dev/null
   local done_dies=0
@@ -114,11 +118,11 @@ crash_scenario() {
     sleep 0.05
   done
   [ "$done_dies" -ge "$kill_after" ] || {
-    echo "$name: lot never reached $kill_after dies (at $done_dies)"; exit 1; }
+    echo "$name: job never reached $kill_after units (at $done_dies)"; exit 1; }
   kill -9 "$daemon"
   wait "$daemon" 2>/dev/null || true
   daemon=""
-  echo "crash gate ($name): SIGKILLed mid-lot at $done_dies/$dies dies"
+  echo "crash gate ($name): SIGKILLed mid-job at $done_dies/$dies units"
 
   # --- Restart on the same state dir: recover, resume, complete ------
   boot "$@"
@@ -133,19 +137,29 @@ crash_scenario() {
 import json, sys
 name, dies, kill_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 
+# Lots report a "devices" array keyed by die index; campaigns report a
+# "results" array keyed by fault label.
+def units(report):
+    return report["devices"] if "devices" in report else report["results"]
+
 def canon(path):
     report = json.load(open(path))["report"]
     for k in ("wall_seconds", "cpu_seconds", "devices_per_second"):
         report.pop(k, None)
-    for d in report["devices"]:
-        d.pop("elapsed_seconds", None)
+    for u in units(report):
+        u.pop("elapsed_seconds", None)
     return report
 
 control, resumed = canon("control-result.json"), canon("resumed-result.json")
-indexes = [d["index"] for d in resumed["devices"]]
-assert len(indexes) == dies, f"lost dies: {len(indexes)}/{dies}"
-assert len(set(indexes)) == dies, "duplicated die indexes after resume"
-assert sorted(indexes) == list(range(dies)), "die index set is not 0..N-1"
+if "devices" in resumed:
+    keys = [d["index"] for d in resumed["devices"]]
+    expected = list(range(dies))
+else:
+    keys = [r["label"] for r in resumed["results"]]
+    expected = [r["label"] for r in control["results"]]
+assert len(keys) == dies, f"lost units: {len(keys)}/{dies}"
+assert len(set(keys)) == dies, "duplicated units after resume"
+assert sorted(keys) == sorted(expected), "unit set differs from the control's"
 assert resumed == control, "resumed report differs from uninterrupted control"
 
 m = json.load(open("resumed-metrics.json"))
@@ -174,7 +188,7 @@ verdicts.append({
     "report_identical_modulo_timing": True,
 })
 json.dump(verdicts, open("CRASHTEST.json", "w"), indent=2)
-print("crash gate (%s): resumed %d/%d dies from checkpoints, re-tested %d, "
+print("crash gate (%s): resumed %d/%d units from checkpoints, re-ran %d, "
       "report identical to control" % (name, resumed_units, dies, dies - resumed_units))
 EOF
 
@@ -208,3 +222,11 @@ crash_scenario lockstep \
 \"batch_seed\":778,\"threads\":2,\"label\":\"crash-screen\",\
 \"idempotency_key\":\"crash-gate-screen\"}" \
   "$LOCKSTEP_DIES" "$((2 * LOCKSTEP_BLOCK))" --fsync-every "$LOCKSTEP_BLOCK"
+
+# Campaign checkpoints land one per fault on one engine thread, each
+# fsync()ed before the next fault starts (boot's --fsync-every 1).
+crash_scenario campaign \
+  "{\"kind\":\"fault_campaign\",\"circuit\":\"sc_integrator_comparator\",\
+\"threads\":1,\"label\":\"crash-campaign\",\
+\"idempotency_key\":\"crash-gate-campaign\"}" \
+  12 3
