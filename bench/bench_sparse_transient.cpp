@@ -1,29 +1,19 @@
-// Sparse vs dense MNA backend on the macro-array transient.
+// The sparse MNA solver on a macro-array transient.
 //
 // The workload is a bus-fed RC macro array — the topology family the
-// collapse bench and the sparse-backend tests share — sized to 98 MNA
-// unknowns (94 cells + stim/bus/out + one source branch). At that size
-// each dense LU factorization is O(n^3) over a matrix that is ~97% zeros;
-// the sparse backend's fill-reduced factorization touches only the
-// structural nonzeros and the per-step solve only the L/U pattern.
-//
-// The acceptance gate for PR 7 is sparse >= 3x dense on this workload,
-// checked by the printed speedup (CI gates the individual timings through
-// tools/bench-compare.py). Waveforms agree to < 1e-9 relative — assembly
-// is shared between the backends, only elimination order differs — and
-// the max relative difference is printed alongside.
+// collapse bench and the sparse-solver tests share — sized to 98 MNA
+// unknowns (94 cells + stim/bus/out + one source branch). The matrix is
+// ~97% zeros: the fill-reduced factorization touches only the structural
+// nonzeros and the per-step solve only the L/U pattern. CI gates the
+// timing by name through tools/bench-compare.py against the checked-in
+// baseline.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "circuit/elements.h"
 #include "circuit/netlist.h"
-#include "circuit/solver.h"
 #include "circuit/transient.h"
 
 namespace {
@@ -49,64 +39,20 @@ void build_macro_array(Netlist& n) {
   }
 }
 
-TransientResult run_array(SolverBackend backend) {
-  Netlist n;
-  build_macro_array(n);
-  TransientOptions opts;
-  opts.dt = 100e-9;
-  opts.t_stop = 50e-6;  // 500 steps
-  opts.newton.backend = backend;
-  return transient(n, opts);
-}
-
-void print_agreement_and_speedup() {
-  using clock = std::chrono::steady_clock;
-
-  const auto t0 = clock::now();
-  const TransientResult dense = run_array(SolverBackend::kDense);
-  const auto t1 = clock::now();
-  const TransientResult sparse = run_array(SolverBackend::kSparse);
-  const auto t2 = clock::now();
-
-  double worst = 0.0;
-  const std::vector<double>& dv = dense.voltage("out");
-  const std::vector<double>& sv = sparse.voltage("out");
-  for (std::size_t i = 0; i < dv.size() && i < sv.size(); ++i) {
-    const double scale = std::max({std::abs(dv[i]), std::abs(sv[i]), 1e-12});
-    worst = std::max(worst, std::abs(dv[i] - sv[i]) / scale);
-  }
-  const double dense_s = std::chrono::duration<double>(t1 - t0).count();
-  const double sparse_s = std::chrono::duration<double>(t2 - t1).count();
-  std::printf(
-      "sparse vs dense, %zu-unknown macro array, 500 steps:\n"
-      "  dense %.3f ms   sparse %.3f ms   speedup %.2fx (gate: >= 3x)\n"
-      "  max relative waveform difference %.3g (gate: < 1e-9)\n\n",
-      kCells + 4, dense_s * 1e3, sparse_s * 1e3, dense_s / sparse_s, worst);
-}
-
-void run_backend(benchmark::State& state, SolverBackend backend) {
+void BM_MacroArrayTransient_Sparse(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_array(backend));
+    Netlist n;
+    build_macro_array(n);
+    TransientOptions opts;
+    opts.dt = 100e-9;
+    opts.t_stop = 50e-6;  // 500 steps
+    benchmark::DoNotOptimize(transient(n, opts));
   }
   state.counters["unknowns"] = static_cast<double>(kCells + 4);
   state.counters["steps"] = 500;
-}
-
-void BM_MacroArrayTransient_Dense(benchmark::State& state) {
-  run_backend(state, SolverBackend::kDense);
-}
-BENCHMARK(BM_MacroArrayTransient_Dense)->Unit(benchmark::kMillisecond);
-
-void BM_MacroArrayTransient_Sparse(benchmark::State& state) {
-  run_backend(state, SolverBackend::kSparse);
 }
 BENCHMARK(BM_MacroArrayTransient_Sparse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_agreement_and_speedup();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,6 +9,7 @@
 // conversion and the analogue BIST tier.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
@@ -110,6 +111,24 @@ void BM_LinearIntegratorTransient_NoCache(benchmark::State& state) {
   run_integrator_transient(state, false);
 }
 BENCHMARK(BM_LinearIntegratorTransient_NoCache)->Arg(12)->Arg(24)->Arg(48)->Arg(96);
+
+// Machine yardstick for tools/bench-compare.py: the fixed xorshift loop
+// perfbench times as calibration_ms(), touching no library code. The CI
+// gate divides every benchmark by this one, so no library change can move
+// the yardstick it is judged against.
+void BM_Calibration(benchmark::State& state) {
+  for (auto _ : state) {
+    std::uint64_t x = 88172645463325252ull;
+    benchmark::DoNotOptimize(x);
+    for (int i = 0; i < 50'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Calibration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,22 +2,25 @@
 """Compare a Google-Benchmark JSON result against a checked-in baseline.
 
     tools/bench-compare.py BENCH_4.json [--baseline bench/BENCH_4.baseline.json]
-                           [--threshold 0.20]
-                           [--normalize BM_LinearIntegratorTransient_NoCache/24]
+                           [--threshold 0.20] [--normalize BM_Calibration]
 
 Exits non-zero when any benchmark present in both files regressed by more
 than the threshold. When the baseline file does not exist the script
 passes (first run on a fresh trajectory has nothing to compare against).
 
+Each benchmark's time is its `median` aggregate when the run was repeated
+(--benchmark_repetitions), else its plain iteration entry: one sample of
+a shared machine moves by tens of percent between back-to-back runs, the
+median of several does not.
+
 CI runners and developer machines differ in absolute speed, so raw
 nanosecond comparisons across machines are meaningless. Both sides are
-therefore normalized by the same reference workload (--normalize, a
-deliberately cache-free solver benchmark) measured in the same run: the
-compared quantity is "time relative to a from-scratch solve on this
-machine", which is stable across hardware and still catches algorithmic
-regressions — losing LU reuse or stamp caching moves the ratio by far
-more than 20%. If the reference workload is missing from either file the
-script falls back to raw real_time comparison.
+therefore normalized by the same reference workload (--normalize)
+measured in the same run. The default, BM_Calibration, is a fixed integer
+loop that touches no library code, so the compared quantity is "time in
+units of this machine's plain CPU speed" and no library change can move
+its own yardstick. If the reference workload is missing from either file
+the script falls back to raw real_time comparison.
 """
 
 import argparse
@@ -30,15 +33,20 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times(path):
+    """real_time in ns per benchmark: the median aggregate when present,
+    else the (last) iteration entry."""
     with open(path) as f:
         data = json.load(f)
-    times = {}
+    plain, medians = {}, {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        scale = _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
-        times[b["name"]] = float(b["real_time"]) * scale
-    return times
+        name = b.get("run_name", b["name"])
+        t = float(b["real_time"]) * _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
+        if b.get("run_type") != "aggregate":
+            plain[name] = t
+        elif b.get("aggregate_name") == "median":
+            medians[name] = t
+    plain.update(medians)
+    return plain
 
 
 def main():
@@ -47,8 +55,7 @@ def main():
     ap.add_argument("--baseline", default="bench/BENCH_4.baseline.json")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="fractional regression that fails the run")
-    ap.add_argument("--normalize",
-                    default="BM_LinearIntegratorTransient_NoCache/24",
+    ap.add_argument("--normalize", default="BM_Calibration",
                     help="reference workload used to cancel machine speed")
     args = ap.parse_args()
 
@@ -67,6 +74,10 @@ def main():
               "comparing raw real_time (machine-sensitive)")
 
     common = sorted(set(cur) & set(base))
+    ungated = sorted(set(cur) - set(base))
+    if ungated:
+        print("bench-compare: not gated (no baseline entry): "
+              + ", ".join(ungated))
     if not common:
         print("bench-compare: no common benchmarks; passing")
         return 0
