@@ -17,8 +17,8 @@
 //
 // The reproduction prints the 32-die comparison (gate: >= 2x per-die
 // throughput, best of 3 runs per path; verdicts cross-checked
-// die-for-die, since each lockstep lane matches a scalar sparse-backend
-// transient of its netlist) and the lockstep per-die cost at 256 and
+// die-for-die, since each lockstep lane matches a scalar transient of
+// its netlist) and the lockstep per-die cost at 256 and
 // 4096 dies, which stays flat when the lane blocks keep the working set
 // cache-sized. CI gates the individual timings via tools/bench-compare.py.
 #include <benchmark/benchmark.h>
@@ -52,7 +52,6 @@ production::BatchReport run_scalar(const std::vector<production::DieSpec>& dies)
     t.dt = plan.transient.dt;
     t.t_stop = plan.transient.t_stop;
     t.newton = plan.transient.newton;
-    t.newton.backend = circuit::SolverBackend::kSparse;
     const circuit::TransientResult r = circuit::transient(n, t);
     production::DeviceOutcome out;
     out.seed = spec.seed;

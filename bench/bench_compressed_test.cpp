@@ -13,19 +13,20 @@
 
 #include "core/device.h"
 #include "core/report.h"
+#include "production/batch.h"
 
 namespace {
 
 using namespace msbist;
 
 void print_reproduction() {
-  core::Batch batch = core::Batch::paper_batch();
-  auto res = batch.run_production_test();
+  const production::BatchReport res = production::run_batch(
+      production::paper_population(), production::TestPlan::bist_only());
 
   core::Table table({"die", "digital signature", "analogue sig (2-bit)", "analog",
                      "ramp", "digital", "compressed", "overall"});
-  for (std::size_t i = 0; i < res.reports.size(); ++i) {
-    const bist::BistReport& r = res.reports[i];
+  for (std::size_t i = 0; i < res.devices.size(); ++i) {
+    const bist::BistReport& r = res.devices[i].bist;
     char sig[16];
     std::snprintf(sig, sizeof sig, "0x%04x", r.compressed.digital_signature);
     table.add_row({std::to_string(i + 1), sig,
@@ -38,7 +39,7 @@ void print_reproduction() {
   std::printf("E4: compressed test over the fabricated batch of 10 devices\n%s",
               table.to_string().c_str());
   std::printf("paper: all 10 devices passed;  measured: %zu/%zu passed\n\n",
-              res.passed, res.reports.size());
+              res.passed, res.devices.size());
 
   // Escape check: a gross fault must break the signature.
   adc::DualSlopeAdcConfig bad = adc::DualSlopeAdcConfig::characterized();
@@ -60,8 +61,8 @@ BENCHMARK(BM_CompressedTestTier);
 
 void BM_FullProductionBatch(benchmark::State& state) {
   for (auto _ : state) {
-    core::Batch batch = core::Batch::paper_batch();
-    benchmark::DoNotOptimize(batch.run_production_test());
+    benchmark::DoNotOptimize(production::run_batch(
+        production::paper_population(), production::TestPlan::bist_only()));
   }
 }
 BENCHMARK(BM_FullProductionBatch);

@@ -100,10 +100,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Part 1: the fabricated lot (the same dies core::Batch::paper_batch
-  // screens), under the full plan, through the unified job-request entry
-  // point the msbistd daemon also uses. Thread count never changes the
-  // report.
+  // Part 1: the fabricated lot (production::paper_population(), the
+  // paper's 10 dies), under the full plan, through the unified
+  // job-request entry point the msbistd daemon also uses. Thread count
+  // never changes the report.
   core::JobRequest paper_job;
   paper_job.kind = core::JobKind::kBatch;
   paper_job.label = "paper batch";

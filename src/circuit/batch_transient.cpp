@@ -159,10 +159,10 @@ BatchTransientReport BatchTransient::run(
   // solve until the delta vanishes — and the assembly here accumulates
   // entries in the same element order with the same gmin placement, so
   // the pivot-defining lane's seed is bit-identical to a scalar
-  // sparse-backend dc_operating_point. A lane whose seed comes out
-  // non-finite is marked failed and sits the march out; a lane whose
-  // matrix is singular even under private re-pivoting fails the batch
-  // (shared factorization cannot route around it).
+  // dc_operating_point. A lane whose seed comes out non-finite is marked
+  // failed and sits the march out; a lane whose matrix is singular even
+  // under private re-pivoting fails the batch (shared factorization
+  // cannot route around it).
   if (!opts_.use_initial_conditions) {
     StampContext dc_ctx;
     dc_ctx.mode = StampContext::Mode::kDc;

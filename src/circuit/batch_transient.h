@@ -5,7 +5,7 @@
 // has the same nodes, the same elements, the same MNA footprint. Running
 // the dies one at a time repeats all the work that depends only on the
 // shared structure: symbolic sparse analysis, pivot-order discovery, and
-// (densely) a full O(n^3) factorization per die. The batch engine does
+// a full pivoting factorization per die. The batch engine does
 // that structural work once and keeps only the per-die numerics:
 //
 //   * one stamp-discovery pass and one sparse pattern (variant 0);
@@ -32,9 +32,9 @@
 // dsp::BatchSparseLu, so a poisoned lane can never contaminate another.
 //
 // Determinism: each lane performs the same floating-point operations in
-// the same order as a scalar sparse-backend transient of its netlist, so
-// per-variant waveforms are bit-identical to the one-die-at-a-time run
-// (locked by tests).
+// the same order as a scalar transient of its netlist, so per-variant
+// waveforms are bit-identical to the one-die-at-a-time run (locked by
+// tests).
 #pragma once
 
 #include <cstddef>
@@ -55,9 +55,8 @@ struct BatchTransientOptions {
   Integration method = Integration::kTrapezoidal;
   bool use_initial_conditions = false;  ///< skip the DC point; honor cap ICs
   /// Seeds the per-variant DC operating point and supplies gmin. The
-  /// backend field is ignored: the batch engine (including the scalar
-  /// seed solves) is sparse by construction, which keeps each lane
-  /// bit-identical to a scalar sparse-backend transient of its netlist.
+  /// batch engine eliminates in the scalar solver's sparse pattern, which
+  /// keeps each lane bit-identical to a scalar transient of its netlist.
   NewtonOptions newton;
   /// Run the ERC once on variant 0 (all variants share its topology).
   bool erc = true;

@@ -45,11 +45,10 @@ std::vector<double> solve_mna_once(const Netlist& netlist, StampContext ctx,
     } catch (const core::SolverError&) {
       throw;  // already classified
     } catch (const std::runtime_error& e) {
-      // The only runtime_error either LU engine (dense LuDecomposition or
-      // SparseLu) emits is the singular-matrix pivot failure; classify
-      // it. Misuse errors are std::logic_error and propagate unclassified
-      // — a programming error is not a singular circuit. it+1 counts the
-      // attempt that died.
+      // The only runtime_error dsp::SparseLu emits is the singular-matrix
+      // pivot failure; classify it. Misuse errors are std::logic_error
+      // and propagate unclassified — a programming error is not a
+      // singular circuit. it+1 counts the attempt that died.
       throw core::SingularMatrixError(make_failure(
           core::ErrorCode::kSingularMatrix, netlist, it + 1, 0, 0.0, e.what()));
     }

@@ -8,21 +8,6 @@
 
 namespace msbist::circuit {
 
-/// Matrix engine used by the solver workspace for factorization/solve.
-/// The assembled system is identical either way (assembly is shared);
-/// only the elimination order differs, so dense-vs-sparse waveforms
-/// agree to roundoff (< 1e-9 relative; see DESIGN.md §13).
-enum class SolverBackend {
-  kAuto,    ///< dense below kSparseAutoThreshold unknowns, sparse at/above
-  kDense,   ///< always the dense engine (dsp::LuDecomposition)
-  kSparse,  ///< always the sparse engine (dsp::SparseLu)
-};
-
-/// Unknown count at which kAuto switches to the sparse backend. Dense
-/// wins below this point (no indexing overhead, tighter inner loops);
-/// the crossover on MNA systems sits near a few dozen unknowns.
-inline constexpr std::size_t kSparseAutoThreshold = 50;
-
 struct NewtonOptions {
   int max_iterations = 500;
   double vtol = 1e-9;      ///< absolute convergence tolerance [V]
@@ -30,7 +15,6 @@ struct NewtonOptions {
   double gmin = 1e-12;     ///< leak conductance from every node to ground [S]
   double max_update = 0.5; ///< per-iteration voltage damping limit [V]
   int damping_retries = 3; ///< on failure retry with max_update / 4^k
-  SolverBackend backend = SolverBackend::kAuto;  ///< matrix engine selection
 };
 
 class SolverWorkspace;

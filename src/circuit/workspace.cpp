@@ -25,13 +25,9 @@ void SolverWorkspace::bind(const Netlist& netlist, const StampContext& ctx,
   fp.method = ctx.method;
   fp.gmin = opts.gmin;
   fp.caching = caching_;
-  fp.sparse = opts.backend == SolverBackend::kSparse ||
-              (opts.backend == SolverBackend::kAuto &&
-               unknowns >= kSparseAutoThreshold);
   fp.forced_dynamic = forced_dynamic_;
   if (bound_ && fp == fp_) return;
   fp_ = fp;
-  sparse_ = fp.sparse;
   rebuild(netlist, ctx);
   bound_ = true;
 }
@@ -50,11 +46,11 @@ void SolverWorkspace::rebuild(const Netlist& netlist, const StampContext& ctx) {
   iteration_elements_.clear();
   dynamic_diagonals_.clear();
 
-  // Sparse backend: collect every possible nonzero coordinate (all
-  // element matrix writes plus the gmin node diagonals) and hand the
-  // pattern to the sparse engine. SparseLu::refactor compares patterns
-  // itself, so an unchanged pattern across re-binds (e.g. the rescue
-  // ladder stepping gmin) keeps the symbolic analysis and pivot order.
+  // Collect every possible nonzero coordinate (all element matrix writes
+  // plus the gmin node diagonals) and hand the pattern to the sparse
+  // engine. SparseLu::refactor compares patterns itself, so an unchanged
+  // pattern across re-binds (e.g. the rescue ladder stepping gmin) keeps
+  // the symbolic analysis and pivot order.
   auto build_sparse_pattern = [&](std::vector<std::pair<int, int>> coords) {
     for (std::size_t node = 0; node < fp_.nodes; ++node) {
       coords.emplace_back(static_cast<int>(node), static_cast<int>(node));
@@ -85,25 +81,23 @@ void SolverWorkspace::rebuild(const Netlist& netlist, const StampContext& ctx) {
     for (std::size_t node = 0; node < fp_.nodes; ++node) {
       dynamic_diagonals_.push_back(node);
     }
-    if (sparse_) {
-      // The caching path harvests the pattern from its discovery pass;
-      // here a dedicated write-log pass collects it.
-      StampContext discovery = ctx;
-      discovery.guess = nullptr;
-      std::vector<std::pair<int, int>> coords;
-      std::vector<std::pair<int, int>> matrix_log;
-      std::vector<int> rhs_log;
-      for (const auto& el : netlist.elements()) {
-        matrix_log.clear();
-        rhs_log.clear();
-        Stamper s(g_, rhs_);
-        s.set_write_log(&matrix_log, &rhs_log);
-        el->stamp(s, discovery);
-        coords.insert(coords.end(), matrix_log.begin(), matrix_log.end());
-      }
-      std::fill(rhs_.begin(), rhs_.end(), 0.0);
-      build_sparse_pattern(std::move(coords));
+    // The caching path harvests the pattern from its discovery pass;
+    // here a dedicated write-log pass collects it.
+    StampContext discovery = ctx;
+    discovery.guess = nullptr;
+    std::vector<std::pair<int, int>> coords;
+    std::vector<std::pair<int, int>> matrix_log;
+    std::vector<int> rhs_log;
+    for (const auto& el : netlist.elements()) {
+      matrix_log.clear();
+      rhs_log.clear();
+      Stamper s(g_, rhs_);
+      s.set_write_log(&matrix_log, &rhs_log);
+      el->stamp(s, discovery);
+      coords.insert(coords.end(), matrix_log.begin(), matrix_log.end());
     }
+    std::fill(rhs_.begin(), rhs_.end(), 0.0);
+    build_sparse_pattern(std::move(coords));
     return;
   }
 
@@ -137,10 +131,8 @@ void SolverWorkspace::rebuild(const Netlist& netlist, const StampContext& ctx) {
       el->stamp(s, discovery);
       footprints[i].writes = matrix_log;
       footprints[i].writes_rhs = !rhs_log.empty();
-      if (sparse_) {
-        sparse_coords.insert(sparse_coords.end(), matrix_log.begin(),
-                             matrix_log.end());
-      }
+      sparse_coords.insert(sparse_coords.end(), matrix_log.begin(),
+                           matrix_log.end());
       // Forced-dynamic elements (set_forced_dynamic) are classified as if
       // their stamp were time-varying: their entries live outside the
       // base, so in-place parameter changes take effect on the next
@@ -194,7 +186,7 @@ void SolverWorkspace::rebuild(const Netlist& netlist, const StampContext& ctx) {
     if (!dynamic_keep_[node * n + node]) base_(node, node) += fp_.gmin;
   }
 
-  if (sparse_) build_sparse_pattern(std::move(sparse_coords));
+  build_sparse_pattern(std::move(sparse_coords));
 }
 
 void SolverWorkspace::gather_into_pattern(const dsp::Matrix& src) {
@@ -215,22 +207,14 @@ const std::vector<double>& SolverWorkspace::solve_iteration(const StampContext& 
     Stamper s(g_, rhs_, Stamper::RhsOnly{});
     for (const Element* el : iteration_elements_) el->stamp(s, ctx);
     if (!lu_valid_) {
-      if (sparse_) {
-        gather_into_pattern(base_);
-        sparse_lu_.factor(pattern_);
-      } else {
-        lu_.factor(base_);
-      }
+      gather_into_pattern(base_);
+      sparse_lu_.factor(pattern_);
       lu_valid_ = true;
       ++stats_.lu_factorizations;
     } else {
       ++stats_.lu_reuses;
     }
-    if (sparse_) {
-      sparse_lu_.solve_into(rhs_, x_);
-    } else {
-      lu_.solve_into(rhs_, x_);
-    }
+    sparse_lu_.solve_into(rhs_, x_);
     return x_;
   }
 
@@ -245,20 +229,15 @@ const std::vector<double>& SolverWorkspace::solve_iteration(const StampContext& 
   for (std::size_t node : dynamic_diagonals_) g_(node, node) += fp_.gmin;
   lu_valid_ = false;  // factored from a per-iteration matrix, not the base
   ++stats_.lu_factorizations;
-  if (sparse_) {
-    // Same assembled values, sparse engine: gather the nonzeros and
-    // refactor. The first iteration after a pattern change runs a full
-    // pivoting factor(); later iterations replay the stored pivot
-    // sequence and update schedule (counted in sparse_refactors).
-    gather_into_pattern(g_);
-    const std::size_t replays = sparse_lu_.stats().refactors;
-    sparse_lu_.refactor(pattern_);
-    stats_.sparse_refactors += sparse_lu_.stats().refactors - replays;
-    sparse_lu_.solve_into(rhs_, x_);
-  } else {
-    lu_.factor(g_);
-    lu_.solve_into(rhs_, x_);
-  }
+  // Gather the nonzeros and refactor. The first iteration after a pattern
+  // change runs a full pivoting factor(); later iterations replay the
+  // stored pivot sequence and update schedule (counted in
+  // sparse_refactors).
+  gather_into_pattern(g_);
+  const std::size_t replays = sparse_lu_.stats().refactors;
+  sparse_lu_.refactor(pattern_);
+  stats_.sparse_refactors += sparse_lu_.stats().refactors - replays;
+  sparse_lu_.solve_into(rhs_, x_);
   return x_;
 }
 

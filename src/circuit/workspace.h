@@ -25,10 +25,12 @@
 //     never reorders them), the assembled matrix matches the naive build
 //     bit for bit — same elimination, same pivoting, same waveforms.
 //
-//  3. LU factorization reuse — when no element writes a dynamic entry
-//     (fully linear netlist at fixed dt), the matrix is constant for the
-//     whole analysis: factor once, then only forward/back-substitute per
-//     step. O(n^3) per step becomes O(n^2).
+//  3. LU factorization reuse — every solve factors through dsp::SparseLu
+//     over the nonzero pattern the discovery pass found, replaying its
+//     symbolic analysis and pivot order. When no element writes a dynamic
+//     entry (fully linear netlist at fixed dt), the matrix is constant
+//     for the whole analysis: factor once, then only forward/back-
+//     substitute per step.
 //
 // Invalidation: a workspace re-binds (rebuilds classification, base, and
 // factorization) whenever the analysis fingerprint changes — netlist
@@ -112,10 +114,6 @@ class SolverWorkspace {
   /// True when the bound analysis has a constant matrix (LU reuse active).
   bool matrix_fully_static() const { return bound_ && dynamic_entries_ == 0; }
 
-  /// True when the bound analysis factors through the sparse engine
-  /// (NewtonOptions::backend resolved against the unknown count).
-  bool sparse_backend() const { return bound_ && sparse_; }
-
   const SolverStats& stats() const { return stats_; }
   void reset_stats() { stats_ = SolverStats{}; }
 
@@ -130,7 +128,6 @@ class SolverWorkspace {
     Integration method = Integration::kTrapezoidal;
     double gmin = 0.0;
     bool caching = true;
-    bool sparse = false;  ///< backend resolved for this bind
     std::vector<std::string> forced_dynamic;
 
     bool operator==(const Fingerprint&) const = default;
@@ -161,19 +158,16 @@ class SolverWorkspace {
   dsp::Matrix g_;
   std::vector<double> rhs_;
   std::vector<double> x_;
-  dsp::LuDecomposition lu_;
   bool lu_valid_ = false;
 
-  // Sparse backend (valid while bound_ && sparse_): assembly still runs
-  // through the dense g_/base_ machinery above — that is what keeps the
-  // assembled system bit-identical to the reference build — and the
-  // nonzero values are then gathered into pattern_ (gather_src_[p] is the
-  // row-major dense offset of pattern entry p) for factorization by
-  // sparse_lu_. The SparseLu keeps its symbolic analysis and pivot
-  // sequence across re-binds whose pattern is unchanged (the rescue
-  // ladder's gmin steps), so only numeric refactorization remains per
-  // Newton iteration.
-  bool sparse_ = false;
+  // Elimination (valid while bound_): assembly runs through the dense
+  // g_/base_ machinery above — that is what keeps the assembled system
+  // bit-identical to the reference build — and the nonzero values are
+  // then gathered into pattern_ (gather_src_[p] is the row-major dense
+  // offset of pattern entry p) for factorization by sparse_lu_. The
+  // SparseLu keeps its symbolic analysis and pivot sequence across
+  // re-binds whose pattern is unchanged (the rescue ladder's gmin steps),
+  // so only numeric refactorization remains per Newton iteration.
   dsp::SparseMatrix pattern_;
   std::vector<std::size_t> gather_src_;
   dsp::SparseLu sparse_lu_;

@@ -60,26 +60,4 @@ adc::AdcMetrics Device::characterize() {
   return adc::compute_metrics(tl, lsb, ideal_first);
 }
 
-Batch::Batch(std::size_t device_count, std::uint64_t lot_seed,
-             const adc::DualSlopeAdcConfig& base_config) {
-  devices_.reserve(device_count);
-  for (std::size_t i = 0; i < device_count; ++i) {
-    devices_.emplace_back(lot_seed + i + 1, base_config);
-  }
-}
-
-Batch Batch::paper_batch() {
-  return Batch(10, 1995, adc::DualSlopeAdcConfig::characterized());
-}
-
-Batch::ProductionResult Batch::run_production_test() {
-  ProductionResult res;
-  res.reports.reserve(devices_.size());
-  for (Device& d : devices_) {
-    res.reports.push_back(d.run_bist());
-    if (res.reports.back().pass) ++res.passed;
-  }
-  return res;
-}
-
 }  // namespace msbist::core

@@ -3,12 +3,12 @@
 //
 // The paper fabricated "a batch of 10 devices ... comprising the built-in
 // self test macros described and the ADC system. All devices passed the
-// analogue, digital and compressed tests." Device is one such die; Batch
-// models the fabrication run. Every die is fully determined by its seed.
+// analogue, digital and compressed tests." Device is one such die; the
+// fabrication run is production::paper_population() under
+// production::run_batch. Every die is fully determined by its seed.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "adc/dual_slope.h"
 #include "adc/metrics.h"
@@ -41,31 +41,6 @@ class Device {
   std::uint64_t seed_;
   adc::DualSlopeAdc adc_;
   bist::BistController bist_;
-};
-
-/// A fabrication run of N dies.
-class Batch {
- public:
-  Batch(std::size_t device_count, std::uint64_t lot_seed,
-        const adc::DualSlopeAdcConfig& base_config);
-
-  /// The paper's batch: 10 characterized devices.
-  static Batch paper_batch();
-
-  std::size_t size() const { return devices_.size(); }
-  Device& device(std::size_t i) { return devices_[i]; }
-
-  struct ProductionResult {
-    std::vector<bist::BistReport> reports;
-    std::size_t passed = 0;
-    bool all_passed() const { return passed == reports.size(); }
-  };
-
-  /// Run every die through the on-chip BIST flow.
-  ProductionResult run_production_test();
-
- private:
-  std::vector<Device> devices_;
 };
 
 }  // namespace msbist::core

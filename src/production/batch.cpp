@@ -217,7 +217,7 @@ std::vector<DieSpec> paper_population() {
   pop.reserve(10);
   for (std::size_t i = 0; i < 10; ++i) {
     DieSpec d;
-    d.seed = 1995 + i + 1;  // core::Batch::paper_batch's die seeds
+    d.seed = 1995 + i + 1;  // lot seed 1995, die i at lot_seed + i + 1
     d.config = adc::DualSlopeAdcConfig::characterized();
     d.label = "die " + std::to_string(i + 1);
     pop.push_back(std::move(d));

@@ -161,8 +161,8 @@ std::uint64_t device_seed(std::uint64_t batch_seed, std::size_t index);
 /// The Monte-Carlo population a BatchConfig describes.
 std::vector<DieSpec> make_population(const BatchConfig& cfg);
 
-/// The paper's fabricated lot: the same 10 dies core::Batch::paper_batch
-/// builds (lot seed 1995, die seeds 1996..2005), as a population.
+/// The paper's fabricated lot of 10 dies (lot seed 1995, die seeds
+/// 1996..2005: die i is seeded lot_seed + i + 1), as a population.
 std::vector<DieSpec> paper_population();
 
 /// Test a single die under a plan (the parallel engine's unit of work;

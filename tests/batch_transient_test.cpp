@@ -27,7 +27,7 @@ namespace {
 
 constexpr std::size_t kCells = 12;
 
-/// The sparse-backend test's bus-fed RC macro array, parameterized the
+/// The sparse-solver test's bus-fed RC macro array, parameterized the
 /// Monte-Carlo way: same topology every time, element values scaled by a
 /// per-variant factor.
 void build_macro_array(Netlist& n, double r_scale, double c_scale,
@@ -99,7 +99,6 @@ TEST(BatchTransient, LockstepMatchesScalarSparseTransients) {
     TransientOptions scalar_opts;
     scalar_opts.dt = opts.dt;
     scalar_opts.t_stop = opts.t_stop;
-    scalar_opts.newton.backend = SolverBackend::kSparse;
     const TransientResult scalar = transient(scalar_net, scalar_opts);
     const TransientResult& lane = *report.variants[v].result;
     if (v == 0) {
@@ -110,8 +109,8 @@ TEST(BatchTransient, LockstepMatchesScalarSparseTransients) {
       EXPECT_EQ(lane.current("VSTIM"), scalar.current("VSTIM"));
     } else {
       // Other lanes reuse variant 0's pivot order where their own scalar
-      // factorization may pivot differently: same documented < 1e-9
-      // relative gate as dense-vs-sparse.
+      // factorization may pivot differently: the documented < 1e-9
+      // relative gate for a change of elimination order.
       EXPECT_LT(max_rel_diff(lane.voltage("out"), scalar.voltage("out")),
                 1e-9)
           << "variant " << v;

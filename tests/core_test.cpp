@@ -1,5 +1,6 @@
-// Unit tests for the Device/Batch fabrication model, report tables, and
-// the thread pool and slot executor behind the parallel engines.
+// Unit tests for the Device fabrication model (and the paper's batch of
+// dies under production::run_batch), report tables, and the thread pool
+// and slot executor behind the parallel engines.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include "core/device.h"
 #include "core/report.h"
 #include "core/thread_pool.h"
+#include "production/batch.h"
 
 namespace msbist::core {
 namespace {
@@ -47,17 +49,23 @@ TEST(DeviceTest, DifferentSeedsDiffer) {
 TEST(BatchTest, PaperBatchAllPass) {
   // "A batch of 10 devices were fabricated... All devices passed the
   // analogue, digital and compressed tests."
-  Batch batch = Batch::paper_batch();
-  ASSERT_EQ(batch.size(), 10u);
-  const auto res = batch.run_production_test();
-  EXPECT_TRUE(res.all_passed()) << res.passed << "/10 passed";
+  const auto population = production::paper_population();
+  ASSERT_EQ(population.size(), 10u);
+  const auto res =
+      production::run_batch(population, production::TestPlan::bist_only());
+  EXPECT_EQ(res.passed, res.devices.size()) << res.passed << "/10 passed";
 }
 
 TEST(BatchTest, FaultyDieFailsInBatch) {
   adc::DualSlopeAdcConfig bad = adc::DualSlopeAdcConfig::characterized();
   bad.latch_faults.stuck_high_mask = 0x20;
-  Batch batch(3, 42, bad);
-  const auto res = batch.run_production_test();
+  std::vector<production::DieSpec> population(3);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    population[i].seed = 42 + i + 1;  // lot seed 42, die i at lot_seed + i + 1
+    population[i].config = bad;
+  }
+  const auto res =
+      production::run_batch(population, production::TestPlan::bist_only());
   EXPECT_EQ(res.passed, 0u);
 }
 

@@ -20,6 +20,7 @@
 #include "dsp/prbs.h"
 #include "dsp/vec.h"
 #include "faults/universe.h"
+#include "production/batch.h"
 #include "tsrt/impulse_compare.h"
 #include "tsrt/pole_compare.h"
 #include "tsrt/transient_test.h"
@@ -80,9 +81,14 @@ INSTANTIATE_TEST_SUITE_P(AllTwelveFaults, ScFaultSweep,
 class LotSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LotSweep, HealthyLotsAlwaysYieldFully) {
-  core::Batch batch(4, GetParam(), adc::DualSlopeAdcConfig::characterized());
-  const auto res = batch.run_production_test();
-  EXPECT_TRUE(res.all_passed()) << "lot seed " << GetParam();
+  std::vector<production::DieSpec> population(4);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    population[i].seed = GetParam() + i + 1;  // die i at lot_seed + i + 1
+    population[i].config = adc::DualSlopeAdcConfig::characterized();
+  }
+  const auto res =
+      production::run_batch(population, production::TestPlan::bist_only());
+  EXPECT_EQ(res.passed, res.devices.size()) << "lot seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(SeveralLots, LotSweep,

@@ -1,8 +1,8 @@
-// Integration tests for the sparse MNA backend: size-gated selection,
-// dense-vs-sparse waveform agreement (the documented < 1e-9 relative
-// gate — assembly is shared, only elimination order differs), symbolic
-// and pivot reuse across Newton steps and re-binds, and the rescue
-// ladder running unchanged on the sparse path.
+// Integration tests for the sparse MNA solver: agreement with an
+// independent dense elimination of the same stamped system (the
+// documented < 1e-9 relative gate — only elimination order differs),
+// symbolic and pivot reuse across Newton steps and re-binds, and the
+// rescue ladder running on the sparse path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +13,9 @@
 #include "circuit/elements.h"
 #include "circuit/netlist.h"
 #include "circuit/solver.h"
-#include "circuit/transient.h"
 #include "circuit/workspace.h"
 #include "core/error.h"
+#include "dsp/matrix.h"
 
 namespace msbist::circuit {
 namespace {
@@ -23,9 +23,9 @@ namespace {
 constexpr std::size_t kCells = 47;
 
 /// Bus-fed RC macro array: stim + bus + out + kCells cell nodes + one
-/// source branch = 51 MNA unknowns at kCells = 47 — comfortably past the
-/// sparse auto-threshold, and the same topology family as the collapse
-/// bench. Fully linear, so the fixed-dt transient matrix is constant.
+/// source branch = 51 MNA unknowns at kCells = 47, the same topology
+/// family as the collapse bench. Fully linear, so the fixed-dt transient
+/// matrix is constant.
 void build_macro_array(Netlist& n) {
   const NodeId stim = n.node("stim");
   const NodeId bus = n.node("bus");
@@ -44,16 +44,6 @@ void build_macro_array(Netlist& n) {
   }
 }
 
-TransientResult run_array(SolverBackend backend) {
-  Netlist n;
-  build_macro_array(n);
-  TransientOptions opts;
-  opts.dt = 100e-9;
-  opts.t_stop = 20e-6;
-  opts.newton.backend = backend;
-  return transient(n, opts);
-}
-
 double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
@@ -65,53 +55,31 @@ double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) 
 }
 
 TEST(SparseBackend, TransientMatchesDenseWithinDocumentedGate) {
-  const TransientResult dense = run_array(SolverBackend::kDense);
-  const TransientResult sparse = run_array(SolverBackend::kSparse);
-  ASSERT_EQ(dense.time().size(), sparse.time().size());
-  EXPECT_LT(max_rel_diff(dense.voltage("out"), sparse.voltage("out")), 1e-9);
-  EXPECT_LT(max_rel_diff(dense.voltage("bus"), sparse.voltage("bus")), 1e-9);
-  EXPECT_LT(max_rel_diff(dense.voltage("cell0"), sparse.voltage("cell0")),
-            1e-9);
-  EXPECT_LT(max_rel_diff(dense.current("VSTIM"), sparse.current("VSTIM")),
-            1e-9);
-  // kAuto resolves to sparse at this size: identical to the explicit
-  // sparse run bit for bit (same backend, same code path).
-  const TransientResult auto_run = run_array(SolverBackend::kAuto);
-  EXPECT_EQ(auto_run.voltage("out"), sparse.voltage("out"));
-}
-
-TEST(SparseBackend, AutoSelectionIsSizeGated) {
-  // Small circuit: kAuto stays dense.
-  {
-    Netlist n;
-    const NodeId a = n.node("a");
-    n.add<VoltageSource>(a, kGround, 1.0);
-    const std::size_t unknowns = n.assign_unknowns();
-    ASSERT_LT(unknowns, kSparseAutoThreshold);
-    SolverWorkspace ws;
-    StampContext ctx;
-    solve_mna(n, ctx, unknowns, {}, NewtonOptions{}, &ws);
-    EXPECT_FALSE(ws.sparse_backend());
-    // Explicit request overrides the gate.
-    NewtonOptions forced;
-    forced.backend = SolverBackend::kSparse;
-    solve_mna(n, ctx, unknowns, {}, forced, &ws);
-    EXPECT_TRUE(ws.sparse_backend());
-  }
-  // Macro array: kAuto goes sparse.
-  {
-    Netlist n;
-    build_macro_array(n);
-    const std::size_t unknowns = n.assign_unknowns();
-    ASSERT_GE(unknowns, kSparseAutoThreshold);
-    SolverWorkspace ws;
-    StampContext ctx;
-    solve_mna(n, ctx, unknowns, {}, NewtonOptions{}, &ws);
-    EXPECT_TRUE(ws.sparse_backend());
-    NewtonOptions forced;
-    forced.backend = SolverBackend::kDense;
-    solve_mna(n, ctx, unknowns, {}, forced, &ws);
-    EXPECT_FALSE(ws.sparse_backend());
+  // Reference: the same system stamped through the public Stamper into a
+  // dense matrix, gmin on the node diagonals, eliminated by the dense LU.
+  // The fixture is linear, so solve_mna's answer is one direct solve and
+  // the two differ only by elimination order.
+  Netlist n;
+  build_macro_array(n);
+  const std::size_t unknowns = n.assign_unknowns();
+  const NewtonOptions opts;
+  StampContext dc;
+  StampContext tran;
+  tran.mode = StampContext::Mode::kTransient;
+  tran.dt = 100e-9;
+  tran.t = 100e-9;
+  for (const StampContext& ctx : {dc, tran}) {
+    dsp::Matrix g(unknowns, unknowns);
+    std::vector<double> rhs(unknowns, 0.0);
+    Stamper s(g, rhs);
+    for (const auto& el : n.elements()) el->stamp(s, ctx);
+    for (std::size_t node = 0; node < n.node_count(); ++node) {
+      g(node, node) += opts.gmin;
+    }
+    const std::vector<double> dense = dsp::LuDecomposition(g).solve(rhs);
+    const std::vector<double> sparse = solve_mna(n, ctx, unknowns, {}, opts);
+    EXPECT_LT(max_rel_diff(dense, sparse), 1e-9)
+        << (ctx.mode == StampContext::Mode::kDc ? "dc" : "transient");
   }
 }
 
@@ -123,13 +91,12 @@ TEST(SparseBackend, FullyStaticSystemReusesSparseFactorization) {
   StampContext ctx;
   ctx.mode = StampContext::Mode::kTransient;
   ctx.dt = 100e-9;
-  NewtonOptions opts;  // kAuto -> sparse at this size
+  NewtonOptions opts;
   std::vector<double> guess(unknowns, 0.0);
   for (int step = 0; step < 5; ++step) {
     ctx.t = 100e-9 * (step + 1);
     guess = solve_mna(n, ctx, unknowns, guess, opts, &ws);
   }
-  EXPECT_TRUE(ws.sparse_backend());
   EXPECT_TRUE(ws.matrix_fully_static());
   EXPECT_EQ(ws.stats().lu_factorizations, 1u);
   EXPECT_EQ(ws.stats().lu_reuses, 4u);
@@ -152,7 +119,6 @@ TEST(SparseBackend, NonlinearNewtonReplaysPivotsInsteadOfRefactoring) {
   StampContext ctx;
   NewtonOptions opts;
   solve_mna(n, ctx, unknowns, {}, opts, &ws);
-  EXPECT_TRUE(ws.sparse_backend());
   EXPECT_FALSE(ws.matrix_fully_static());
   EXPECT_GE(ws.stats().assemblies, 2u);
   // One pivoting factorization, the rest schedule replays.
@@ -161,47 +127,39 @@ TEST(SparseBackend, NonlinearNewtonReplaysPivotsInsteadOfRefactoring) {
 
 TEST(SparseBackend, RescueLadderRunsUnchangedOnSparsePath) {
   // Bistable comparator: no consistent DC state, so the whole ladder
-  // (gmin ramp re-binds included) runs and exhausts. Forcing the sparse
-  // backend must produce the same typed verdict as dense — and the gmin
-  // re-binds exercise symbolic reuse across fingerprint changes.
-  auto run = [](SolverBackend backend) {
-    Netlist n;
-    const NodeId in = n.node("in");
-    const NodeId out = n.node("out");
-    n.add<VoltageSource>(in, kGround, 5.0);
-    n.add<Resistor>(in, out, 1e3);
-    n.add<VoltageSwitch>(out, kGround, out, kGround, /*threshold=*/2.5,
-                         /*r_on=*/1.0, /*r_off=*/1e9);
-    DcOptions opts;
-    opts.newton.max_iterations = 60;
-    opts.newton.backend = backend;
-    opts.source_steps = 4;
-    opts.rescue.max_gmin_steps = 2;
-    core::ErrorCode code = core::ErrorCode::kNone;
-    try {
-      dc_operating_point(n, opts);
-    } catch (const core::SolverError& e) {
-      code = e.code();
-    }
-    return code;
-  };
-  const core::ErrorCode dense = run(SolverBackend::kDense);
-  const core::ErrorCode sparse = run(SolverBackend::kSparse);
-  EXPECT_EQ(dense, core::ErrorCode::kNonConvergent);
-  EXPECT_EQ(sparse, dense);
+  // (gmin ramp re-binds included) runs and exhausts with the typed
+  // non-convergence verdict — and the gmin re-binds exercise symbolic
+  // reuse across fingerprint changes.
+  Netlist n;
+  const NodeId in = n.node("in");
+  const NodeId out = n.node("out");
+  n.add<VoltageSource>(in, kGround, 5.0);
+  n.add<Resistor>(in, out, 1e3);
+  n.add<VoltageSwitch>(out, kGround, out, kGround, /*threshold=*/2.5,
+                       /*r_on=*/1.0, /*r_off=*/1e9);
+  DcOptions opts;
+  opts.newton.max_iterations = 60;
+  opts.source_steps = 4;
+  opts.rescue.max_gmin_steps = 2;
+  core::ErrorCode code = core::ErrorCode::kNone;
+  try {
+    dc_operating_point(n, opts);
+  } catch (const core::SolverError& e) {
+    code = e.code();
+  }
+  EXPECT_EQ(code, core::ErrorCode::kNonConvergent);
 }
 
 TEST(SparseBackend, SingularSparseSystemClassifiesAsSingularMatrixError) {
   // Two voltage sources fighting over one node is structurally singular.
-  // The sparse engine's runtime_error must classify exactly like the
-  // dense engine's: core::SingularMatrixError, not a raw exception.
+  // The sparse engine's runtime_error must classify as
+  // core::SingularMatrixError, not a raw exception.
   Netlist n;
   const NodeId a = n.node("a");
   n.add<VoltageSource>(a, kGround, 1.0);
   n.add<VoltageSource>(a, kGround, 2.0);
   const std::size_t unknowns = n.assign_unknowns();
   NewtonOptions opts;
-  opts.backend = SolverBackend::kSparse;
   StampContext ctx;
   EXPECT_THROW(solve_mna(n, ctx, unknowns, {}, opts), core::SingularMatrixError);
 }
