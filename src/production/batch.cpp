@@ -317,71 +317,7 @@ DeviceOutcome test_device(const DieSpec& spec, const TestPlan& plan) {
 }
 
 std::string encode_device_checkpoint(const DeviceOutcome& outcome) {
-  core::JsonWriter w;
-  w.begin_object();
-  // "canon": the typed scalars aggregate() and canonical_outcomes() read.
-  // Nested report types (AdcMetrics, BistReport) only expose one-way
-  // to_json — metrics even drops its curves on the wire — so a resumed
-  // outcome cannot be fully re-typed from its document. The canon sidecar
-  // carries exactly the fields downstream consumers touch; everything
-  // else rides in "data", the verbatim device document to_json splices.
-  w.key("canon").begin_object()
-      .member("seed", outcome.seed)
-      .member("label", outcome.label)
-      .member("pass", outcome.outcome.pass)
-      .member("detail", outcome.outcome.detail);
-  w.key("tiers_run").begin_array();
-  for (bist::Tier t : outcome.tiers_run) w.value(bist::to_string(t));
-  w.end_array();
-  w.key("failed_tiers").begin_array();
-  for (bist::Tier t : outcome.failed_tiers) w.value(bist::to_string(t));
-  w.end_array();
-  w.key("tier_pass").begin_object();
-  for (bist::Tier t : outcome.tiers_run) {
-    w.member(bist::to_string(t), outcome.bist.tier_pass(t));
-  }
-  w.end_object();
-  w.member("bist_pass", outcome.bist.pass);
-  bool ran_digital = false;
-  bool ran_analog = false;
-  for (bist::Tier t : outcome.tiers_run) {
-    if (t == bist::Tier::kDigital) ran_digital = true;
-    if (t == bist::Tier::kAnalog) ran_analog = true;
-  }
-  if (ran_digital) {
-    w.member("max_conversion_time_s", outcome.bist.digital.max_conversion_time_s);
-  }
-  if (ran_analog && !outcome.bist.analog.fall_times_s.empty()) {
-    w.member("first_fall_time_s", outcome.bist.analog.fall_times_s.front());
-  }
-  if (outcome.has_metrics) {
-    w.member("offset_lsb", outcome.metrics.offset_lsb)
-        .member("gain_error_lsb", outcome.metrics.gain_error_lsb)
-        .member("max_abs_inl", outcome.metrics.max_abs_inl)
-        .member("max_abs_dnl", outcome.metrics.max_abs_dnl);
-  }
-  if (outcome.spot_check_run) {
-    w.member("spot_injected",
-             static_cast<std::uint64_t>(outcome.spot_check.injected))
-        .member("spot_detected",
-                static_cast<std::uint64_t>(outcome.spot_check.detected))
-        .member("spot_simulated",
-                static_cast<std::uint64_t>(outcome.spot_check.simulated))
-        .member("spot_undetectable",
-                static_cast<std::uint64_t>(outcome.spot_check.undetectable));
-  }
-  w.member("degraded", outcome.degraded);
-  if (!outcome.failures.empty()) {
-    w.key("failures").begin_array();
-    for (const core::Failure& f : outcome.failures) f.to_json(w);
-    w.end_array();
-  }
-  w.member("elapsed_seconds", outcome.elapsed_seconds);
-  w.end_object();  // canon
-  w.key("data");
-  outcome.to_json(w);
-  w.end_object();
-  return w.str();
+  return core::to_json(outcome);
 }
 
 DeviceOutcome decode_device_checkpoint(const core::JsonValue& v) {
@@ -402,64 +338,70 @@ DeviceOutcome decode_device_checkpoint(const core::JsonValue& v) {
       throw std::logic_error("unknown tier \"" + name + "\" in checkpoint");
     };
     if (!v.is_object()) throw std::logic_error("checkpoint must be an object");
-    const core::JsonValue& canon = req(v, "canon");
-    const core::JsonValue& data = req(v, "data");
-    if (!canon.is_object() || !data.is_object()) {
-      throw std::logic_error("checkpoint canon/data must be objects");
-    }
 
+    // The members DeviceOutcome::to_json writes; only what aggregate()
+    // and canonical_outcomes() read is re-typed, the rest rides along in
+    // the verbatim document.
     DeviceOutcome out;
-    out.seed = req(canon, "seed").as_u64();
-    out.label = req(canon, "label").as_string();
-    out.outcome.pass = req(canon, "pass").as_bool();
-    out.outcome.detail = req(canon, "detail").as_string();
-    for (const core::JsonValue& t : req(canon, "tiers_run").items()) {
+    out.seed = req(v, "seed").as_u64();
+    out.label = req(v, "label").as_string();
+    out.outcome.pass = req(v, "pass").as_bool();
+    out.outcome.detail = req(v, "detail").as_string();
+    for (const core::JsonValue& t : req(v, "tiers_run").items()) {
       out.tiers_run.push_back(parse_tier(t.as_string()));
     }
-    for (const core::JsonValue& t : req(canon, "failed_tiers").items()) {
+    for (const core::JsonValue& t : req(v, "failed_tiers").items()) {
       out.failed_tiers.push_back(parse_tier(t.as_string()));
     }
-    for (const auto& [name, val] : req(canon, "tier_pass").members()) {
-      const bool pass = val.as_bool();
-      switch (parse_tier(name)) {
-        case bist::Tier::kAnalog: out.bist.analog.pass = pass; break;
-        case bist::Tier::kRamp: out.bist.ramp.pass = pass; break;
-        case bist::Tier::kDigital: out.bist.digital.pass = pass; break;
-        case bist::Tier::kCompressed: out.bist.compressed.pass = pass; break;
+    if (!out.tiers_run.empty()) {  // to_json writes "bist" only then
+      const core::JsonValue& bist = req(v, "bist");
+      const core::JsonValue& analog = req(bist, "analog");
+      const core::JsonValue& digital = req(bist, "digital");
+      out.bist.pass = req(bist, "pass").as_bool();
+      out.bist.analog.pass = req(analog, "pass").as_bool();
+      out.bist.ramp.pass = req(req(bist, "ramp"), "pass").as_bool();
+      out.bist.digital.pass = req(digital, "pass").as_bool();
+      out.bist.compressed.pass = req(req(bist, "compressed"), "pass").as_bool();
+      // The two observables aggregate() reads, for tiers that ran.
+      for (bist::Tier t : out.tiers_run) {
+        if (t == bist::Tier::kDigital) {
+          out.bist.digital.max_conversion_time_s =
+              req(digital, "max_conversion_time_s").as_double();
+        }
+        if (t == bist::Tier::kAnalog) {
+          const auto& falls = req(analog, "fall_times_s").items();
+          if (!falls.empty()) {
+            out.bist.analog.fall_times_s = {falls.front().as_double()};
+          }
+        }
       }
     }
-    out.bist.pass = req(canon, "bist_pass").as_bool();
-    if (const core::JsonValue* conv = canon.find("max_conversion_time_s")) {
-      out.bist.digital.max_conversion_time_s = conv->as_double();
-    }
-    if (const core::JsonValue* fall = canon.find("first_fall_time_s")) {
-      out.bist.analog.fall_times_s = {fall->as_double()};
-    }
-    if (const core::JsonValue* offset = canon.find("offset_lsb")) {
+    if (const core::JsonValue* metrics = v.find("metrics")) {
       out.has_metrics = true;
-      out.metrics.offset_lsb = offset->as_double();
-      out.metrics.gain_error_lsb = req(canon, "gain_error_lsb").as_double();
-      out.metrics.max_abs_inl = req(canon, "max_abs_inl").as_double();
-      out.metrics.max_abs_dnl = req(canon, "max_abs_dnl").as_double();
+      out.metrics.offset_lsb = req(*metrics, "offset_lsb").as_double();
+      out.metrics.gain_error_lsb = req(*metrics, "gain_error_lsb").as_double();
+      out.metrics.max_abs_inl = req(*metrics, "max_abs_inl").as_double();
+      out.metrics.max_abs_dnl = req(*metrics, "max_abs_dnl").as_double();
     }
-    if (const core::JsonValue* injected = canon.find("spot_injected")) {
+    if (const core::JsonValue* spot = v.find("spot_check")) {
       out.spot_check_run = true;
-      out.spot_check.injected = static_cast<std::size_t>(injected->as_u64());
+      out.spot_check.injected =
+          static_cast<std::size_t>(req(*spot, "injected").as_u64());
       out.spot_check.detected =
-          static_cast<std::size_t>(req(canon, "spot_detected").as_u64());
+          static_cast<std::size_t>(req(*spot, "detected").as_u64());
       out.spot_check.simulated =
-          static_cast<std::size_t>(req(canon, "spot_simulated").as_u64());
-      out.spot_check.undetectable =
-          static_cast<std::size_t>(req(canon, "spot_undetectable").as_u64());
+          static_cast<std::size_t>(req(*spot, "simulated").as_u64());
+      out.spot_check.undetectable = static_cast<std::size_t>(
+          req(*spot, "statically_undetectable").as_u64());
     }
-    out.degraded = req(canon, "degraded").as_bool();
-    if (const core::JsonValue* failures = canon.find("failures")) {
+    out.degraded = req(v, "degraded").as_bool();
+    if (const core::JsonValue* failures = v.find("failures")) {
       for (const core::JsonValue& f : failures->items()) {
         out.failures.push_back(core::failure_from_json(f));
       }
     }
-    out.elapsed_seconds = req(canon, "elapsed_seconds").as_double();
-    out.restored_json = data.dump();
+    out.elapsed_seconds = req(v, "elapsed_seconds").as_double();
+    out.restored_json = v.dump();
     return out;
   } catch (const std::logic_error& e) {
     core::Failure f;
@@ -623,7 +565,7 @@ BatchReport aggregate(std::vector<DeviceOutcome> slots, std::size_t threads) {
   return report;
 }
 
-/// Score one marched lane into its die's slot (index stamped first: the
+/// Score one marched lane into its die's outcome (index stamped first: the
 /// checkpoint document is spliced verbatim on resume).
 void score_lane(const DieSpec& spec, std::size_t index,
                 const circuit::BatchVariantOutcome& lane,
@@ -707,7 +649,7 @@ BatchReport run_batch(const std::vector<DieSpec>& population,
     // already carry its final position (aggregate() re-stamps typed
     // outcomes but cannot reach inside a restored document).
     slots[i].index = i;
-    if (on_complete) on_complete(i, slots[i]);
+    if (on_complete) on_complete({&slots[i], 1});
   });
 
   BatchReport report = aggregate(std::move(slots), threads);
@@ -763,15 +705,17 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
     opts.erc = opts.erc && b == 0;  // every block shares lane 0's topology
     const circuit::BatchTransientReport sim =
         circuit::BatchTransient(opts).run(variants);
+    // The block's dies score side by side, fire as one checkpoint, then
+    // move into their (not necessarily adjacent) slots.
+    std::vector<DeviceOutcome> scored(last - first);
     for (std::size_t k = first; k < last; ++k) {
       score_lane(population[live[k]], live[k], sim.variants[lead + k - first],
-                 plan, slots[live[k]]);
+                 plan, scored[k - first]);
     }
     block_seconds[b] = seconds_since(tb);
-    if (on_complete) {
-      for (std::size_t k = first; k < last; ++k) {
-        on_complete(live[k], slots[live[k]]);
-      }
+    if (on_complete) on_complete(scored);
+    for (std::size_t k = first; k < last; ++k) {
+      slots[live[k]] = std::move(scored[k - first]);
     }
   });
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,10 +98,10 @@ struct DeviceOutcome {
   double elapsed_seconds = 0.0;  ///< timing; excluded from canonical text
 
   /// Set only on outcomes restored from a checkpoint: the original run's
-  /// serialized device document, spliced verbatim by to_json so a
-  /// resumed BatchReport's devices array is byte-identical to the
+  /// device document (the checkpoint itself), spliced verbatim by to_json
+  /// so a resumed BatchReport's devices array is byte-identical to the
   /// uninterrupted run's (decode_device_checkpoint restores the typed
-  /// fields aggregation and canonical_outcomes read alongside it).
+  /// fields aggregation and canonical_outcomes read from it).
   std::string restored_json;
 
   void to_json(core::JsonWriter& w) const;
@@ -176,12 +177,14 @@ DeviceOutcome test_device(const DieSpec& spec, const TestPlan& plan);
 /// report.
 using DeviceTestFn = std::function<DeviceOutcome(const DieSpec&, const TestPlan&)>;
 
-/// Invoked after die `index` finishes testing (never for dies restored
-/// from a resume, never for dies a stop left untested): the executor's
-/// checkpoint hook. Called from engine worker threads — must be
-/// thread-safe.
+/// Invoked once per executor slot that finished testing — one die under
+/// run_batch, one lane block under run_batch_lockstep — with exactly the
+/// dies that slot tested, each carrying its batch index (never dies
+/// restored from a resume, never dies a stop left untested): the
+/// executor's checkpoint hook, so one slot journals as one record.
+/// Called from engine worker threads — must be thread-safe.
 using DeviceCompleteFn =
-    std::function<void(std::size_t index, const DeviceOutcome& outcome)>;
+    std::function<void(std::span<const DeviceOutcome> slot)>;
 
 /// Already-completed dies from a prior interrupted run of the SAME
 /// population and plan, keyed by batch index. The engines splice these
@@ -192,10 +195,12 @@ struct BatchResume {
   std::map<std::size_t, DeviceOutcome> completed;
 };
 
-/// One die's checkpoint payload: a JSON document with a "canon" object
-/// (the typed scalars aggregation and canonical_outcomes need) and the
-/// verbatim "data" device document to_json splices back. The decoder
-/// throws core::SolverError(kBadInput) on a malformed payload.
+/// One die's checkpoint payload is exactly its report entry
+/// (DeviceOutcome::to_json). The decoder reads back the typed fields
+/// aggregation and canonical_outcomes need and keeps the document for
+/// to_json to splice verbatim; it throws core::SolverError(kBadInput) on
+/// anything else (including the two-part {"canon","data"} shape earlier
+/// daemons journaled, so such a die re-runs).
 std::string encode_device_checkpoint(const DeviceOutcome& outcome);
 DeviceOutcome decode_device_checkpoint(const core::JsonValue& v);
 
@@ -205,14 +210,16 @@ DeviceOutcome decode_device_checkpoint(const core::JsonValue& v);
 /// a degraded failing DeviceOutcome carrying the Failure record, never an
 /// aborted batch. `resume` (optional) pre-fills the listed slots and
 /// skips testing them; `on_complete` fires after each die actually
-/// tested in this run; `stop` (optional) is polled before each die.
+/// tested in this run, with that one die; `stop` (optional) is polled
+/// before each die.
 ///
 /// Stop semantics (both lot engines): once `stop` returns true no
 /// further unit (die, or lane block under run_batch_lockstep) starts;
 /// units already running finish and fire DeviceCompleteFn. Slots of
 /// units that never ran stay default-constructed, so a caller that
 /// stops a lot must discard the report unless every die completed
-/// (restored dies plus DeviceCompleteFn calls cover the population).
+/// (restored dies plus the dies DeviceCompleteFn reported cover the
+/// population).
 BatchReport run_batch(const std::vector<DieSpec>& population,
                       const TestPlan& plan, std::size_t threads = 1,
                       const DeviceTestFn& test_fn = {},
@@ -263,8 +270,8 @@ inline constexpr std::size_t kLockstepBlockDies = 32;
 /// dies excluded) march in blocks of kLockstepBlockDies, one
 /// core::for_each_slot unit each, on `threads` workers (0 = hardware
 /// concurrency). Each block builds its dies' netlists, runs one
-/// circuit::BatchTransient march, evaluates, fires `on_complete` for
-/// each of its dies, and frees everything, so engine memory is bounded
+/// circuit::BatchTransient march, evaluates, fires `on_complete` once
+/// with all of its dies, and frees everything, so engine memory is bounded
 /// by the block size times the thread count, not by the lot. Every
 /// block marches with the first live die's netlist as its lane 0 (a
 /// leader lane, discarded in every block but the first): lane 0 defines
@@ -276,7 +283,7 @@ inline constexpr std::size_t kLockstepBlockDies = 32;
 /// Resume and stop semantics: dies listed in `resume` are never built
 /// or marched; their restored outcomes are spliced into the report.
 /// `stop` is polled before each block is claimed. A block is atomic —
-/// its checkpoints (`on_complete`) fire only once the whole block has
+/// its checkpoint (`on_complete`) fires only once the whole block has
 /// been marched and evaluated, so a crash or stop mid-block re-tests that
 /// block's dies on resume, never half a march.
 BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,

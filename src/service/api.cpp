@@ -240,12 +240,15 @@ HttpResponse list_populations(JobManager& manager) {
 }
 
 HttpResponse metrics(JobManager& manager) {
-  std::uint64_t running = 0;
-  std::uint64_t queued = 0;
+  ServiceGauges gauges;
   for (const auto& snap : manager.list()) {
-    if (snap.state == JobState::kRunning) ++running;
-    if (snap.state == JobState::kQueued) ++queued;
+    if (snap.state == JobState::kRunning) ++gauges.jobs_running;
+    if (snap.state == JobState::kQueued) ++gauges.jobs_queued;
   }
+  gauges.queue_depth = manager.queue_depth();
+  gauges.populations = manager.populations().size();
+  gauges.retained_bytes = manager.retained_bytes();
+  gauges.retain_budget_bytes = manager.options().retain_bytes;
   std::vector<ClientMetricsRow> clients;
   for (const ClientStats& s : manager.client_stats()) {
     clients.push_back({s.tag, s.submitted, s.rejected, s.completed, s.queued,
@@ -253,9 +256,8 @@ HttpResponse metrics(JobManager& manager) {
   }
   const JournalStatus journal = manager.journal_status();
   core::JsonWriter w;
-  manager.metrics().to_json(w, running, queued, manager.queue_depth(),
-                            manager.populations().size(),
-                            manager.now_seconds(), clients, journal.gauges);
+  manager.metrics().to_json(w, gauges, manager.now_seconds(), clients,
+                            journal.gauges);
   return HttpResponse::json(200, w.str());
 }
 

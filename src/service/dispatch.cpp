@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "circuit/elements.h"
@@ -50,12 +51,13 @@ tsrt::CircuitKind parse_circuit(const std::string& name) {
 /// The unit accounting every resumable job shares (lots and campaigns).
 /// The resume table keeps only in-range checkpoints that decode — any
 /// other unit simply re-runs, a corrupt checkpoint never fails the job.
-/// Each unit the engine actually runs journals its checkpoint and then
-/// ticks progress, counting on from the restored units; units a stop
-/// left unrun do neither. A job whose restored plus completed units fall
-/// short of the work list returns the explicit "stopped" non-answer,
-/// never the partial report. `Resume` is the engine's resume table
-/// (production::BatchResume or faults::CampaignResume).
+/// Each executor slot the engine actually runs reports its units'
+/// checkpoints together and then ticks progress, counting on from the
+/// restored units; units a stop left unrun do neither. A job whose
+/// restored plus completed units fall short of the work list returns the
+/// explicit "stopped" non-answer, never the partial report. `Resume` is
+/// the engine's resume table (production::BatchResume or
+/// faults::CampaignResume).
 template <typename Resume>
 class UnitLedger {
  public:
@@ -82,10 +84,18 @@ class UnitLedger {
   /// The restored units, for the engine to splice instead of re-running.
   Resume resume;
 
-  /// The engine ran `unit` to completion. Thread-safe.
-  void complete(std::size_t unit, const Unit& result) {
-    if (hooks_.unit_complete) hooks_.unit_complete(unit, total_, encode_(result));
-    const std::size_t n = done_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// The engine ran one executor slot to completion: `units` are its
+  /// results, `index_of` maps each to its unit index. Thread-safe.
+  template <typename IndexOf>
+  void complete(std::span<const Unit> units, IndexOf index_of) {
+    if (hooks_.unit_complete) {
+      SlotCheckpoints slot;
+      slot.reserve(units.size());
+      for (const Unit& u : units) slot.emplace_back(index_of(u), encode_(u));
+      hooks_.unit_complete(total_, std::move(slot));
+    }
+    const std::size_t n =
+        done_.fetch_add(units.size(), std::memory_order_relaxed) + units.size();
     if (hooks_.progress) hooks_.progress(n, total_);
   }
 
@@ -121,9 +131,10 @@ DispatchResult run_lot(std::size_t total, const DispatchHooks& hooks,
   DispatchResult res;
   res.report_kind = "batch_report";
   production::BatchReport report = engine(
-      ledger.resume,
-      [&ledger](std::size_t index, const production::DeviceOutcome& outcome) {
-        ledger.complete(index, outcome);
+      ledger.resume, [&ledger](std::span<const production::DeviceOutcome> slot) {
+        ledger.complete(slot, [](const production::DeviceOutcome& die) {
+          return die.index;
+        });
       });
   if (!ledger.settle(res)) return res;
   res.outcome = report.outcome();
@@ -203,7 +214,8 @@ DispatchResult run_campaign_job(const core::JobRequest& req,
   copts.stop = hooks.should_stop;
   copts.on_fault_complete = [&ledger](std::size_t index, std::size_t,
                                       const faults::FaultResult& result) {
-    ledger.complete(index, result);
+    ledger.complete({&result, 1},
+                    [index](const faults::FaultResult&) { return index; });
   };
   copts.resume = &ledger.resume;
 

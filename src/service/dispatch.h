@@ -22,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/testability.h"
@@ -34,6 +35,10 @@
 
 namespace msbist::service {
 
+/// One executor slot's checkpoints: (unit index, engine checkpoint
+/// document) pairs, in the order the slot tested them.
+using SlotCheckpoints = std::vector<std::pair<std::size_t, std::string>>;
+
 /// Executor-provided hooks. All are optional and must be thread-safe:
 /// the engines invoke them from worker threads.
 struct DispatchHooks {
@@ -44,18 +49,19 @@ struct DispatchHooks {
   /// result comes back with stopped = true (report discarded). Units
   /// that never ran get no progress tick and no checkpoint.
   core::StopFn should_stop;
-  /// Incremental progress: units completed so far / total units. With a
-  /// resume, `done` starts at the restored-unit count. Lockstep dies
-  /// complete a block at a time.
+  /// Incremental progress: units completed so far / total units, ticked
+  /// once per executor slot. With a resume, `done` starts at the
+  /// restored-unit count. Lockstep dies complete a block at a time.
   std::function<void(std::size_t done, std::size_t total)> progress;
-  /// Checkpoint hook: fired after each unit actually executed in this
-  /// run (never for restored units) with the unit's engine checkpoint
-  /// document — the executor journals it for crash resume.
-  std::function<void(std::size_t unit, std::size_t total,
-                     const std::string& checkpoint_json)>
-      unit_complete;
+  /// Checkpoint hook: fired once per executor slot actually executed in
+  /// this run — one batch die, one lockstep block of up to
+  /// kLockstepBlockDies dies, one campaign fault; never for restored
+  /// units — with only that slot's units and their engine checkpoint
+  /// documents. The executor journals them as one record for crash
+  /// resume.
+  std::function<void(std::size_t total, SlotCheckpoints units)> unit_complete;
   /// Prior-run checkpoints to splice instead of re-executing: unit index
-  /// -> the checkpoint_json a previous unit_complete reported (not owned;
+  /// -> a checkpoint document a previous unit_complete reported (not owned;
   /// must outlive the dispatch call). Entries that fail to decode or
   /// name a unit past the work list are dropped — that unit simply
   /// re-runs. Unit indexing is per-engine:

@@ -103,20 +103,28 @@ struct JobManager::Job {
   core::Outcome outcome;
   core::Failure failure;
   /// Shared with the journal's table (and, for a restored job, with the
-  /// journal's recovered() snapshot): the one retained copy.
+  /// journal's recovered() snapshot until recover_jobs()): the one
+  /// retained copy.
   ReportBuffer report_json;
   std::string report_kind;
+  /// Size of the request's JSON text (the journaled admit envelope).
+  std::size_t request_bytes = 0;
   double queued_seconds = 0.0;
   double started_seconds = 0.0;
   double finished_seconds = 0.0;
 
   // Durability (see service/journal.h).
   /// Checkpoints replayed from the journal, spliced into the dispatch
-  /// via DispatchHooks::resume. Stable for the job's lifetime once
-  /// recover_jobs() fills it, so the pointer handed to dispatch is safe.
+  /// via DispatchHooks::resume. Stable from recover_jobs() until the
+  /// dispatch returns, so the pointer handed to dispatch is safe.
   std::map<std::size_t, std::string> resume_data;
   bool recovered = false;        ///< rebuilt from the journal at boot
   std::size_t resumed_units = 0; ///< units spliced instead of re-run
+
+  /// What this job charges against JobManagerOptions::retain_bytes.
+  std::size_t retained_charge() const {
+    return service::retained_charge(request_bytes, report_json);
+  }
 };
 
 JobManager::JobManager(JobManagerOptions options)
@@ -126,7 +134,7 @@ JobManager::JobManager(JobManagerOptions options)
     jopts.state_dir = options_.state_dir;
     jopts.fsync_every_records =
         std::max<std::size_t>(1, options_.journal_fsync_every);
-    jopts.retain_terminal = options_.retain_jobs;
+    jopts.retain_bytes = options_.retain_bytes;
     journal_ = std::make_unique<Journal>(std::move(jopts));
     restore_terminal_jobs();
   }
@@ -174,16 +182,19 @@ void JobManager::restore_terminal_jobs() {
     }
     job->report_kind = rec.report_kind;
     job->report_json = rec.report_json;
+    job->request_bytes = rec.request_json.size();
     job->recovered = true;
     // Timestamps belong to the previous process' clock: zeroed, and
     // to_json omits started/finished when 0.
     jobs_.emplace(id, job);
+    retained_bytes_ += job->retained_charge();
     if (!job->request.idempotency_key.empty()) {
       idempotency_[job->request.idempotency_key] = id;
     }
     ++recovered_jobs_;
     metrics_.jobs_recovered.fetch_add(1, std::memory_order_relaxed);
   }
+  evict_terminal_locked();
 }
 
 void JobManager::recover_jobs() {
@@ -192,7 +203,10 @@ void JobManager::recover_jobs() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!journal_ || recovery_done_) return;
     recovery_done_ = true;
-    for (const auto& [id, rec] : journal_->recovered().jobs) {
+    // Terminal jobs were restored by the constructor; adopting the rest
+    // releases the boot snapshot, which would otherwise pin every
+    // restored report past its eviction.
+    for (auto& [id, rec] : journal_->take_recovered_jobs()) {
       if (rec.has_result || rec.request_json.empty()) continue;
 
       auto job = std::make_shared<Job>();
@@ -202,6 +216,7 @@ void JobManager::recover_jobs() {
         continue;
       }
       job->id = id;
+      job->request_bytes = rec.request_json.size();
       job->recovered = true;
       ++recovered_jobs_;
       metrics_.jobs_recovered.fetch_add(1, std::memory_order_relaxed);
@@ -219,6 +234,7 @@ void JobManager::recover_jobs() {
                                 job->request.population + "\"";
           job->finished_seconds = now_seconds();
           jobs_.emplace(id, job);
+          retained_bytes_ += job->retained_charge();
           journal_->append_result(id, "failed", "null",
                                   to_json_text(job->failure), "", nullptr);
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -227,23 +243,25 @@ void JobManager::recover_jobs() {
         job->population = it->second;
       }
 
-      job->resume_data = rec.checkpoints;
+      job->resume_data = std::move(rec.checkpoints);
       job->state = JobState::kQueued;
       job->queued_seconds = now_seconds();
-      job->done.store(rec.checkpoints.size(), std::memory_order_relaxed);
+      job->done.store(job->resume_data.size(), std::memory_order_relaxed);
       job->total.store(rec.checkpoint_total, std::memory_order_relaxed);
       jobs_.emplace(id, job);
+      retained_bytes_ += job->retained_charge();
       pending_.push_back(job);
       ++tags_[job->request.client_tag].queued;
       if (!job->request.idempotency_key.empty()) {
         idempotency_[job->request.idempotency_key] = id;
       }
-      if (!rec.checkpoints.empty()) {
+      if (!job->resume_data.empty()) {
         ++resumed_jobs_;
         metrics_.jobs_resumed.fetch_add(1, std::memory_order_relaxed);
       }
       readmitted.push_back(job);
     }
+    evict_terminal_locked();
   }
   for (std::size_t i = 0; i < readmitted.size(); ++i) {
     pool_->submit([this] { run_next(); });
@@ -259,10 +277,13 @@ JournalStatus JobManager::journal_status() {
   st.gauges.journal_bytes = journal_->bytes();
   st.gauges.journal_segments = journal_->segments();
   st.gauges.skipped_records = journal_->recovered().skipped_records;
-  // The degraded counter lives in the journal; mirror it into the atomic
-  // the /metrics document reads.
+  // These counters live in the journal; mirror them into the atomics the
+  // /metrics document reads.
   metrics_.journal_degraded.store(journal_->degraded_events(),
                                   std::memory_order_relaxed);
+  metrics_.journal_fsyncs.store(journal_->fsyncs(), std::memory_order_relaxed);
+  metrics_.journal_compactions.store(journal_->compactions(),
+                                     std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   st.recovered_jobs = recovered_jobs_;
   st.resumed_jobs = resumed_jobs_;
@@ -290,6 +311,8 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
 
   auto job = std::make_shared<Job>();
   job->request = std::move(request);
+  const std::string request_json = to_json_text(job->request);
+  job->request_bytes = request_json.size();
 
   std::uint64_t id = 0;
   {
@@ -327,11 +350,12 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
     if (!job->request.idempotency_key.empty()) {
       idempotency_[job->request.idempotency_key] = id;
     }
+    retained_bytes_ += job->retained_charge();
     evict_terminal_locked();
     // Journal the admission before the 202 leaves the process: a crash
     // after this point re-admits the job instead of forgetting it. The
     // journal has its own lock and never throws (it degrades).
-    if (journal_) journal_->append_admit(id, to_json_text(job->request));
+    if (journal_) journal_->append_admit(id, request_json);
   }
   metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
   pool_->submit([this] { run_next(); });
@@ -457,13 +481,14 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
   };
   if (journal_) {
     Journal* journal = journal_.get();
-    hooks.unit_complete = [journal, job](std::size_t unit, std::size_t total,
-                                         const std::string& checkpoint_json) {
-      journal->append_checkpoint(job->id, unit, total, checkpoint_json);
+    hooks.unit_complete = [journal, job](std::size_t total,
+                                         SlotCheckpoints units) {
+      journal->append_checkpoints(job->id, total, std::move(units));
     };
   }
   // resume_data is only ever filled by recover_jobs() before the job is
-  // queued, so handing dispatch a pointer into the job is safe.
+  // queued and cleared once the dispatch returns, so handing dispatch a
+  // pointer into the job is safe.
   if (!job->resume_data.empty()) hooks.resume = &job->resume_data;
 
   JobState final_state = JobState::kSucceeded;
@@ -524,10 +549,13 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     job->report_json = std::move(report_json);
     job->report_kind = std::move(report_kind);
     job->resumed_units = resumed_units;
+    job->resume_data.clear();
     job->finished_seconds = now_seconds();
     TagCounts& tag = tags_[job->request.client_tag];
     --tag.running;
     ++tag.completed;
+    if (job->report_json) retained_bytes_ += job->report_json->size();
+    evict_terminal_locked();
   }
   if (resumed_units > 0) {
     metrics_.units_resumed.fetch_add(resumed_units, std::memory_order_relaxed);
@@ -668,24 +696,29 @@ void JobManager::drain(bool hard) {
   if (journal_) journal_->append_clean_shutdown();
 }
 
+std::size_t JobManager::retained_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return retained_bytes_;
+}
+
 void JobManager::evict_terminal_locked() {
-  while (jobs_.size() > options_.retain_jobs) {
-    auto victim = jobs_.end();
-    for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-      if (is_terminal(it->second->state)) {
-        victim = it;
-        break;  // std::map iterates in id order: oldest terminal first
-      }
+  // std::map iterates in id order: oldest terminal first. Live jobs stay.
+  for (auto it = jobs_.begin();
+       it != jobs_.end() && retained_bytes_ > options_.retain_bytes;) {
+    const Job& job = *it->second;
+    if (!is_terminal(job.state)) {
+      ++it;
+      continue;
     }
-    if (victim == jobs_.end()) break;  // everything live; keep them all
-    const std::string& key = victim->second->request.idempotency_key;
+    const std::string& key = job.request.idempotency_key;
     if (!key.empty()) {
       const auto idem = idempotency_.find(key);
-      if (idem != idempotency_.end() && idem->second == victim->first) {
+      if (idem != idempotency_.end() && idem->second == it->first) {
         idempotency_.erase(idem);
       }
     }
-    jobs_.erase(victim);
+    retained_bytes_ -= job.retained_charge();
+    it = jobs_.erase(it);
   }
 }
 

@@ -127,9 +127,12 @@ struct JobManagerOptions {
   /// Hard cap on any job's engine threads (0 = uncapped). Applied after
   /// the job's own limits.max_threads.
   std::size_t max_threads_per_job = 0;
-  /// Jobs retained for status/result queries; the oldest terminal jobs
-  /// are evicted past this.
-  std::size_t retain_jobs = 256;
+  /// Byte budget of retained jobs: every job charges its request text
+  /// (JobRequest::to_json) and a terminal job also its report. Past the
+  /// budget the oldest terminal jobs are evicted from status/result
+  /// queries; live jobs never are. The journal applies the same budget
+  /// (msbistd --retain-mb).
+  std::size_t retain_bytes = 32u << 20;
   /// Bounded admission: submissions arriving while this many jobs are
   /// already queued (not yet running) are rejected with a kOverloaded
   /// Failure. 0 = unbounded (the PR-8 behavior).
@@ -148,8 +151,9 @@ struct JobManagerOptions {
   /// Durable state directory (see service/journal.h). Empty = run
   /// in-memory only, the pre-durability behavior.
   std::string state_dir;
-  /// Journal fsync batching for checkpoint-class records (1 = every
-  /// record; see JournalOptions::fsync_every_records).
+  /// Journal fsync batching for checkpoint-class records — one per
+  /// executor slot (1 = every record; see
+  /// JournalOptions::fsync_every_records).
   std::size_t journal_fsync_every = 8;
 };
 
@@ -227,6 +231,9 @@ class JobManager {
   /// Per-client-tag fairness accounting, sorted by tag.
   std::vector<ClientStats> client_stats() const;
 
+  /// Bytes the retained jobs charge against options().retain_bytes.
+  std::size_t retained_bytes() const;
+
   const JobManagerOptions& options() const { return options_; }
 
   /// Stop accepting submissions and wait for every slot to go idle.
@@ -273,6 +280,8 @@ class JobManager {
   /// idempotency_key -> job id, maintained alongside jobs_ (entries die
   /// with their job at eviction; rebuilt from the journal at boot).
   std::map<std::string, std::uint64_t> idempotency_;
+  /// What jobs_ charges against retain_bytes.
+  std::size_t retained_bytes_ = 0;
   std::uint64_t next_id_ = 1;
   /// Durable state layer; null without state_dir.
   std::unique_ptr<Journal> journal_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -95,6 +96,8 @@ bool apply_payload(const std::string& payload,
   } catch (const core::JsonParseError&) {
     return false;
   }
+  // Every conversion below is checked first, except that an integer can
+  // still be negative: as_u64 then throws, and the record is skipped.
   if (!doc.is_object()) return false;
   const core::JsonValue* type = doc.find("type");
   if (type == nullptr || !type->is_string()) return false;
@@ -123,16 +126,25 @@ bool apply_payload(const std::string& payload,
     return true;
   }
   if (kind == "checkpoint") {
-    const core::JsonValue* unit = doc.find("unit");
     const core::JsonValue* total = doc.find("total");
-    const core::JsonValue* data = doc.find("data");
-    if (unit == nullptr || !unit->is_integer() || total == nullptr ||
-        !total->is_integer() || data == nullptr) {
+    const core::JsonValue* units = doc.find("units");
+    if (total == nullptr || !total->is_integer() || units == nullptr ||
+        !units->is_array()) {
       return false;
     }
+    // Validate the whole slot before applying any of it.
+    const auto slot_total = static_cast<std::size_t>(total->as_u64());
+    std::vector<std::pair<std::size_t, const core::JsonValue*>> slot;
+    for (const core::JsonValue& u : units->items()) {
+      if (!u.is_array() || u.items().size() != 2 || !u.items()[0].is_integer()) {
+        return false;
+      }
+      slot.emplace_back(static_cast<std::size_t>(u.items()[0].as_u64()),
+                        &u.items()[1]);
+    }
     RecoveredJob& job = table[job_id];
-    job.checkpoints[static_cast<std::size_t>(unit->as_u64())] = data->dump();
-    job.checkpoint_total = static_cast<std::size_t>(total->as_u64());
+    for (const auto& [unit, data] : slot) job.checkpoints[unit] = data->dump();
+    job.checkpoint_total = slot_total;
     return true;
   }
   if (kind == "result") {
@@ -172,7 +184,11 @@ bool replay_line(const std::string& line,
   const std::string_view stored(line.data(), 8);
   const std::string_view payload(line.data() + 9, line.size() - 9);
   if (core::crc32_hex(core::crc32(payload)) != stored) return false;
-  return apply_payload(std::string(payload), table, clean);
+  try {
+    return apply_payload(std::string(payload), table, clean);
+  } catch (const std::logic_error&) {
+    return false;  // a negative id or unit index
+  }
 }
 
 struct ReplayOutcome {
@@ -220,17 +236,27 @@ std::string state_payload(std::uint64_t id, std::string_view state) {
   return w.str();
 }
 
-std::string checkpoint_payload(std::uint64_t id, std::size_t unit,
-                               std::size_t total, std::string_view data_json) {
+/// `units`: (unit index, checkpoint document) pairs — one executor slot
+/// on the append path, all of a job's live checkpoints at compaction.
+template <typename Units>
+std::string checkpoint_payload(std::uint64_t id, std::size_t total,
+                               const Units& units) {
   core::JsonWriter w;
   w.begin_object()
       .member("type", "checkpoint")
       .member("id", id)
-      .member("unit", static_cast<std::uint64_t>(unit))
       .member("total", static_cast<std::uint64_t>(total));
-  w.key("data").raw_value(data_json);
-  w.end_object();
+  w.key("units").begin_array();
+  for (const auto& [unit, data] : units) {
+    w.begin_array().value(static_cast<std::uint64_t>(unit)).raw_value(data);
+    w.end_array();
+  }
+  w.end_array().end_object();
   return w.str();
+}
+
+std::size_t job_charge(const RecoveredJob& job) {
+  return retained_charge(job.request_json.size(), job.report_json);
 }
 
 std::string result_payload(std::uint64_t id, std::string_view state,
@@ -285,6 +311,7 @@ Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   recovered_.clean_shutdown = rep.clean_shutdown;
   recovered_.skipped_records = rep.skipped;
   table_ = std::move(rep.table);
+  for (const auto& [id, job] : table_) retained_bytes_ += job_charge(job);
   next_seq_ = rep.max_seq + 1;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -299,32 +326,15 @@ Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   }
   segment_count_ = 1;
   // Boot compaction: rewrite the replayed state minimally into the fresh
-  // segment, then drop the history. A torn tail in the old segments has
-  // already been skipped, so what lands here is wholly valid.
-  for (const auto& [id, job] : table_) {
-    if (!job.request_json.empty()) {
-      if (!write_all_locked(frame(admit_payload(id, job.request_json)))) break;
-    }
-    if (!job.state.empty() && !job.has_result) {
-      if (!write_all_locked(frame(state_payload(id, job.state)))) break;
-    }
-    for (const auto& [unit, data] : job.checkpoints) {
-      if (!write_all_locked(
-              frame(checkpoint_payload(id, unit, job.checkpoint_total, data)))) {
-        break;
-      }
-    }
-    if (job.has_result) {
-      if (!write_all_locked(frame(result_payload(
-              id, job.result_state, job.outcome_json, job.failure_json,
-              job.report_kind, job.report_json)))) {
-        break;
-      }
-    }
+  // segment, then drop the history — only once the rewrite is durable, so
+  // a journal that degrades here leaves the previous life's segments for
+  // the next boot. A torn tail in the old segments has already been
+  // skipped, so what lands here is wholly valid.
+  if (write_table_locked() && fsync_locked()) {
+    for (const SegmentFile& seg : rep.segments) ::unlink(seg.path.c_str());
+    sync_dir(options_.state_dir);
   }
-  if (!degraded_ && fd_ >= 0 && ::fsync(fd_) != 0) degrade_locked("fsync");
-  for (const SegmentFile& seg : rep.segments) ::unlink(seg.path.c_str());
-  sync_dir(options_.state_dir);
+  compacted_bytes_ = live_bytes_;
   appended_since_compact_ = 0;
 }
 
@@ -335,6 +345,10 @@ Journal::~Journal() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+std::map<std::uint64_t, RecoveredJob> Journal::take_recovered_jobs() {
+  return std::exchange(recovered_.jobs, {});
 }
 
 bool Journal::open_segment_locked(std::uint64_t seq) {
@@ -390,20 +404,57 @@ bool Journal::write_all_locked(std::string_view data) {
   return true;
 }
 
+bool Journal::fsync_locked() {
+  if (degraded_ || fd_ < 0) return false;
+  if (::fsync(fd_) != 0) {
+    degrade_locked("fsync");
+    return false;
+  }
+  ++fsyncs_;
+  unsynced_records_ = 0;
+  return true;
+}
+
 void Journal::append_locked(std::string_view payload, bool always_sync) {
   if (degraded_) return;
   const std::string line = frame(payload);
   if (!write_all_locked(line)) return;
   appended_since_compact_ += line.size();
   ++unsynced_records_;
-  if (always_sync || unsynced_records_ >= options_.fsync_every_records) {
-    if (::fsync(fd_) != 0) {
-      degrade_locked("fsync");
-      return;
-    }
-    unsynced_records_ = 0;
+  if ((always_sync || unsynced_records_ >= options_.fsync_every_records) &&
+      !fsync_locked()) {
+    return;
   }
-  if (appended_since_compact_ > options_.max_segment_bytes) compact_locked();
+  // Amortized: a rewrite of C bytes waits for more than C appended bytes.
+  if (appended_since_compact_ >
+      std::max<std::uint64_t>(options_.max_segment_bytes, compacted_bytes_)) {
+    compact_locked();
+  }
+}
+
+bool Journal::write_table_locked() {
+  for (const auto& [id, job] : table_) {
+    if (!job.request_json.empty() &&
+        !write_all_locked(frame(admit_payload(id, job.request_json)))) {
+      return false;
+    }
+    if (!job.state.empty() && !job.has_result &&
+        !write_all_locked(frame(state_payload(id, job.state)))) {
+      return false;
+    }
+    if (!job.checkpoints.empty() &&
+        !write_all_locked(frame(
+            checkpoint_payload(id, job.checkpoint_total, job.checkpoints)))) {
+      return false;
+    }
+    if (job.has_result &&
+        !write_all_locked(frame(result_payload(
+            id, job.result_state, job.outcome_json, job.failure_json,
+            job.report_kind, job.report_json)))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Journal::compact_locked() {
@@ -413,48 +464,21 @@ void Journal::compact_locked() {
     degrade_locked("open");
     return;
   }
-  for (const auto& [id, job] : table_) {
-    if (!job.request_json.empty()) {
-      if (!write_all_locked(frame(admit_payload(id, job.request_json)))) return;
-    }
-    if (!job.state.empty() && !job.has_result) {
-      if (!write_all_locked(frame(state_payload(id, job.state)))) return;
-    }
-    for (const auto& [unit, data] : job.checkpoints) {
-      if (!write_all_locked(
-              frame(checkpoint_payload(id, unit, job.checkpoint_total, data)))) {
-        return;
-      }
-    }
-    if (job.has_result) {
-      if (!write_all_locked(frame(result_payload(
-              id, job.result_state, job.outcome_json, job.failure_json,
-              job.report_kind, job.report_json)))) {
-        return;
-      }
-    }
-  }
-  if (::fsync(fd_) != 0) {
-    degrade_locked("fsync");
-    return;
-  }
+  if (!write_table_locked() || !fsync_locked()) return;
   if (!old_segment.empty()) ::unlink(old_segment.c_str());
   sync_dir(options_.state_dir);
+  compacted_bytes_ = live_bytes_;
   appended_since_compact_ = 0;
-  unsynced_records_ = 0;
+  ++compactions_;
 }
 
 void Journal::evict_terminal_locked() {
-  std::size_t terminal = 0;
-  for (const auto& [id, job] : table_) {
-    if (job.has_result) ++terminal;
-  }
-  // Oldest-first (map is id-ordered and ids are monotone).
+  // Oldest first: the map is id-ordered and ids are monotone.
   for (auto it = table_.begin();
-       it != table_.end() && terminal > options_.retain_terminal;) {
+       it != table_.end() && retained_bytes_ > options_.retain_bytes;) {
     if (it->second.has_result) {
+      retained_bytes_ -= job_charge(it->second);
       it = table_.erase(it);
-      --terminal;
     } else {
       ++it;
     }
@@ -469,7 +493,11 @@ void Journal::evict_terminal_locked() {
 void Journal::append_admit(std::uint64_t id, std::string_view request_json) {
   std::lock_guard<std::mutex> lock(mu_);
   if (degraded_) return;
-  table_[id].request_json = request_json;
+  RecoveredJob& job = table_[id];
+  retained_bytes_ -= job.request_json.size();
+  job.request_json = request_json;
+  retained_bytes_ += job.request_json.size();
+  evict_terminal_locked();
   append_locked(admit_payload(id, request_json), /*always_sync=*/true);
 }
 
@@ -480,16 +508,16 @@ void Journal::append_state(std::uint64_t id, std::string_view state) {
   append_locked(state_payload(id, state), /*always_sync=*/false);
 }
 
-void Journal::append_checkpoint(std::uint64_t id, std::size_t unit,
-                                std::size_t total,
-                                std::string_view data_json) {
+void Journal::append_checkpoints(
+    std::uint64_t id, std::size_t total,
+    std::vector<std::pair<std::size_t, std::string>> units) {
   std::lock_guard<std::mutex> lock(mu_);
   if (degraded_) return;
+  const std::string payload = checkpoint_payload(id, total, units);
   RecoveredJob& job = table_[id];
-  job.checkpoints[unit] = data_json;
+  for (auto& [unit, data] : units) job.checkpoints[unit] = std::move(data);
   job.checkpoint_total = total;
-  append_locked(checkpoint_payload(id, unit, total, data_json),
-                /*always_sync=*/false);
+  append_locked(payload, /*always_sync=*/false);
 }
 
 void Journal::append_result(std::uint64_t id, std::string_view state,
@@ -507,9 +535,12 @@ void Journal::append_result(std::uint64_t id, std::string_view state,
   job.outcome_json = outcome_json;
   if (!failure_json.empty()) job.failure_json = failure_json;
   job.report_kind = report_kind;
+  retained_bytes_ -= job_charge(job);
   job.report_json = std::move(report);
+  retained_bytes_ += job_charge(job);
   // A finished job needs no resume state; drop the bulk now.
   job.checkpoints.clear();
+  evict_terminal_locked();
   append_locked(payload, /*always_sync=*/true);
 }
 
@@ -522,12 +553,7 @@ void Journal::append_clean_shutdown() {
 
 void Journal::sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (degraded_ || fd_ < 0) return;
-  if (::fsync(fd_) != 0) {
-    degrade_locked("fsync");
-    return;
-  }
-  unsynced_records_ = 0;
+  fsync_locked();
 }
 
 bool Journal::degraded() const {
@@ -548,6 +574,16 @@ std::uint64_t Journal::bytes() const {
 std::size_t Journal::segments() const {
   std::lock_guard<std::mutex> lock(mu_);
   return segment_count_;
+}
+
+std::uint64_t Journal::fsyncs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fsyncs_;
+}
+
+std::uint64_t Journal::compactions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return compactions_;
 }
 
 }  // namespace msbist::service

@@ -20,27 +20,46 @@
 //
 //   {"type":"admit","id":N,"request":{...}}          full JobRequest envelope
 //   {"type":"state","id":N,"state":"running"}        lifecycle transition
-//   {"type":"checkpoint","id":N,"unit":i,"total":T,"data":{...}}
-//                                                    one work unit's result
+//   {"type":"checkpoint","id":N,"total":T,"units":[[i,{...}],...]}
+//                                                    one executor slot's units
 //   {"type":"result","id":N,"state":"succeeded","outcome":{...},
 //    "failure":{...}?,"report_kind":"...","report":{...}}
 //   {"type":"clean_shutdown"}                        drain marker
 //
+// A checkpoint record carries the units of one executor slot — one
+// batch die, one lockstep block of up to kLockstepBlockDies dies, or
+// one campaign fault — each as [unit index, engine checkpoint document].
+// Replay reads only this shape: a record in any other shape (such as
+// the per-unit records of earlier daemons) is skipped and counted, so
+// its unit re-runs.
+//
 // fsync policy. Admissions, results, and the shutdown marker are rare
 // and valuable: they fsync immediately. Checkpoints and state changes
-// are frequent and individually cheap to lose (a lost checkpoint just
-// re-tests one die): they batch, fsyncing every fsync_every_records
-// appends. A SIGKILL loses only data never write()n — the page cache
+// are frequent and individually cheap to lose (a lost checkpoint
+// re-tests one slot): they batch, fsyncing every fsync_every_records
+// records. A SIGKILL loses only data never write()n — the page cache
 // survives process death — so batching only risks loss on power/kernel
 // failure, bounded to the batch window.
 //
 // Segments and compaction. Records append to journal-NNNNNN.wal. At
 // open, the journal replays every segment and rewrites the *compacted*
-// state (per job: admit, latest state, live checkpoints, result) into a
-// fresh segment, deleting the old ones — so the log never accumulates
-// history across restarts. The same compaction runs online once a
-// segment outgrows max_segment_bytes. Terminal jobs beyond
-// retain_terminal (newest kept) are evicted at compaction.
+// state (per job: admit, latest state, its live checkpoints as one
+// record, result) into a fresh segment, deleting the old ones once that
+// rewrite is durable — so the log never accumulates history across
+// restarts. The same compaction
+// runs online once the bytes appended since the last compaction exceed
+// max(max_segment_bytes, bytes that compaction wrote): each rewrite is
+// paid for by at least as many appended bytes, so online compaction
+// writes less than twice what was appended, however many reports are
+// retained.
+//
+// Byte retention. Every job charges its request text, and a terminal
+// job also its report, against retain_bytes. Once the charge exceeds
+// the budget, terminal jobs are evicted oldest (lowest id) first; live
+// jobs never are. The table applies the budget at open and on every
+// admission and result — the budget and charge the JobManager applies
+// to its own jobs — so compaction never keeps alive a report buffer the
+// manager has evicted.
 //
 // Failure posture. The journal is an availability feature and must
 // never become an outage: any append-path failure (ENOSPC, EIO, short
@@ -56,6 +75,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include <sys/types.h>
 
@@ -67,14 +88,15 @@ struct JournalOptions {
   /// Batched-class records (checkpoints, state changes) appended between
   /// fsyncs. 1 = sync every record (the crash-test setting).
   std::size_t fsync_every_records = 8;
-  /// Online compaction threshold: once the live segment outgrows this
-  /// many bytes *of appends*, the journal rewrites its compacted state
-  /// into a fresh segment.
+  /// Online compaction threshold: once more than max(this, bytes the
+  /// last compaction wrote) bytes have been appended since it, the
+  /// journal rewrites its compacted state into a fresh segment.
   std::size_t max_segment_bytes = 4u << 20;
-  /// Terminal jobs whose results survive compaction (newest by id).
-  /// Mirrors JobManagerOptions::max_terminal_jobs so /result keeps
-  /// working across a restart.
-  std::size_t retain_terminal = 64;
+  /// Byte budget of retained jobs (request text, plus report once
+  /// terminal); terminal jobs beyond it are evicted oldest first. The
+  /// JobManager passes its own JobManagerOptions::retain_bytes, so
+  /// /result keeps working across a restart for the jobs it retains.
+  std::size_t retain_bytes = 32u << 20;
   /// Test seam: substitute for ::write on the append path (failure
   /// injection — ENOSPC, short writes). Null = real write.
   std::function<ssize_t(int fd, const void* buf, std::size_t count)>
@@ -82,15 +104,24 @@ struct JournalOptions {
 };
 
 /// A terminal job's report document, retained once: the JobManager's job,
-/// the journal's compaction table and the boot-time recovered() snapshot
-/// share one buffer. Null when the job has no report.
+/// the journal's compaction table and, until recovery adopts it, the
+/// boot-time recovered() snapshot share one buffer. Null when the job has
+/// no report.
 using ReportBuffer = std::shared_ptr<const std::string>;
+
+/// What one job charges against a retention budget: its request text
+/// and, once terminal, its report. The JobManager and the journal's table
+/// both charge this, so one budget evicts the same jobs from both.
+inline std::size_t retained_charge(std::size_t request_bytes,
+                                   const ReportBuffer& report) {
+  return request_bytes + (report ? report->size() : 0);
+}
 
 /// Everything the replay learned about one job.
 struct RecoveredJob {
   std::string request_json;  ///< admit envelope (JobRequest::to_json text)
   std::string state;         ///< latest lifecycle state seen ("" = none)
-  /// unit index -> checkpoint "data" payload (engine-specific document).
+  /// unit index -> checkpoint document (engine-specific).
   std::map<std::size_t, std::string> checkpoints;
   std::size_t checkpoint_total = 0;  ///< "total" of the latest checkpoint
   bool has_result = false;
@@ -102,7 +133,8 @@ struct RecoveredJob {
 };
 
 struct RecoveredState {
-  /// Job id -> replayed job, admission order (ids are monotone).
+  /// Job id -> replayed job, admission order (ids are monotone). Emptied
+  /// by Journal::take_recovered_jobs once recovery has adopted them.
   std::map<std::uint64_t, RecoveredJob> jobs;
   /// True when the previous process drained and wrote the marker as its
   /// last record: nothing was interrupted.
@@ -125,8 +157,13 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// State replayed at open (immutable snapshot of the previous life).
+  /// State replayed at open: a snapshot of the previous life, before the
+  /// boot eviction.
   const RecoveredState& recovered() const { return recovered_; }
+  /// Hand the snapshot's jobs to their new owner and drop them here, so
+  /// the snapshot stops pinning restored reports and checkpoint maps for
+  /// the life of the process; clean_shutdown and skipped_records stay.
+  std::map<std::uint64_t, RecoveredJob> take_recovered_jobs();
 
   // Append one record. All appends are thread-safe and never throw: a
   // failing append degrades the journal (see degraded()) and returns.
@@ -136,8 +173,16 @@ class Journal {
   // parse-and-dump reproduces (what core::JsonWriter emits).
   void append_admit(std::uint64_t id, std::string_view request_json);
   void append_state(std::uint64_t id, std::string_view state);
+  /// One executor slot's units — (unit index, checkpoint document)
+  /// pairs — as one record: one write(2), at most one fsync.
+  void append_checkpoints(
+      std::uint64_t id, std::size_t total,
+      std::vector<std::pair<std::size_t, std::string>> units);
+  /// A one-unit slot.
   void append_checkpoint(std::uint64_t id, std::size_t unit,
-                         std::size_t total, std::string_view data_json);
+                         std::size_t total, std::string_view data_json) {
+    append_checkpoints(id, total, {{unit, std::string(data_json)}});
+  }
   /// The table keeps `report` itself, not a copy (null = no report,
   /// journaled as JSON null).
   void append_result(std::uint64_t id, std::string_view state,
@@ -159,6 +204,11 @@ class Journal {
   std::uint64_t bytes() const;
   /// Live segment files on disk.
   std::size_t segments() const;
+  /// fsync(2) calls on segments since open (the boot compaction's
+  /// included).
+  std::uint64_t fsyncs() const;
+  /// Online compactions since open.
+  std::uint64_t compactions() const;
 
   /// Frame one payload as a journal line: "<crc32-hex> <payload>\n".
   /// Exposed for tests and for hand-building recovery corpora.
@@ -173,7 +223,9 @@ class Journal {
  private:
   void degrade_locked(const char* what);
   bool write_all_locked(std::string_view data);
+  bool fsync_locked();
   void append_locked(std::string_view payload, bool always_sync);
+  bool write_table_locked();
   void compact_locked();
   void evict_terminal_locked();
   bool open_segment_locked(std::uint64_t seq);
@@ -185,15 +237,19 @@ class Journal {
   std::string live_segment_;             ///< path of the open segment
   std::uint64_t live_bytes_ = 0;         ///< bytes written to the open segment
   std::uint64_t appended_since_compact_ = 0;
+  std::uint64_t compacted_bytes_ = 0;    ///< bytes the last compaction wrote
   std::size_t unsynced_records_ = 0;
   bool degraded_ = false;
   std::uint64_t degraded_events_ = 0;
+  std::uint64_t fsyncs_ = 0;
+  std::uint64_t compactions_ = 0;
   std::size_t segment_count_ = 0;
-  RecoveredState recovered_;             ///< snapshot at open; never mutated
+  RecoveredState recovered_;             ///< snapshot at open
   /// Compaction tail table: everything the journal has recovered *and*
   /// appended, kept up to date by the typed appends, so it can rewrite
   /// minimal state without the JobManager's cooperation.
   std::map<std::uint64_t, RecoveredJob> table_;
+  std::size_t retained_bytes_ = 0;       ///< table_'s charge against retain_bytes
 };
 
 }  // namespace msbist::service

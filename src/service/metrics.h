@@ -95,6 +95,18 @@ struct ClientMetricsRow {
   std::uint64_t running = 0;
 };
 
+/// Point-in-time gauges the JobManager supplies at scrape time.
+struct ServiceGauges {
+  std::uint64_t jobs_running = 0;
+  std::uint64_t jobs_queued = 0;
+  std::uint64_t queue_depth = 0;
+  std::uint64_t populations = 0;
+  /// What retained jobs charge against the retention budget, and the
+  /// budget itself (--retain-mb, in bytes).
+  std::uint64_t retained_bytes = 0;
+  std::uint64_t retain_budget_bytes = 0;
+};
+
 /// Durability gauges sampled from the journal at scrape time (zeros
 /// when the daemon runs without --state-dir).
 struct JournalGauges {
@@ -140,6 +152,9 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> units_resumed{0};
   /// Journal append-path failures that flipped durability off.
   std::atomic<std::uint64_t> journal_degraded{0};
+  /// fsync(2) calls and online compactions of the journal since boot.
+  std::atomic<std::uint64_t> journal_fsyncs{0};
+  std::atomic<std::uint64_t> journal_compactions{0};
   /// Duplicate submissions answered from the idempotency index.
   std::atomic<std::uint64_t> jobs_deduplicated{0};
 
@@ -155,9 +170,8 @@ struct ServiceMetrics {
 
   /// The /metrics document (gauges and the per-client rows are supplied
   /// by the caller, which owns the job table).
-  void to_json(core::JsonWriter& w, std::uint64_t jobs_running,
-               std::uint64_t jobs_queued, std::uint64_t queue_depth,
-               std::uint64_t population_count, double uptime_seconds,
+  void to_json(core::JsonWriter& w, const ServiceGauges& gauges,
+               double uptime_seconds,
                const std::vector<ClientMetricsRow>& clients,
                const JournalGauges& journal = {}) const {
     w.begin_object()
@@ -193,15 +207,20 @@ struct ServiceMetrics {
         .member("units_resumed", units_resumed.load(std::memory_order_relaxed))
         .member("journal_degraded",
                 journal_degraded.load(std::memory_order_relaxed))
+        .member("journal_fsyncs", journal_fsyncs.load(std::memory_order_relaxed))
+        .member("journal_compactions",
+                journal_compactions.load(std::memory_order_relaxed))
         .member("jobs_deduplicated",
                 jobs_deduplicated.load(std::memory_order_relaxed))
         .end_object();
     w.key("gauges")
         .begin_object()
-        .member("jobs_running", jobs_running)
-        .member("jobs_queued", jobs_queued)
-        .member("queue_depth", queue_depth)
-        .member("populations", population_count)
+        .member("jobs_running", gauges.jobs_running)
+        .member("jobs_queued", gauges.jobs_queued)
+        .member("queue_depth", gauges.queue_depth)
+        .member("populations", gauges.populations)
+        .member("retained_bytes", gauges.retained_bytes)
+        .member("retain_budget_bytes", gauges.retain_budget_bytes)
         .member("journal_bytes", journal.journal_bytes)
         .member("journal_segments", journal.journal_segments)
         .member("journal_skipped_records", journal.skipped_records)

@@ -15,17 +15,19 @@
 //           [--max-threads-per-job N] [--max-queue-depth N]
 //           [--max-queued-per-tag N] [--retry-after-s S] [--aging-s S]
 //           [--idle-timeout-s S] [--max-requests-per-conn N]
-//           [--no-keepalive] [--state-dir DIR] [--fsync-every N]
+//           [--no-keepalive] [--retain-mb N] [--state-dir DIR]
+//           [--fsync-every N]
 //
 // With --state-dir, jobs are journaled to a write-ahead log under DIR
 // (see service/journal.h): a killed daemon restarted on the same DIR
 // re-admits interrupted jobs and resumes lot-scale work from its last
-// per-die / per-fault checkpoint.
+// checkpoint — one per batch die, lockstep block or campaign fault.
 //
 // --port 0 (the default) binds an ephemeral port; the printed
 // "listening on" line reports the real one, which is how the CI smoke
 // job and the loopback tests find the server.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,7 +46,8 @@ void usage(std::FILE* out) {
       "               [--max-queue-depth N] [--max-queued-per-tag N]\n"
       "               [--retry-after-s S] [--aging-s S]\n"
       "               [--idle-timeout-s S] [--max-requests-per-conn N]\n"
-      "               [--no-keepalive] [--state-dir DIR] [--fsync-every N]\n"
+      "               [--no-keepalive] [--retain-mb N] [--state-dir DIR]\n"
+      "               [--fsync-every N]\n"
       "\n"
       "Long-running mixed-signal BIST test service. Serves the job API\n"
       "(POST /jobs, GET /jobs/{id}, GET /jobs/{id}/result, POST\n"
@@ -63,6 +66,9 @@ void usage(std::FILE* out) {
       "  --max-requests-per-conn N close connections after N requests\n"
       "                            (0 = unlimited, default 1000)\n"
       "  --no-keepalive            one request per connection\n"
+      "  --retain-mb N             keep finished jobs queryable within N MiB\n"
+      "                            of requests and reports, evicting the\n"
+      "                            oldest first (default 32)\n"
       "\n"
       "Durability:\n"
       "  --state-dir DIR           journal jobs to a write-ahead log under\n"
@@ -70,7 +76,9 @@ void usage(std::FILE* out) {
       "                            and resumes interrupted jobs (default:\n"
       "                            in-memory only)\n"
       "  --fsync-every N           fsync batched journal records every N\n"
-      "                            appends (1 = every record, default 8)\n",
+      "                            records; a checkpoint record holds one\n"
+      "                            batch die, lockstep block or campaign\n"
+      "                            fault (1 = every record, default 8)\n",
       out);
 }
 
@@ -124,9 +132,10 @@ int main(int argc, char** argv) {
                parse_size(value, parsed)) {
       job_options.max_threads_per_job = parsed;
       ++i;
-    } else if (arg == "--retain-jobs" && value != nullptr &&
-               parse_size(value, parsed) && parsed > 0) {
-      job_options.retain_jobs = parsed;
+    } else if (arg == "--retain-mb" && value != nullptr &&
+               parse_size(value, parsed) && parsed > 0 &&
+               parsed <= (SIZE_MAX >> 20)) {
+      job_options.retain_bytes = parsed << 20;
       ++i;
     } else if (arg == "--max-queue-depth" && value != nullptr &&
                parse_size(value, parsed)) {

@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/batch_transient.h"
@@ -229,6 +232,15 @@ using circuit::Netlist;
 using circuit::NodeId;
 using circuit::Resistor;
 using circuit::VoltageSource;
+
+/// The engines report a whole executor slot at once; feed its dies to a
+/// per-die callback in slot order.
+DeviceCompleteFn each_die(
+    std::function<void(std::size_t index, const DeviceOutcome&)> fn) {
+  return [fn = std::move(fn)](std::span<const DeviceOutcome> slot) {
+    for (const DeviceOutcome& die : slot) fn(die.index, die);
+  };
+}
 
 /// Seed-derived RC time constant: every die charges the same node through
 /// a slightly different resistor.
@@ -478,10 +490,10 @@ TEST(RunBatchLockstep, StopBetweenBlocksCompletesOnlyWholeBlocks) {
   std::vector<std::size_t> completed;
   (void)run_batch_lockstep(
       population, plan, nullptr,
-      [&completed](std::size_t index, const DeviceOutcome& out) {
+      each_die([&completed](std::size_t index, const DeviceOutcome& out) {
         EXPECT_EQ(out.index, index);
         completed.push_back(index);
-      },
+      }),
       1, [&completed] { return !completed.empty(); });
   // The stop lands after the first block: its dies, and nothing else.
   ASSERT_EQ(completed.size(), kLockstepBlockDies);

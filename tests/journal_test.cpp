@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <dirent.h>
@@ -194,6 +195,52 @@ TEST(Journal, TornTailAndGarbageAreSkippedNotFatal) {
   EXPECT_EQ(Journal::replay(dir).skipped_records, 0u);
 }
 
+// A CRC-valid record can still carry numbers no journal writes (a hand
+// edit, corruption under a matching checksum). A negative job id or unit
+// index is skipped and counted like any malformed record — a checkpoint
+// slot as a whole — instead of throwing out of replay, which kept the
+// daemon from starting.
+TEST(Journal, NegativeIndicesAreSkippedNotFatal) {
+  const std::string dir = fresh_state_dir("negative_indices");
+  append_raw(dir, Journal::frame(R"({"type":"admit","id":1,"request":{}})"));
+  append_raw(dir, Journal::frame(R"({"type":"state","id":-1,"state":"running"})"));
+  append_raw(dir, Journal::frame(
+                      R"({"type":"checkpoint","id":1,"total":2,"units":[[0,{}],[-1,{}]]})"));
+  const RecoveredState state = Journal::replay(dir);
+  EXPECT_EQ(state.skipped_records, 2u);
+  ASSERT_EQ(state.jobs.size(), 1u);
+  EXPECT_TRUE(state.jobs.at(1).checkpoints.empty());
+
+  Journal j(options_for(dir));
+  EXPECT_FALSE(j.degraded());
+  EXPECT_EQ(j.recovered().skipped_records, 2u);
+}
+
+// The boot compaction deletes the previous life's segments only once
+// their rewrite is durable: a journal that degrades while rewriting
+// leaves them for the next boot instead of losing every job.
+TEST(Journal, FailedBootRewriteKeepsTheOldSegments) {
+  const std::string dir = fresh_state_dir("boot_rewrite_fails");
+  {
+    Journal j(options_for(dir));
+    j.append_admit(1, R"({"kind":"batch"})");
+    j.append_state(1, "running");
+  }
+  JournalOptions o = options_for(dir);
+  o.write_override = [](int, const void*, std::size_t) -> ssize_t {
+    errno = ENOSPC;
+    return -1;
+  };
+  {
+    Journal j(std::move(o));
+    EXPECT_TRUE(j.degraded());
+  }
+  const RecoveredState state = Journal::replay(dir);
+  ASSERT_EQ(state.jobs.count(1), 1u);
+  EXPECT_EQ(state.jobs.at(1).request_json, R"({"kind":"batch"})");
+  EXPECT_EQ(state.jobs.at(1).state, "running");
+}
+
 TEST(Journal, ReopenCompactsToOneSegmentAndKeepsState) {
   const std::string dir = fresh_state_dir("compact");
   {
@@ -325,7 +372,10 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
 TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
   const std::string dir = fresh_state_dir("evict");
   JournalOptions o = options_for(dir);
-  o.retain_terminal = 2;
+  // A byte budget that holds two terminal jobs' requests beside the
+  // live job's.
+  o.retain_bytes = 2 * std::string_view(R"({"kind":"testability"})").size() +
+                   std::string_view(R"({"kind":"batch"})").size();
   {
     Journal j(o);
     for (std::uint64_t id = 1; id <= 4; ++id) {
@@ -344,6 +394,43 @@ TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
   EXPECT_EQ(state.jobs.count(3), 1u);
   EXPECT_EQ(state.jobs.count(4), 1u);
   EXPECT_EQ(state.jobs.count(5), 1u);
+}
+
+// Online compaction is amortized: a rewrite waits until more bytes have
+// been appended than the previous rewrite wrote, so rewriting every
+// retained report costs at most twice what was appended. (Compacting
+// every max_segment_bytes of appends rewrote every retained report each
+// time: quadratic in the number of reports.)
+TEST(Journal, CompactionWritesAtMostTwiceWhatWasAppended) {
+  const std::string dir = fresh_state_dir("amortized_compaction");
+  JournalOptions o = options_for(dir);
+  o.retain_bytes = std::size_t{64} << 20;  // holds every report below
+  // The first write of each append call is its record; every other write
+  // is compaction rewriting the table.
+  bool next_is_record = false;
+  std::size_t appended = 0;
+  std::size_t rewritten = 0;
+  o.write_override = [&](int fd, const void* buf, std::size_t count) -> ssize_t {
+    const ssize_t n = ::write(fd, buf, count);
+    if (n > 0) (next_is_record ? appended : rewritten) += static_cast<std::size_t>(n);
+    next_is_record = false;
+    return n;
+  };
+  Journal j(o);
+  const std::string request = R"({"kind":"lockstep_batch","device_count":4096})";
+  const std::string body(600'000, 'x');
+  for (std::uint64_t id = 1; id <= 40; ++id) {
+    next_is_record = true;
+    j.append_admit(id, request);
+    next_is_record = true;
+    j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
+                    "batch_report", report(R"({"pad":")" + body + R"("})"));
+  }
+  EXPECT_FALSE(j.degraded());
+  EXPECT_GT(j.compactions(), 0u);
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_LE(rewritten, 2 * appended + o.max_segment_bytes)
+      << "appended " << appended << " bytes, rewrote " << rewritten;
 }
 
 TEST(Journal, WriteFailureDegradesInsteadOfThrowing) {

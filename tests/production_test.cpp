@@ -4,11 +4,14 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/device.h"
@@ -18,6 +21,15 @@
 namespace {
 
 using namespace msbist;
+
+/// The engines report a whole executor slot at once; feed its dies to a
+/// per-die callback in slot order.
+production::DeviceCompleteFn each_die(
+    std::function<void(std::size_t index, const production::DeviceOutcome&)> fn) {
+  return [fn = std::move(fn)](std::span<const production::DeviceOutcome> slot) {
+    for (const production::DeviceOutcome& die : slot) fn(die.index, die);
+  };
+}
 
 production::TestPlan quick_full_plan() {
   production::TestPlan plan = production::TestPlan::full();
@@ -228,9 +240,9 @@ TEST(ProductionBatch, StopLeavesUntestedDiesUntouched) {
   std::vector<std::size_t> completed;
   (void)production::run_batch(
       pop, {}, 1, count_tests, nullptr,
-      [&completed](std::size_t index, const production::DeviceOutcome&) {
+      each_die([&completed](std::size_t index, const production::DeviceOutcome&) {
         completed.push_back(index);
-      },
+      }),
       [&completed] { return completed.size() >= 3; });
   // No die past the stop is tested, fabricated or checkpointed.
   EXPECT_EQ(tested, 3u);

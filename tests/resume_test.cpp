@@ -7,14 +7,17 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "circuit/transient.h"
 #include "core/error.h"
 #include "core/job.h"
 #include "core/json_value.h"
@@ -49,6 +52,28 @@ JsonValue strip_batch_timing(JsonValue report) {
   return report;
 }
 
+/// The engines report a whole executor slot at once; feed its dies to a
+/// per-die callback in slot order.
+production::DeviceCompleteFn each_die(
+    std::function<void(std::size_t index, const production::DeviceOutcome&)> fn) {
+  return [fn = std::move(fn)](std::span<const production::DeviceOutcome> slot) {
+    for (const production::DeviceOutcome& die : slot) fn(die.index, die);
+  };
+}
+
+/// Likewise for DispatchHooks::unit_complete: one call per unit of the
+/// slot.
+auto each_unit(std::function<void(std::size_t unit, std::size_t total,
+                                  const std::string& checkpoint_json)>
+                   fn) {
+  return [fn = std::move(fn)](std::size_t total,
+                              const service::SlotCheckpoints& units) {
+    for (const auto& [unit, checkpoint_json] : units) {
+      fn(unit, total, checkpoint_json);
+    }
+  };
+}
+
 faults::FaultTestFn deterministic_probe() {
   return [](const faults::FaultSpec& f) {
     faults::FaultResult r;
@@ -62,23 +87,43 @@ faults::FaultTestFn deterministic_probe() {
 
 TEST(Resume, DeviceCheckpointRoundTripsByteIdentical) {
   const auto population = production::paper_population();
-  const production::DeviceOutcome original =
-      production::test_device(population.front(), production::TestPlan::full());
+  // Beside a full-spec die: two lockstep dies, the second degraded by an
+  // evaluation that threw, so it carries a failure record.
+  production::LockstepPlan plan = service::lockstep_screen_plan();
+  plan.evaluate = [judge = plan.evaluate](const production::DieSpec& spec,
+                                          const circuit::TransientResult& r) {
+    if (spec.label == "die 2") throw std::runtime_error("probe contact lost");
+    return judge(spec, r);
+  };
+  const production::BatchReport screen = production::run_batch_lockstep(
+      service::lockstep_screen_population(2, 5), plan);
+  ASSERT_TRUE(screen.devices[1].degraded);
+  ASSERT_FALSE(screen.devices[1].failures.empty());
 
-  const std::string checkpoint = production::encode_device_checkpoint(original);
-  const production::DeviceOutcome restored =
-      production::decode_device_checkpoint(parse_json(checkpoint));
+  for (const production::DeviceOutcome& original :
+       {production::test_device(population.front(), production::TestPlan::full()),
+        screen.devices[0], screen.devices[1]}) {
+    const std::string checkpoint = production::encode_device_checkpoint(original);
+    const production::DeviceOutcome restored =
+        production::decode_device_checkpoint(parse_json(checkpoint));
 
-  // The restored outcome serializes byte-identically (verbatim splice)…
-  EXPECT_EQ(core::to_json(restored), core::to_json(original));
-  // …and its typed canon side carries what aggregation needs.
-  EXPECT_EQ(restored.seed, original.seed);
-  EXPECT_EQ(restored.label, original.label);
-  EXPECT_EQ(restored.outcome.pass, original.outcome.pass);
-  EXPECT_EQ(restored.tiers_run, original.tiers_run);
-  EXPECT_EQ(restored.has_metrics, original.has_metrics);
-  EXPECT_EQ(restored.spot_check_run, original.spot_check_run);
-  EXPECT_DOUBLE_EQ(restored.elapsed_seconds, original.elapsed_seconds);
+    // The restored outcome serializes byte-identically (verbatim splice)…
+    EXPECT_EQ(core::to_json(restored), core::to_json(original));
+    // …and its typed fields carry what aggregation needs.
+    EXPECT_EQ(restored.seed, original.seed);
+    EXPECT_EQ(restored.label, original.label);
+    EXPECT_EQ(restored.outcome.pass, original.outcome.pass);
+    EXPECT_EQ(restored.tiers_run, original.tiers_run);
+    EXPECT_EQ(restored.has_metrics, original.has_metrics);
+    EXPECT_EQ(restored.spot_check_run, original.spot_check_run);
+    EXPECT_DOUBLE_EQ(restored.elapsed_seconds, original.elapsed_seconds);
+    EXPECT_EQ(restored.degraded, original.degraded);
+    ASSERT_EQ(restored.failures.size(), original.failures.size());
+    for (std::size_t i = 0; i < original.failures.size(); ++i) {
+      EXPECT_EQ(restored.failures[i].code, original.failures[i].code);
+      EXPECT_EQ(restored.failures[i].analysis, original.failures[i].analysis);
+    }
+  }
 }
 
 TEST(Resume, FaultCheckpointRoundTripsIncludingFailure) {
@@ -104,7 +149,15 @@ TEST(Resume, FaultCheckpointRoundTripsIncludingFailure) {
 }
 
 TEST(Resume, MalformedCheckpointsThrowBadInput) {
-  for (const char* bad : {"{}", "[1,2]", R"({"canon":{}})"}) {
+  // The last entry is the two-part shape earlier daemons journaled: a
+  // die checkpointed by one of them re-runs.
+  for (const char* bad :
+       {"{}", "[1,2]", R"({"canon":{}})",
+        R"({"canon":{"seed":7,"label":"die 1","pass":true,"detail":"pass",)"
+        R"("tiers_run":[],"failed_tiers":[],"tier_pass":{},"bist_pass":true,)"
+        R"("degraded":false,"elapsed_seconds":0.001},"data":{"index":0,)"
+        R"("seed":7,"label":"die 1","pass":true,"detail":"pass","tiers_run":[],)"
+        R"("failed_tiers":[],"degraded":false,"elapsed_seconds":0.001}})"}) {
     try {
       (void)production::decode_device_checkpoint(parse_json(bad));
       FAIL() << "device checkpoint " << bad << " should not decode";
@@ -129,10 +182,10 @@ TEST(Resume, BatchResumeMatchesUninterruptedRun) {
   std::map<std::size_t, std::string> checkpoints;
   const production::BatchReport control = production::run_batch(
       population, plan, 1, {}, nullptr,
-      [&checkpoints](std::size_t index,
-                     const production::DeviceOutcome& outcome) {
+      each_die([&checkpoints](std::size_t index,
+                              const production::DeviceOutcome& outcome) {
         checkpoints[index] = production::encode_device_checkpoint(outcome);
-      });
+      }));
   ASSERT_EQ(checkpoints.size(), population.size());
 
   // "Crash" after the first half: decode those checkpoints back and
@@ -146,9 +199,9 @@ TEST(Resume, BatchResumeMatchesUninterruptedRun) {
   std::size_t retested = 0;
   const production::BatchReport resumed = production::run_batch(
       population, plan, 1, {}, &resume,
-      [&retested](std::size_t, const production::DeviceOutcome&) {
+      each_die([&retested](std::size_t, const production::DeviceOutcome&) {
         ++retested;
-      });
+      }));
 
   EXPECT_EQ(retested, population.size() - resume.completed.size());
   EXPECT_EQ(resumed.canonical_outcomes(), control.canonical_outcomes());
@@ -163,10 +216,10 @@ TEST(Resume, LockstepResumeMarchesOnlyLiveLanes) {
   std::map<std::size_t, std::string> checkpoints;
   const production::BatchReport control = production::run_batch_lockstep(
       population, plan, nullptr,
-      [&checkpoints](std::size_t index,
-                     const production::DeviceOutcome& outcome) {
+      each_die([&checkpoints](std::size_t index,
+                              const production::DeviceOutcome& outcome) {
         checkpoints[index] = production::encode_device_checkpoint(outcome);
-      });
+      }));
   ASSERT_EQ(checkpoints.size(), population.size());
 
   // Restore a non-contiguous subset (lanes 0, 2, 5) so the live-lane
@@ -179,9 +232,9 @@ TEST(Resume, LockstepResumeMarchesOnlyLiveLanes) {
   std::size_t retested = 0;
   const production::BatchReport resumed = production::run_batch_lockstep(
       population, plan, &resume,
-      [&retested](std::size_t, const production::DeviceOutcome&) {
+      each_die([&retested](std::size_t, const production::DeviceOutcome&) {
         ++retested;
-      });
+      }));
 
   EXPECT_EQ(retested, population.size() - resume.completed.size());
   EXPECT_EQ(resumed.canonical_outcomes(), control.canonical_outcomes());
@@ -200,11 +253,11 @@ TEST(Resume, LockstepResumeStraddlingBlockBoundariesMatchesControl) {
     std::map<std::size_t, std::string> checkpoints;
     const production::BatchReport control = production::run_batch_lockstep(
         population, plan, nullptr,
-        [&](std::size_t index, const production::DeviceOutcome& outcome) {
+        each_die([&](std::size_t index, const production::DeviceOutcome& outcome) {
           std::string checkpoint = production::encode_device_checkpoint(outcome);
           const std::lock_guard<std::mutex> lock(mu);
           checkpoints[index] = std::move(checkpoint);
-        },
+        }),
         threads);
     ASSERT_EQ(checkpoints.size(), population.size());
 
@@ -220,9 +273,9 @@ TEST(Resume, LockstepResumeStraddlingBlockBoundariesMatchesControl) {
     std::atomic<std::size_t> retested{0};
     const production::BatchReport resumed = production::run_batch_lockstep(
         population, plan, &resume,
-        [&retested](std::size_t, const production::DeviceOutcome&) {
+        each_die([&retested](std::size_t, const production::DeviceOutcome&) {
           retested.fetch_add(1);
-        },
+        }),
         threads);
 
     EXPECT_EQ(retested.load(), population.size() - resume.completed.size());
@@ -344,10 +397,10 @@ TEST(Resume, DispatchBatchResumesFromJournaledCheckpoints) {
 
   std::map<std::size_t, std::string> checkpoints;
   service::DispatchHooks record;
-  record.unit_complete = [&checkpoints](std::size_t unit, std::size_t,
-                                        const std::string& checkpoint_json) {
+  record.unit_complete = each_unit([&checkpoints](std::size_t unit, std::size_t,
+                                                  const std::string& checkpoint_json) {
     checkpoints[unit] = checkpoint_json;
-  };
+  });
   const service::DispatchResult control = service::dispatch(req, record);
   ASSERT_EQ(checkpoints.size(), req.device_count);
   EXPECT_EQ(control.resumed_units, 0u);
@@ -357,8 +410,8 @@ TEST(Resume, DispatchBatchResumesFromJournaledCheckpoints) {
   service::DispatchHooks hooks;
   hooks.resume = &half;
   std::size_t retested = 0;
-  hooks.unit_complete = [&retested](std::size_t, std::size_t,
-                                    const std::string&) { ++retested; };
+  hooks.unit_complete = each_unit([&retested](std::size_t, std::size_t,
+                                              const std::string&) { ++retested; });
   const service::DispatchResult resumed = service::dispatch(req, hooks);
 
   EXPECT_EQ(resumed.resumed_units, 3u);
@@ -397,11 +450,11 @@ TEST(Resume, DispatchCampaignResumeWithCollapse) {
   std::map<std::size_t, std::string> checkpoints;
   std::size_t total_units = 0;
   service::DispatchHooks record;
-  record.unit_complete = [&](std::size_t unit, std::size_t total,
-                             const std::string& checkpoint_json) {
+  record.unit_complete = each_unit([&](std::size_t unit, std::size_t total,
+                                       const std::string& checkpoint_json) {
     checkpoints[unit] = checkpoint_json;
     total_units = total;
-  };
+  });
   const service::DispatchResult control = service::dispatch(req, record);
   ASSERT_GT(checkpoints.size(), 2u);
   // Under collapse the work items are class representatives: fewer than
@@ -492,12 +545,12 @@ TEST(Resume, DispatchCampaignStopResumesToControl) {
       std::map<std::size_t, std::string> checkpoints;
       std::size_t total_units = 0;
       service::DispatchHooks stopping;
-      stopping.unit_complete = [&](std::size_t unit, std::size_t total,
-                                   const std::string& checkpoint_json) {
+      stopping.unit_complete = each_unit([&](std::size_t unit, std::size_t total,
+                                             const std::string& checkpoint_json) {
         std::lock_guard<std::mutex> lock(mu);
         checkpoints[unit] = checkpoint_json;
         total_units = total;
-      };
+      });
       stopping.should_stop = [&] {
         std::lock_guard<std::mutex> lock(mu);
         return checkpoints.size() >= 2;
@@ -535,10 +588,10 @@ TEST(Resume, DispatchCampaignProgressNeverExceedsTotal) {
   const core::JobRequest req = campaign_request("op1_follower", 1, false);
   std::map<std::size_t, std::string> checkpoints;
   service::DispatchHooks record;
-  record.unit_complete = [&checkpoints](std::size_t unit, std::size_t,
-                                        const std::string& checkpoint_json) {
+  record.unit_complete = each_unit([&checkpoints](std::size_t unit, std::size_t,
+                                                  const std::string& checkpoint_json) {
     checkpoints[unit] = checkpoint_json;
-  };
+  });
   const service::DispatchResult control = service::dispatch(req, record);
   ASSERT_EQ(checkpoints.size(), 16u);
 
@@ -565,10 +618,10 @@ TEST(Resume, DispatchCampaignIgnoresOutOfRangeCheckpoints) {
   const core::JobRequest req = campaign_request("op1_follower", 1, false);
   std::map<std::size_t, std::string> checkpoints;
   service::DispatchHooks record;
-  record.unit_complete = [&checkpoints](std::size_t unit, std::size_t,
-                                        const std::string& checkpoint_json) {
+  record.unit_complete = each_unit([&checkpoints](std::size_t unit, std::size_t,
+                                                  const std::string& checkpoint_json) {
     checkpoints[unit] = checkpoint_json;
-  };
+  });
   const service::DispatchResult control = service::dispatch(req, record);
   ASSERT_EQ(checkpoints.count(0), 1u);
 
@@ -604,10 +657,10 @@ TEST(Resume, DispatchCampaignStoppedAfterResumeReportsOnlyRealResults) {
     const core::JobRequest req = campaign_request("op1_follower", 1, collapse);
     std::map<std::size_t, std::string> checkpoints;
     service::DispatchHooks record;
-    record.unit_complete = [&checkpoints](std::size_t unit, std::size_t,
-                                          const std::string& checkpoint_json) {
+    record.unit_complete = each_unit([&checkpoints](std::size_t unit, std::size_t,
+                                                    const std::string& checkpoint_json) {
       checkpoints[unit] = checkpoint_json;
-    };
+    });
     const service::DispatchResult control = service::dispatch(req, record);
     ASSERT_TRUE(control.campaign.has_value());
     ASSERT_GT(checkpoints.size(), 2u);
@@ -619,8 +672,8 @@ TEST(Resume, DispatchCampaignStoppedAfterResumeReportsOnlyRealResults) {
       std::size_t ran = 0;
       service::DispatchHooks hooks;
       hooks.resume = &resume;
-      hooks.unit_complete = [&ran](std::size_t, std::size_t,
-                                   const std::string&) { ++ran; };
+      hooks.unit_complete = each_unit([&ran](std::size_t, std::size_t,
+                                             const std::string&) { ++ran; });
       hooks.should_stop = [&ran] { return ran >= 1; };
       const service::DispatchResult res = service::dispatch(req, hooks);
       const std::string where = "collapse " + std::to_string(collapse) +

@@ -14,10 +14,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -122,6 +125,41 @@ struct ServiceFixture {
   service::JobManager manager;
   service::HttpServer server;
 };
+
+/// A fresh, empty state directory under the test temp root (leftover
+/// segments from a previous run of the same test are removed).
+std::string fresh_state_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/msbist_service_" + name;
+  ::mkdir(dir.c_str(), 0777);
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string entry = e->d_name;
+      if (entry == "." || entry == "..") continue;
+      ::unlink((dir + "/" + entry).c_str());
+    }
+    ::closedir(d);
+  }
+  return dir;
+}
+
+/// Poll an in-process manager until job `id` is terminal (60 s deadline).
+service::JobSnapshot await_job(const service::JobManager& manager,
+                               std::uint64_t id) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    const std::optional<service::JobSnapshot> snap = manager.get(id);
+    if (!snap) {
+      ADD_FAILURE() << "job " << id << " vanished";
+      return {};
+    }
+    if (service::is_terminal(snap->state) ||
+        std::chrono::steady_clock::now() > deadline) {
+      return *snap;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 /// Send raw bytes to the server and collect everything it answers until
 /// it closes the connection — for abuse cases no well-formed client can
@@ -353,6 +391,33 @@ TEST(Service, MetricsCountersAreConsistent) {
   EXPECT_EQ(m.find("histograms")->find("job_seconds")->find("count")->as_u64(),
             1u);
   EXPECT_EQ(m.find("gauges")->find("jobs_running")->as_u64(), 0u);
+
+  // Retention: the one job's request and report, inside the default
+  // budget. No journal here, so no journal traffic.
+  const JsonValue* gauges = m.find("gauges");
+  EXPECT_EQ(gauges->find("retain_budget_bytes")->as_u64(), 32u << 20);
+  EXPECT_GT(gauges->find("retained_bytes")->as_u64(), 0u);
+  EXPECT_LE(gauges->find("retained_bytes")->as_u64(), 32u << 20);
+  EXPECT_EQ(counter("journal_fsyncs"), 0u);
+  EXPECT_EQ(counter("journal_compactions"), 0u);
+
+  // With a journal: a 4096-die lockstep job journals one record per
+  // 32-die block, so at --fsync-every 8 it syncs 16 times for its 128
+  // checkpoints, plus once each at boot, admission and result.
+  service::JobManagerOptions durable;
+  durable.state_dir = fresh_state_dir("metrics_fsyncs");
+  durable.journal_fsync_every = 8;
+  ServiceFixture journaled(durable);
+  const std::uint64_t screen = journaled.submit(
+      R"({"kind":"lockstep_batch","device_count":4096,"batch_seed":9,"threads":2})");
+  // (Polled in-process: under TSan the lot outlasts await_terminal's 10 s.)
+  EXPECT_EQ(await_job(journaled.manager, screen).state,
+            service::JobState::kSucceeded);
+  const JsonValue journal_metrics =
+      parse_json(journaled.request("GET", "/metrics").body);
+  const JsonValue* journal_counters = journal_metrics.find("counters");
+  EXPECT_GT(journal_counters->find("journal_fsyncs")->as_u64(), 0u);
+  EXPECT_LE(journal_counters->find("journal_fsyncs")->as_u64(), 20u);
 }
 
 TEST(Service, PopulationRegistryOverTheWire) {
@@ -681,22 +746,6 @@ TEST(Admission, PerTagQueueShareAndAccounting) {
 
 // --- Durability: idempotent submits, journal recovery over the wire ---
 
-/// A fresh, empty state directory under the test temp root (leftover
-/// segments from a previous run of the same test are removed).
-std::string fresh_state_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/msbist_service_" + name;
-  ::mkdir(dir.c_str(), 0777);
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (const dirent* e = ::readdir(d)) {
-      const std::string entry = e->d_name;
-      if (entry == "." || entry == "..") continue;
-      ::unlink((dir + "/" + entry).c_str());
-    }
-    ::closedir(d);
-  }
-  return dir;
-}
-
 service::JobManagerOptions durable_options(const std::string& state_dir) {
   service::JobManagerOptions o;
   o.state_dir = state_dir;
@@ -795,9 +844,10 @@ TEST(Durability, UncleanJournalRecoversResumesAndCompletes) {
   const service::DispatchResult control = service::dispatch(req);
   std::map<std::size_t, std::string> checkpoints;
   service::DispatchHooks capture;
-  capture.unit_complete = [&](std::size_t unit, std::size_t,
-                              const std::string& cp) {
-    if (unit < 2) checkpoints[unit] = cp;
+  capture.unit_complete = [&](std::size_t, const service::SlotCheckpoints& units) {
+    for (const auto& [unit, cp] : units) {
+      if (unit < 2) checkpoints[unit] = cp;
+    }
   };
   service::dispatch(req, capture);
   ASSERT_EQ(checkpoints.size(), 2u);
@@ -886,25 +936,6 @@ void drop_terminal_records(const std::string& dir) {
       }
     }
     std::ofstream(path, std::ios::trunc) << kept;
-  }
-}
-
-/// Poll an in-process manager until job `id` is terminal (60 s deadline).
-service::JobSnapshot await_job(const service::JobManager& manager,
-                               std::uint64_t id) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  for (;;) {
-    const std::optional<service::JobSnapshot> snap = manager.get(id);
-    if (!snap) {
-      ADD_FAILURE() << "job " << id << " vanished";
-      return {};
-    }
-    if (service::is_terminal(snap->state) ||
-        std::chrono::steady_clock::now() > deadline) {
-      return *snap;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
@@ -1067,6 +1098,105 @@ TEST(Durability, TimedOutLockstepJournalsOnlyMarchedBlocks) {
   }
 }
 
+/// The payload "type" of every record in the journal segments under `dir`.
+std::vector<std::string> journal_record_types(const std::string& dir) {
+  std::vector<std::string> types;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name.size() <= 4 || name.compare(name.size() - 4, 4, ".wal") != 0) {
+        continue;
+      }
+      std::ifstream in(dir + "/" + name);
+      std::string line;
+      while (std::getline(in, line)) {
+        // "<crc32-hex> <payload>"
+        types.push_back(parse_json(line.substr(9)).find("type")->as_string());
+      }
+    }
+    ::closedir(d);
+  }
+  return types;
+}
+
+// One executor slot, one checkpoint record: a 5 x 32 + 3-die lockstep
+// lot journaled the way JobManager wires unit_complete lands as 6
+// records, one per lane block, and replays to every die's document
+// byte for byte.
+TEST(Durability, LockstepLotJournalsOneRecordPerBlock) {
+  constexpr std::size_t kBlock = production::kLockstepBlockDies;
+  const std::string dir = fresh_state_dir("lockstep_blocks");
+  core::JobRequest req;
+  req.kind = core::JobKind::kLockstepBatch;
+  req.device_count = 5 * kBlock + 3;
+  req.batch_seed = 41;
+  req.threads = 2;
+
+  std::mutex mu;  // unit_complete fires from engine worker threads
+  std::map<std::size_t, std::string> reported;
+  {
+    service::JournalOptions jo;
+    jo.state_dir = dir;
+    service::Journal journal(jo);
+    service::DispatchHooks hooks;
+    hooks.unit_complete = [&](std::size_t total, service::SlotCheckpoints units) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        for (const auto& [unit, checkpoint] : units) reported[unit] = checkpoint;
+      }
+      journal.append_checkpoints(1, total, std::move(units));
+    };
+    ASSERT_FALSE(service::dispatch(req, hooks).stopped);
+  }
+  ASSERT_EQ(reported.size(), req.device_count);
+
+  const std::vector<std::string> types = journal_record_types(dir);
+  EXPECT_EQ(std::count(types.begin(), types.end(), "checkpoint"), 6);
+  const service::RecoveredState replayed = service::Journal::replay(dir);
+  EXPECT_EQ(replayed.skipped_records, 0u);
+  const service::RecoveredJob& job = replayed.jobs.at(1);
+  EXPECT_EQ(job.checkpoint_total, req.device_count);
+  EXPECT_EQ(job.checkpoints, reported);
+}
+
+// Recovery adopts the boot snapshot's jobs and drops the snapshot, so a
+// restored report lives exactly as long as the retained job: once the
+// byte budget evicts it, its buffer is freed.
+TEST(Durability, RestoredReportIsFreedOnceEvicted) {
+  const std::string dir = fresh_state_dir("restored_eviction");
+  const core::JobRequest req = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1,"batch_seed":3,)"
+      R"("tiers":["digital"],"threads":1})");
+  std::uint64_t restored_id = 0;
+  std::size_t charge = 0;  // one job's request plus report
+  {
+    service::JobManager manager(durable_options(dir));
+    restored_id = manager.submit(req);
+    const service::JobSnapshot done = await_job(manager, restored_id);
+    ASSERT_EQ(done.state, service::JobState::kSucceeded);
+    charge = manager.retained_bytes();
+  }
+
+  // Room for one such job, not two.
+  service::JobManagerOptions o = durable_options(dir);
+  o.retain_bytes = charge + charge / 2;
+  service::JobManager manager(o);
+  manager.recover_jobs();
+  std::weak_ptr<const std::string> restored;
+  {
+    const std::optional<service::JobSnapshot> snap = manager.get(restored_id);
+    ASSERT_TRUE(snap.has_value());
+    ASSERT_NE(snap->report_json, nullptr);
+    restored = snap->report_json;
+  }
+  ASSERT_FALSE(restored.expired());
+
+  const std::uint64_t next = manager.submit(req);
+  ASSERT_EQ(await_job(manager, next).state, service::JobState::kSucceeded);
+  EXPECT_FALSE(manager.get(restored_id).has_value());
+  EXPECT_TRUE(restored.expired());
+}
+
 TEST(Durability, RecoveredJobWithUnknownPopulationFailsOnce) {
   const std::string dir = fresh_state_dir("unknown_population");
   const core::JobRequest req = core::JobRequest::from_json_text(
@@ -1098,6 +1228,67 @@ TEST(Durability, RecoveredJobWithUnknownPopulationFailsOnce) {
     const JsonValue status = parse_json(fx.request("GET", "/jobs/1").body);
     EXPECT_EQ(status.find("state")->as_string(), "failed");
   }
+}
+
+// Retention is a byte budget: every job charges its request, a finished
+// job also its report. Terminal jobs go oldest first; jobs without a
+// report (cancelled, failed) still charge their requests, so they stay
+// bounded too; live jobs are never evicted, even past the budget.
+TEST(JobManager, RetainedJobsStayWithinTheByteBudget) {
+  const core::JobRequest small = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1,"batch_seed":3,)"
+      R"("tiers":["digital"],"threads":1})");
+  const std::size_t charge = core::to_json(small).size() +
+                             service::dispatch(small).report_json.size();
+  {
+    service::JobManagerOptions o;
+    o.workers = 1;
+    o.retain_bytes = 3 * charge + charge / 2;  // three finished jobs
+    service::JobManager manager(o);
+    std::vector<std::uint64_t> ids;
+    for (int k = 0; k < 6; ++k) {
+      ids.push_back(manager.submit(small));
+      ASSERT_EQ(await_job(manager, ids.back()).state,
+                service::JobState::kSucceeded);
+      EXPECT_LE(manager.retained_bytes(), o.retain_bytes) << "after job " << k;
+      // The newest three survive; older ones went first.
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(manager.get(ids[i]).has_value(), i + 3 >= ids.size())
+            << "job " << i << " after job " << k;
+      }
+    }
+  }
+
+  service::JobManagerOptions o;
+  o.workers = 1;
+  o.retain_bytes = 16u << 10;
+  service::JobManager manager(o);
+  const std::uint64_t blocker = manager.submit(core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":2000,"batch_seed":5,)"
+      R"("full_spec":true,"threads":1})"));
+  // Six queued jobs whose requests alone outgrow the budget: all live,
+  // so all stay.
+  std::vector<std::uint64_t> queued;
+  for (int k = 0; k < 6; ++k) {
+    core::JobRequest big = small;
+    big.label = std::string(4000, static_cast<char>('a' + k));
+    queued.push_back(manager.submit(big));
+  }
+  EXPECT_GT(manager.retained_bytes(), o.retain_bytes);
+  for (const std::uint64_t id : queued) EXPECT_TRUE(manager.get(id).has_value());
+
+  // Cancelled, they are terminal without a report; the next admission
+  // evicts the oldest of them until the budget holds again.
+  for (const std::uint64_t id : queued) ASSERT_TRUE(manager.cancel(id));
+  const std::uint64_t last = manager.submit(small);
+  EXPECT_LE(manager.retained_bytes(), o.retain_bytes);
+  EXPECT_TRUE(manager.get(blocker).has_value());
+  EXPECT_TRUE(manager.get(last).has_value());
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    EXPECT_EQ(manager.get(queued[i]).has_value(), i >= 3) << "cancelled job " << i;
+  }
+  manager.cancel(last);
+  manager.cancel(blocker);
 }
 
 }  // namespace

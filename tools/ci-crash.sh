@@ -61,9 +61,10 @@ trap cleanup EXIT
 # Extra arguments are appended to the daemon's command line.
 boot() {
   log="$(mktemp)"
-  # --fsync-every 1: the crash-test setting — every checkpoint is
-  # write()n AND fsync()ed before the next die starts, so a SIGKILL at
-  # any instant loses at most the die in flight.
+  # --fsync-every 1: the crash-test setting — every checkpoint record
+  # (one die, lockstep block or fault) is write()n AND fsync()ed before
+  # the next one starts, so a SIGKILL at any instant loses at most the
+  # work in flight.
   "$BUILD_DIR"/src/msbistd --port 0 --workers 1 \
     --state-dir "$STATE_DIR" --fsync-every 1 "$@" >"$log" 2>&1 &
   daemon=$!
@@ -214,14 +215,11 @@ crash_scenario batch \
 \"idempotency_key\":\"crash-gate-lot\"}" \
   "$DIES" "$KILL_AFTER"
 
-# Lockstep checkpoints land a block at a time, so the journal syncs once
-# per block's worth of records instead of once per die (a SIGKILL loses
-# nothing write()n either way; the page cache survives the process).
 crash_scenario lockstep \
   "{\"kind\":\"lockstep_batch\",\"device_count\":$LOCKSTEP_DIES,\
 \"batch_seed\":778,\"threads\":2,\"label\":\"crash-screen\",\
 \"idempotency_key\":\"crash-gate-screen\"}" \
-  "$LOCKSTEP_DIES" "$((2 * LOCKSTEP_BLOCK))" --fsync-every "$LOCKSTEP_BLOCK"
+  "$LOCKSTEP_DIES" "$((2 * LOCKSTEP_BLOCK))"
 
 # Campaign checkpoints land one per fault on one engine thread, each
 # fsync()ed before the next fault starts (boot's --fsync-every 1).

@@ -35,12 +35,14 @@ log="$(mktemp)"
 # The transport is thread-per-connection, so io-threads must cover every
 # concurrent keep-alive client; the tiny job queue guarantees sustained
 # 429 pressure from WORKERS closed loops over 2 job slots. Retention
-# must cover the whole run: with default retain-jobs, a poller thread
+# must cover the whole run: with a smaller budget, a poller thread
 # descheduled for a few hundred ms (likely with WORKERS client threads
 # oversubscribing CI cores) can find its terminal job already evicted.
+# Each job retains its request and one-die report, under 2 KiB; the
+# budget allows 4 KiB a job.
 "$BUILD_DIR"/src/msbistd --port 0 --workers 2 --io-threads "$((WORKERS + 8))" \
   --max-queue-depth 32 --retry-after-s 1 --aging-s 0.5 \
-  --retain-jobs "$((WORKERS * JOBS + 64))" >"$log" 2>&1 &
+  --retain-mb "$(((WORKERS * JOBS + 64) * 4 / 1024 + 1))" >"$log" 2>&1 &
 daemon=$!
 trap 'kill -9 "$daemon" 2>/dev/null || true' EXIT
 

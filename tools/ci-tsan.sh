@@ -22,4 +22,4 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R '^(Campaign|CampaignParallel|CollapsedCampaign|Collapse|CollapseMap|Universe|SiteUniverse|Inject|ThreadPool|Production|SparseMatrix|SparseLu|BatchSparseLu|SparseBackend|BatchTransient|RunBatchLockstep|Service|KeepAlive|Admission|Durability|Journal|Resume)\.'
+  -R '^(Campaign|CampaignParallel|CollapsedCampaign|Collapse|CollapseMap|Universe|SiteUniverse|Inject|ThreadPool|Production|SparseMatrix|SparseLu|BatchSparseLu|SparseBackend|BatchTransient|RunBatchLockstep|Service|KeepAlive|Admission|Durability|Journal|JobManager|Resume)\.'
