@@ -18,6 +18,9 @@ namespace {
 constexpr double kControlArcCost = 1.0;   ///< sense pin -> driven terminal
 constexpr double kMosChannelCost = 2.0;   ///< drain <-> source (tens of kohm)
 constexpr double kSwitchPenalty = 0.5;    ///< state-dependence surcharge
+/// Frequency at which capacitor impedance is priced: the BIST stimulus
+/// band (the paper's PRBS bit rate is in this range).
+constexpr double kAcFrequencyHz = 100e3;
 
 /// Conduction cost of an ohmic path: log-scaled so a 100 ohm probe
 /// resistor costs ~2 and a 30 Mohm bleed ~7.5 — the score stays a usable
@@ -79,7 +82,7 @@ std::vector<std::size_t> resolve_vertices(const Topology& topo,
   return out;
 }
 
-SignalGraph::SignalGraph(const Topology& topo, const SignalGraphOptions& opts)
+SignalGraph::SignalGraph(const Topology& topo)
     : topo_(&topo),
       rail_(supply_pinned_vertices(topo)),
       fwd_(topo.vertex_count()),
@@ -90,41 +93,34 @@ SignalGraph::SignalGraph(const Topology& topo, const SignalGraphOptions& opts)
     if (const auto* r = dynamic_cast<const circuit::Resistor*>(e)) {
       add_undirected(v(r->node_a()), v(r->node_b()), ohmic_cost(r->resistance()));
     } else if (const auto* c = dynamic_cast<const circuit::Capacitor*>(e)) {
-      if (opts.include_capacitive && c->capacitance() > 0.0 &&
-          opts.ac_frequency_hz > 0.0) {
+      if (c->capacitance() > 0.0) {
         const double z = 1.0 / (2.0 * 3.14159265358979323846 *
-                                opts.ac_frequency_hz * c->capacitance());
+                                kAcFrequencyHz * c->capacitance());
         add_undirected(v(c->node_a()), v(c->node_b()), ohmic_cost(z));
       }
     } else if (const auto* m = dynamic_cast<const circuit::Mosfet*>(e)) {
       add_undirected(v(m->drain()), v(m->source()), kMosChannelCost);
-      if (opts.include_control_edges) {
-        add_arc(v(m->gate()), v(m->drain()), kControlArcCost);
-        add_arc(v(m->gate()), v(m->source()), kControlArcCost);
-      }
+      add_arc(v(m->gate()), v(m->drain()), kControlArcCost);
+      add_arc(v(m->gate()), v(m->source()), kControlArcCost);
     } else if (const auto* ts = dynamic_cast<const circuit::TimedSwitch*>(e)) {
       const auto t = ts->terminals();
       add_undirected(v(t[0]), v(t[1]), ohmic_cost(ts->r_on()) + kSwitchPenalty);
     } else if (const auto* vsw = dynamic_cast<const circuit::VoltageSwitch*>(e)) {
       const auto t = vsw->terminals();  // a, b, ctrl+, ctrl-
       add_undirected(v(t[0]), v(t[1]), ohmic_cost(vsw->r_on()) + kSwitchPenalty);
-      if (opts.include_control_edges) {
-        for (int s : {2, 3}) {
-          add_arc(v(t[s]), v(t[0]), kControlArcCost);
-          add_arc(v(t[s]), v(t[1]), kControlArcCost);
-        }
+      for (int s : {2, 3}) {
+        add_arc(v(t[s]), v(t[0]), kControlArcCost);
+        add_arc(v(t[s]), v(t[1]), kControlArcCost);
       }
     } else if (dynamic_cast<const circuit::Vcvs*>(e) != nullptr ||
                dynamic_cast<const circuit::Vccs*>(e) != nullptr) {
       // Dependent sources: influence flows from the sense pair to the
       // driven pair only. The driven pair itself is not a conduction path
       // (a Vcvs pins the voltage across it; a Vccs output is a current).
-      if (opts.include_control_edges) {
-        const auto t = e->terminals();  // out+, out-, in+, in-
-        for (int s : {2, 3}) {
-          for (int d : {0, 1}) {
-            add_arc(v(t[s]), v(t[d]), kControlArcCost);
-          }
+      const auto t = e->terminals();  // out+, out-, in+, in-
+      for (int s : {2, 3}) {
+        for (int d : {0, 1}) {
+          add_arc(v(t[s]), v(t[d]), kControlArcCost);
         }
       }
     }
@@ -342,19 +338,14 @@ void TestabilityReport::to_json(core::JsonWriter& w) const {
 
 TestabilityReport analyze_testability(const Topology& topo,
                                       const TestabilityOptions& opts) {
-  const SignalGraph graph(topo, opts.graph);
+  const SignalGraph graph(topo);
   TestabilityReport rep;
 
   const std::vector<std::size_t> tap_vs =
       resolve_vertices(topo, opts.taps, &rep.unknown_taps);
   for (std::size_t t : tap_vs) rep.taps.push_back(topo.vertex_name(t));
 
-  std::vector<std::size_t> stim_vs;
-  if (opts.stimuli.empty()) {
-    stim_vs = detect_stimuli(topo);
-  } else {
-    stim_vs = resolve_vertices(topo, opts.stimuli, nullptr);
-  }
+  const std::vector<std::size_t> stim_vs = detect_stimuli(topo);
   for (std::size_t s : stim_vs) rep.stimuli.push_back(topo.vertex_name(s));
 
   const std::vector<double> ctrl = graph.distances(stim_vs, /*reverse=*/false);
@@ -411,7 +402,7 @@ TestabilityReport analyze_testability(const circuit::Netlist& netlist,
 std::vector<TestPointSuggestion> recommend_test_points(
     const Topology& topo, const TestabilityOptions& opts,
     std::size_t max_points) {
-  const SignalGraph graph(topo, opts.graph);
+  const SignalGraph graph(topo);
   const std::vector<std::size_t> tap_vs =
       resolve_vertices(topo, opts.taps, nullptr);
   return greedy_suggestions(graph, tap_vs, max_points);
@@ -442,12 +433,6 @@ void ScoredTestabilityPass::run(const Topology& topo, Report& out) const {
                n.node, "",
                "route the node to a DcLevelSensor / TestAccessPort tap or "
                "accept that faults here escape the BIST tiers"});
-    } else if (opts_.weak_score > 0.0 && n.observability < opts_.weak_score) {
-      out.add({Severity::kInfo, name(),
-               "weakly observable (score " + format2(n.observability) +
-                   " < " + format2(opts_.weak_score) +
-                   "): the signal path to the nearest tap is high-impedance",
-               n.node, "", "consider a closer tap for faults in this region"});
     }
     if (n.controllability == 0.0) {
       out.add({Severity::kInfo, name(),

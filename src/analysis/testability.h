@@ -14,8 +14,9 @@
 // influence graph derived from the Topology. Conduction edges (resistors,
 // switches, MOS channels) propagate both ways with a cost that grows with
 // the log of the element's impedance; capacitors couple at the cost of
-// their impedance at the BIST stimulus frequency; dependent sources and
-// MOS gates add *directed* control arcs (sense pin -> driven terminal:
+// their impedance at the BIST stimulus frequency (100 kHz, the band of the
+// paper's PRBS bit rate); dependent sources, MOS gates and voltage-switch
+// controls add *directed* control arcs (sense pin -> driven terminal:
 // influence flows forward through a gain stage but not backwards through
 // its current output). Ideal voltage sources pin their nodes: supply
 // vertices never relay a signal (a rail is an ideal sink), though a
@@ -45,18 +46,6 @@
 
 namespace msbist::analysis {
 
-/// Edge-cost model of the SignalGraph.
-struct SignalGraphOptions {
-  /// Directed sense->driven arcs for MOS gates, Vcvs/Vccs inputs and
-  /// VoltageSwitch controls. Without them only ohmic conduction counts.
-  bool include_control_edges = true;
-  /// Capacitive coupling arcs, weighted by impedance at ac_frequency_hz.
-  bool include_capacitive = true;
-  /// Frequency at which capacitor impedance is priced (the BIST stimulus
-  /// band; the paper's PRBS bit rate is in this range).
-  double ac_frequency_hz = 100e3;
-};
-
 /// Vertices pinned to a fixed potential by chains of independent voltage
 /// sources starting at ground (the ground vertex itself included).
 std::vector<bool> supply_pinned_vertices(const Topology& topo);
@@ -73,7 +62,7 @@ class SignalGraph {
  public:
   static constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-  explicit SignalGraph(const Topology& topo, const SignalGraphOptions& opts = {});
+  explicit SignalGraph(const Topology& topo);
 
   const Topology& topology() const { return *topo_; }
 
@@ -111,14 +100,6 @@ struct TestabilityOptions {
   /// Declared BIST observation taps (DcLevelSensor / TestAccessPort
   /// inputs, ramp comparator nodes).
   std::vector<std::string> taps;
-  /// Stimulus drive nodes; empty = auto-detect every non-ground terminal
-  /// of an independent source (supplies included — they are drive points,
-  /// if inflexible ones).
-  std::vector<std::string> stimuli;
-  SignalGraphOptions graph;
-  /// When > 0 the testability pass adds Info diagnostics for nodes whose
-  /// observability is positive but below this score.
-  double weak_score = 0.0;
   /// Greedy test-point suggestions to compute (0 disables).
   std::size_t max_suggestions = 3;
 };
@@ -149,7 +130,10 @@ struct TestabilityReport {
   std::vector<NodeTestability> nodes;  ///< netlist node order
   std::vector<std::string> taps;       ///< resolved taps
   std::vector<std::string> unknown_taps;
-  std::vector<std::string> stimuli;    ///< resolved stimulus node names
+  /// Stimulus drive nodes: every non-ground terminal of an independent
+  /// source (supplies included — they are drive points, if inflexible
+  /// ones).
+  std::vector<std::string> stimuli;
   std::size_t unobservable = 0;    ///< connected, non-rail, score 0
   std::size_t uncontrollable = 0;  ///< connected, non-rail, score 0
   double mean_controllability = 0.0;  ///< over connected non-rail nodes
@@ -177,9 +161,8 @@ std::vector<TestPointSuggestion> recommend_test_points(
     std::size_t max_points);
 
 /// The scored successor of the binary bist-observability pass. Emits a
-/// Warning per unobservable connected node (as before), an Info per
-/// uncontrollable node, and — when TestabilityOptions::weak_score > 0 —
-/// an Info per weakly-observable node. Rule: "testability".
+/// Warning per unobservable connected node (as before) and an Info per
+/// uncontrollable node. Rule: "testability".
 class ScoredTestabilityPass final : public Pass {
  public:
   explicit ScoredTestabilityPass(TestabilityOptions opts)

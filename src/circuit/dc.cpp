@@ -34,14 +34,12 @@ DcResult dc_operating_point(const Netlist& netlist, const DcOptions& opts) {
   // Source scaling and gmin changes only touch the RHS / node diagonals,
   // so one workspace serves the direct attempt and every rescue rung.
   SolverWorkspace workspace;
-  RescueOptions rescue = opts.rescue;
-  rescue.max_source_steps = opts.source_steps;
   RescueTrace trace;
   try {
     DcResult result(
         solve_dc_with_rescue(netlist, ctx, unknowns,
                              std::vector<double>(unknowns, 0.0), opts.newton,
-                             rescue, workspace, trace),
+                             opts.rescue, workspace, trace),
         netlist);
     result.set_rescue(std::move(trace));
     return result;
@@ -102,20 +100,13 @@ DcSweepResult dc_sweep(Netlist& netlist, const std::vector<double>& values,
   result.values.reserve(values.size());
   std::vector<double> seed(unknowns, 0.0);
   bool have_seed = false;
-  RescueOptions rescue = opts.rescue;
-  rescue.max_source_steps = opts.source_steps;
   SolverWorkspace workspace;
-  // When the caller names the elements set_value mutates, classify their
-  // matrix entries as dynamic once: they re-stamp every iteration, so the
-  // cached base, stamp classification, and sparse symbolic analysis
-  // survive all sweep points. Otherwise the mutation is invisible to the
-  // workspace fingerprint and the caches must be rebuilt per point.
-  const bool forced_dynamic = !opts.swept_elements.empty();
-  if (forced_dynamic) workspace.set_forced_dynamic(opts.swept_elements);
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double v = values[i];
     set_value(netlist, v);
-    if (!forced_dynamic) workspace.invalidate();
+    // The mutation is invisible to the workspace fingerprint, so the
+    // caches are rebuilt per point.
+    workspace.invalidate();
     try {
       if (!have_seed) {
         // First solvable point: full operating-point machinery.
@@ -126,7 +117,7 @@ DcSweepResult dc_sweep(Netlist& netlist, const std::vector<double>& values,
       } else {
         RescueTrace point_trace;
         seed = solve_dc_with_rescue(netlist, ctx, unknowns, seed, opts.newton,
-                                    rescue, workspace, point_trace);
+                                    opts.rescue, workspace, point_trace);
         result.rescue.append(point_trace);
       }
     } catch (const core::SolverError& e) {

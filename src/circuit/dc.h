@@ -36,30 +36,15 @@ class DcResult {
 
 struct DcOptions {
   NewtonOptions newton;
-  /// Homotopy steps tried when plain Newton fails: sources are ramped
-  /// from 0 to full scale in this many increments. Feeds the rescue
-  /// ladder's source-stepping rung (authoritative over
-  /// rescue.max_source_steps for DC analyses).
-  int source_steps = 20;
   /// Run the ERC (analysis::enforce) before solving; Error-severity
   /// netlists are rejected with analysis::ErcError instead of reaching
   /// Newton-Raphson. Disable only when the caller already checked.
   bool erc = true;
   /// Convergence-rescue ladder bounds (circuit/rescue.h). rescue.enable =
-  /// false restores the fail-fast pre-ladder behavior.
+  /// false restores the fail-fast pre-ladder behavior; when plain Newton
+  /// fails, the source-stepping rung ramps the sources from 0 to full
+  /// scale in rescue.max_source_steps increments.
   RescueOptions rescue;
-  /// dc_sweep only: names of the elements its set_value callback mutates
-  /// in place (e.g. the swept source). When non-empty, the sweep marks
-  /// those elements forced-dynamic in its solver workspace
-  /// (SolverWorkspace::set_forced_dynamic) instead of invalidating every
-  /// cache at every point: the cached base matrix, stamp classification,
-  /// and sparse symbolic analysis survive the whole sweep, and only the
-  /// swept elements re-stamp per iteration. Results are bit-identical to
-  /// the invalidate-per-point path (the keep-mask moves writes between
-  /// base and per-iteration stamping without reordering them). Every
-  /// element the callback touches MUST be listed — mutating an unlisted
-  /// element leaves its old values baked into the cached base.
-  std::vector<std::string> swept_elements;
 };
 
 /// Operating point at t = 0 (waveform sources evaluate at their t=0 value;
@@ -95,7 +80,9 @@ struct DcSweepResult {
 
 /// Sweep a parameterized DC analysis: `set_value` applies each sweep value
 /// to the netlist (e.g. adjust a source), and the voltage at `probe` is
-/// recorded. Each point reuses the previous solution as the Newton seed.
+/// recorded. Each point reuses the previous solution as the Newton seed;
+/// the solver caches are rebuilt per point, since `set_value` may mutate
+/// any element in place.
 /// Failed points are recorded in the result (see DcSweepResult); only the
 /// ERC rejection and non-solver exceptions from `set_value` propagate.
 DcSweepResult dc_sweep(Netlist& netlist, const std::vector<double>& values,

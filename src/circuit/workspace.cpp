@@ -5,14 +5,6 @@
 
 namespace msbist::circuit {
 
-void SolverWorkspace::set_forced_dynamic(std::vector<std::string> element_names) {
-  std::sort(element_names.begin(), element_names.end());
-  element_names.erase(
-      std::unique(element_names.begin(), element_names.end()),
-      element_names.end());
-  forced_dynamic_ = std::move(element_names);
-}
-
 void SolverWorkspace::bind(const Netlist& netlist, const StampContext& ctx,
                            std::size_t unknowns, const NewtonOptions& opts) {
   Fingerprint fp;
@@ -25,7 +17,6 @@ void SolverWorkspace::bind(const Netlist& netlist, const StampContext& ctx,
   fp.method = ctx.method;
   fp.gmin = opts.gmin;
   fp.caching = caching_;
-  fp.forced_dynamic = forced_dynamic_;
   if (bound_ && fp == fp_) return;
   fp_ = fp;
   rebuild(netlist, ctx);
@@ -133,15 +124,7 @@ void SolverWorkspace::rebuild(const Netlist& netlist, const StampContext& ctx) {
       footprints[i].writes_rhs = !rhs_log.empty();
       sparse_coords.insert(sparse_coords.end(), matrix_log.begin(),
                            matrix_log.end());
-      // Forced-dynamic elements (set_forced_dynamic) are classified as if
-      // their stamp were time-varying: their entries live outside the
-      // base, so in-place parameter changes take effect on the next
-      // iteration's re-stamp.
-      const bool forced =
-          !el->name().empty() &&
-          std::binary_search(forced_dynamic_.begin(), forced_dynamic_.end(),
-                             el->name());
-      if (!el->time_invariant_stamp() || forced) {
+      if (!el->time_invariant_stamp()) {
         for (const auto& [r, c] : matrix_log) {
           dynamic_keep_[static_cast<std::size_t>(r) * n +
                         static_cast<std::size_t>(c)] = 1;

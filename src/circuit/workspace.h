@@ -46,7 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -88,21 +87,6 @@ class SolverWorkspace {
   /// call after mutating element parameters in place.
   void invalidate() { bound_ = false; }
 
-  /// Classify the named elements' matrix entries as dynamic even when
-  /// they are time-invariant, so in-place parameter mutation of those
-  /// elements between solves is picked up without invalidate(). This is
-  /// the dc_sweep hook: the swept source re-stamps every iteration while
-  /// the rest of the circuit keeps its cached base matrix and symbolic
-  /// analysis across sweep points. Entries still accumulate in the same
-  /// per-entry order as a from-scratch build (the keep-mask only moves
-  /// writes between base and per-iteration stamping, it never reorders
-  /// them), so results stay bit-identical. Changing the set changes the
-  /// fingerprint (forces a re-bind).
-  void set_forced_dynamic(std::vector<std::string> element_names);
-  const std::vector<std::string>& forced_dynamic() const {
-    return forced_dynamic_;
-  }
-
   /// Assemble and solve the MNA system for one Newton iteration at ctx
   /// (bind() must have been called for this analysis). Returns the
   /// solution by reference; valid until the next call.
@@ -128,7 +112,6 @@ class SolverWorkspace {
     Integration method = Integration::kTrapezoidal;
     double gmin = 0.0;
     bool caching = true;
-    std::vector<std::string> forced_dynamic;
 
     bool operator==(const Fingerprint&) const = default;
   };
@@ -171,8 +154,6 @@ class SolverWorkspace {
   dsp::SparseMatrix pattern_;
   std::vector<std::size_t> gather_src_;
   dsp::SparseLu sparse_lu_;
-
-  std::vector<std::string> forced_dynamic_;  ///< sorted element names
 
   SolverStats stats_;
 };

@@ -1,6 +1,5 @@
 #include "faults/campaign.h"
 
-#include <atomic>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -148,16 +147,11 @@ void tally(CampaignReport& report, const FaultResult& r) {
 }
 
 /// Validate CampaignOptions::collapse against the universe actually
-/// submitted: same size, same fault labels, no stop_on_first_undetected
-/// (its prefix semantics cannot survive representative expansion).
+/// submitted: same size, same fault labels.
 const CollapsedUniverse* checked_collapse(const std::vector<FaultSpec>& universe,
                                           const CampaignOptions& options) {
   const CollapsedUniverse* cu = options.collapse;
   if (cu == nullptr) return nullptr;
-  if (options.stop_on_first_undetected) {
-    throw std::invalid_argument(
-        "campaign: collapse is incompatible with stop_on_first_undetected");
-  }
   if (cu->universe.size() != universe.size()) {
     throw std::invalid_argument(
         "campaign: collapse describes a different universe (size mismatch)");
@@ -170,18 +164,6 @@ const CollapsedUniverse* checked_collapse(const std::vector<FaultSpec>& universe
     }
   }
   return cu;
-}
-
-/// Validate CampaignOptions::resume: its splice semantics assume every
-/// work item either ran to completion or will run now, which the
-/// stop_on_first_undetected prefix cut violates (a restored item past
-/// the would-be cut would resurrect discarded results).
-const CampaignResume* checked_resume(const CampaignOptions& options) {
-  if (options.resume != nullptr && options.stop_on_first_undetected) {
-    throw std::invalid_argument(
-        "campaign: resume is incompatible with stop_on_first_undetected");
-  }
-  return options.resume;
 }
 
 }  // namespace
@@ -399,7 +381,6 @@ CampaignReport run_campaign_parallel(const std::vector<FaultSpec>& universe,
                                      const CampaignOptions& options) {
   const auto t0 = Clock::now();
   const CollapsedUniverse* cu = checked_collapse(universe, options);
-  const CampaignResume* resume = checked_resume(options);
   // Work item k tests universe[k], or the k-th class representative.
   const std::size_t n = cu != nullptr ? cu->map.simulated_count() : universe.size();
   std::size_t threads = options.threads != 0
@@ -407,30 +388,17 @@ CampaignReport run_campaign_parallel(const std::vector<FaultSpec>& universe,
                             : core::ThreadPool::default_thread_count();
   if (n > 0 && threads > n) threads = n;
 
-  // Earliest undetected item seen so far (n = none), tracked only under
-  // stop_on_first_undetected. Once it is known no further item is
-  // claimed; claims are monotone, so every lower item already was.
-  std::atomic<std::size_t> first_undetected{n};
-  const core::StopFn stop = [&] {
-    return first_undetected.load(std::memory_order_acquire) < n ||
-           (options.stop && options.stop());
-  };
   // Determinism: item k owns slot [k] and only its own slot is written;
   // for_each_slot returns after every body has finished.
   std::vector<FaultResult> slots(n);
-  const std::vector<char> restored = core::splice_restored(resume, slots);
+  const std::vector<char> restored =
+      core::splice_restored(options.resume, slots);
   // Joined (in its destructor) before the report reaches the caller.
   AbandonedWorkers reaper;
-  core::for_each_slot(n, threads, stop, [&](std::size_t k) {
+  core::for_each_slot(n, threads, options.stop, [&](std::size_t k) {
     if (restored[k] != 0) return;
     const std::size_t fault = cu != nullptr ? cu->map.representatives()[k] : k;
     slots[k] = run_one(test, universe[fault], options, reaper);
-    if (options.stop_on_first_undetected && !slots[k].detected) {
-      std::size_t seen = first_undetected.load(std::memory_order_acquire);
-      while (k < seen && !first_undetected.compare_exchange_weak(
-                             seen, k, std::memory_order_acq_rel)) {
-      }
-    }
     if (options.on_fault_complete) options.on_fault_complete(k, n, slots[k]);
   });
 
@@ -442,10 +410,6 @@ CampaignReport run_campaign_parallel(const std::vector<FaultSpec>& universe,
     report.solves_saved = cu->map.solves_saved();
     report.statically_undetectable_count = cu->map.undetectable_count();
   } else {
-    // Under stop_on_first_undetected, keep the universe prefix ending at
-    // the earliest undetected fault (results past the cut are dropped).
-    const std::size_t cut = first_undetected.load(std::memory_order_acquire);
-    if (cut < n) slots.resize(cut + 1);
     report.results = std::move(slots);
     report.simulated_count = report.results.size();
   }

@@ -10,9 +10,9 @@
 // CampaignReport::canonical_outcomes). run_campaign is the same engine at
 // threads = 1: items run inline, in universe order, which makes it the
 // in-order reference. Resumed items are spliced into their slots before
-// the first claim. Stopping is the executor's: CampaignOptions::stop (and
-// stop_on_first_undetected) is polled before each claim, and an item that
-// neither was restored nor started has no result and fires no hook.
+// the first claim. Stopping is the executor's: CampaignOptions::stop is
+// polled before each claim, and an item that neither was restored nor
+// started has no result and fires no hook.
 //
 // Per-fault failures are isolated. A FaultTestFn that throws the
 // typed core::SolverError hierarchy (or the ERC's analysis::ErcError) is
@@ -172,13 +172,6 @@ struct CampaignOptions {
   /// report unless restored items plus on_fault_complete calls cover the
   /// work list.
   core::StopFn stop;
-  /// Stop claiming faults once an undetected one is known. The report
-  /// then covers exactly the universe prefix ending at the earliest
-  /// undetected fault, at any thread count: claims are monotone, so
-  /// every lower index was claimed before the stop and runs to
-  /// completion. With threads > 1 a few faults past the cut may execute
-  /// (and be discarded). Incompatible with `collapse`.
-  bool stop_on_first_undetected = false;
   /// Static collapse analysis of the *same* universe passed to the engine
   /// (see faults/collapse.h; not owned — must outlive the call). Only
   /// class representatives are simulated; their verdicts expand to every
@@ -187,14 +180,12 @@ struct CampaignOptions {
   /// report's canonical_outcomes() is bit-identical to the uncollapsed
   /// run. on_fault_complete fires once per representative (total =
   /// representative count). Throws std::invalid_argument on a universe
-  /// mismatch or when combined with stop_on_first_undetected.
+  /// mismatch.
   const CollapsedUniverse* collapse = nullptr;
   /// Per-work-item completion hook; see FaultCompleteCallback.
   FaultCompleteCallback on_fault_complete;
   /// Prior-run results to splice instead of re-simulating (not owned —
-  /// must outlive the call). Incompatible with stop_on_first_undetected
-  /// (the prefix cut depends on every item actually running in order);
-  /// combining them throws std::invalid_argument.
+  /// must outlive the call).
   const CampaignResume* resume = nullptr;
 };
 

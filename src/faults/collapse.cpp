@@ -20,7 +20,7 @@ namespace {
 using analysis::SignalGraph;
 using analysis::Topology;
 
-/// Minimal union-find over topology vertices (tie merging).
+/// Minimal union-find over topology vertices (symmetry orbits).
 class DisjointSet {
  public:
   explicit DisjointSet(std::size_t n) : parent_(n) {
@@ -119,9 +119,7 @@ const char* to_string(CollapseRule rule) {
   switch (rule) {
     case CollapseRule::kRepresentative: return "representative";
     case CollapseRule::kDedup: return "dedup";
-    case CollapseRule::kTiedNodes: return "tied-nodes";
     case CollapseRule::kSymmetry: return "symmetry";
-    case CollapseRule::kDominance: return "dominance";
     case CollapseRule::kUndetectable: return "undetectable";
   }
   return "?";
@@ -218,7 +216,6 @@ core::Outcome CollapsedUniverse::outcome() const {
      << " simulated, " << map.solves_saved() << " saved ("
      << collapse_ratio() * 100.0 << " %), " << map.undetectable_count()
      << " statically undetectable";
-  if (approximate) os << " [approximate: dominance folds applied]";
   return {map.undetectable_count() == 0, os.str()};
 }
 
@@ -231,7 +228,8 @@ void CollapsedUniverse::to_json(core::JsonWriter& w) const {
       .member("statically_undetectable",
               static_cast<std::uint64_t>(map.undetectable_count()))
       .member("collapse_ratio", collapse_ratio())
-      .member("approximate", approximate);
+      // Schema v2 member: every fold is an exact equivalence.
+      .member("approximate", false);
   w.key("classes").begin_array();
   for (std::size_t rep : map.representatives()) {
     w.begin_object().member("representative", universe[rep].label);
@@ -259,7 +257,7 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
                            const circuit::Netlist& netlist, const NodeMap& map,
                            const CollapseOptions& opts) {
   const Topology topo(netlist);
-  const SignalGraph graph(topo, opts.signal);
+  const SignalGraph graph(topo);
 
   std::vector<std::string> unknown;
   const std::vector<std::size_t> tap_vs =
@@ -268,34 +266,13 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
     throw std::invalid_argument("collapse: unknown tap node '" + unknown.front() +
                                 "'");
   }
-  const bool use_observability = opts.elide_unobservable && !tap_vs.empty();
+  const bool use_observability = !tap_vs.empty();
   const std::vector<bool> influence =
       use_observability ? graph.can_influence(tap_vs)
                         : std::vector<bool>(topo.vertex_count(), true);
-
-  // Tie merging: vertices joined by a resistance at or below the threshold
-  // are one electrical node.
-  DisjointSet ties(topo.vertex_count());
-  std::vector<std::size_t> class_size(topo.vertex_count(), 1);
-  if (opts.merge_tied_nodes) {
-    for (const auto& el : netlist.elements()) {
-      const auto* r = dynamic_cast<const circuit::Resistor*>(el.get());
-      if (r != nullptr && r->resistance() <= opts.tie_resistance) {
-        ties.unite(topo.vertex(r->node_a()), topo.vertex(r->node_b()));
-      }
-    }
-    std::fill(class_size.begin(), class_size.end(), 0);
-    for (std::size_t v = 0; v < topo.vertex_count(); ++v) {
-      ++class_size[ties.find(v)];
-    }
-  }
-  // A tie class is pinned when any member is supply-pinned.
-  std::vector<bool> pinned(topo.vertex_count(), false);
-  for (std::size_t v = 0; v < topo.vertex_count(); ++v) {
-    if (graph.is_rail(v)) pinned[ties.find(v)] = true;
-  }
+  const std::vector<bool>& pinned = graph.rails();
   std::vector<bool> is_tap(topo.vertex_count(), false);
-  for (std::size_t t : tap_vs) is_tap[ties.find(t)] = true;
+  for (std::size_t t : tap_vs) is_tap[t] = true;
 
   const auto resolve = [&](const FaultSpec& f, int paper_node) -> std::size_t {
     try {
@@ -310,7 +287,6 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
   std::vector<std::vector<Component>> footprints(n);
   std::vector<std::string> notes(n);
   std::vector<CollapseRule> rules(n, CollapseRule::kDedup);
-  std::vector<bool> tie_folded(n, false);
 
   const auto note = [&](std::size_t i, const std::string& text) {
     if (!notes[i].empty()) notes[i] += "; ";
@@ -340,18 +316,10 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
       }
     }
     for (Component c : raw) {
-      const std::size_t raw_a = c.a;
-      c.a = ties.find(c.a);
-      if (c.a != raw_a) {
-        note(i, "node " + topo.vertex_name(raw_a) + " tied to " +
-                    topo.vertex_name(c.a));
-        tie_folded[i] = true;
-      }
       if (c.bridge) {
-        c.b = ties.find(c.b);
         if (c.a == c.b) {
+          // A bridge from a node to itself shorts nothing.
           note(i, "bridge across an existing tie is a no-op");
-          tie_folded[i] = true;
           continue;
         }
         if (c.a > c.b) std::swap(c.a, c.b);
@@ -380,89 +348,81 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
       }
       footprints[i].push_back(c);
     }
-    if (raw.size() != footprints[i].size() && !footprints[i].empty()) {
-      // A partial elision narrows the footprint; dedup may now fold it
-      // onto a smaller fault.
-      rules[i] = CollapseRule::kDedup;
-    }
   }
 
   // Symmetric folding: verify candidate vertex transpositions as netlist
   // automorphisms, then rewrite footprints to per-orbit canonical vertices.
   std::vector<bool> sym_folded(n, false);
-  if (opts.fold_symmetric) {
-    std::vector<std::size_t> cand;
-    {
-      std::vector<bool> seen(topo.vertex_count(), false);
-      const auto consider = [&](std::size_t v) {
-        if (!seen[v] && !pinned[v] && !is_tap[v] && class_size[v] <= 1 &&
-            v != topo.ground()) {
-          seen[v] = true;
-          cand.push_back(v);
-        }
-      };
-      for (const auto& fp : footprints) {
-        for (const Component& c : fp) {
-          consider(c.a);
-          if (c.bridge) consider(c.b);
-        }
+  std::vector<std::size_t> cand;
+  {
+    std::vector<bool> seen(topo.vertex_count(), false);
+    const auto consider = [&](std::size_t v) {
+      if (!seen[v] && !pinned[v] && !is_tap[v] && v != topo.ground()) {
+        seen[v] = true;
+        cand.push_back(v);
       }
-      std::sort(cand.begin(), cand.end());
-    }
-    const std::vector<std::string> base =
-        describe_all(topo, topo.vertex_count(), topo.vertex_count());
-    DisjointSet orbits(topo.vertex_count());
-    for (std::size_t x = 0; x < cand.size(); ++x) {
-      for (std::size_t y = x + 1; y < cand.size(); ++y) {
-        const std::size_t u = cand[x], w = cand[y];
-        if (orbits.find(u) == orbits.find(w)) continue;
-        if (topo.degree(u) != topo.degree(w)) continue;
-        if (describe_all(topo, u, w) == base) orbits.unite(u, w);
+    };
+    for (const auto& fp : footprints) {
+      for (const Component& c : fp) {
+        consider(c.a);
+        if (c.bridge) consider(c.b);
       }
     }
-    // Orbit root = smallest member, so canonicalization is deterministic.
-    std::vector<std::size_t> orbit_min(topo.vertex_count());
-    std::iota(orbit_min.begin(), orbit_min.end(), std::size_t{0});
-    for (std::size_t v : cand) {
+    std::sort(cand.begin(), cand.end());
+  }
+  const std::vector<std::string> base =
+      describe_all(topo, topo.vertex_count(), topo.vertex_count());
+  DisjointSet orbits(topo.vertex_count());
+  for (std::size_t x = 0; x < cand.size(); ++x) {
+    for (std::size_t y = x + 1; y < cand.size(); ++y) {
+      const std::size_t u = cand[x], w = cand[y];
+      if (orbits.find(u) == orbits.find(w)) continue;
+      if (topo.degree(u) != topo.degree(w)) continue;
+      if (describe_all(topo, u, w) == base) orbits.unite(u, w);
+    }
+  }
+  // Orbit root = smallest member, so canonicalization is deterministic.
+  std::vector<std::size_t> orbit_min(topo.vertex_count());
+  std::iota(orbit_min.begin(), orbit_min.end(), std::size_t{0});
+  for (std::size_t v : cand) {
+    const std::size_t root = orbits.find(v);
+    orbit_min[root] = std::min(orbit_min[root], v);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    // Per-vertex orbit canonicalization composes disjoint transpositions
+    // into one automorphism — valid only while no two footprint vertices
+    // share an orbit (a single transposition cannot merge them).
+    std::vector<std::size_t> roots;
+    bool ok = true;
+    const auto add_root = [&](std::size_t v) {
       const std::size_t root = orbits.find(v);
-      orbit_min[root] = std::min(orbit_min[root], v);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      // Per-vertex orbit canonicalization composes disjoint transpositions
-      // into one automorphism — valid only while no two footprint vertices
-      // share an orbit (a single transposition cannot merge them).
-      std::vector<std::size_t> roots;
-      bool ok = true;
-      const auto add_root = [&](std::size_t v) {
-        const std::size_t root = orbits.find(v);
-        if (std::find(roots.begin(), roots.end(), root) != roots.end()) {
-          ok = false;
-        }
-        roots.push_back(root);
-      };
-      for (const Component& c : footprints[i]) {
-        add_root(c.a);
-        if (c.bridge) add_root(c.b);
+      if (std::find(roots.begin(), roots.end(), root) != roots.end()) {
+        ok = false;
       }
-      if (!ok) continue;
-      for (Component& c : footprints[i]) {
-        const std::size_t na = orbit_min[orbits.find(c.a)];
-        if (na != c.a) {
-          note(i, "node " + topo.vertex_name(c.a) + " ~ " +
-                      topo.vertex_name(na) + " (symmetric)");
-          c.a = na;
+      roots.push_back(root);
+    };
+    for (const Component& c : footprints[i]) {
+      add_root(c.a);
+      if (c.bridge) add_root(c.b);
+    }
+    if (!ok) continue;
+    for (Component& c : footprints[i]) {
+      const std::size_t na = orbit_min[orbits.find(c.a)];
+      if (na != c.a) {
+        note(i, "node " + topo.vertex_name(c.a) + " ~ " +
+                    topo.vertex_name(na) + " (symmetric)");
+        c.a = na;
+        sym_folded[i] = true;
+      }
+      if (c.bridge) {
+        const std::size_t nb = orbit_min[orbits.find(c.b)];
+        if (nb != c.b) {
+          note(i, "node " + topo.vertex_name(c.b) + " ~ " +
+                      topo.vertex_name(nb) + " (symmetric)");
+          c.b = nb;
           sym_folded[i] = true;
         }
-        if (c.bridge) {
-          const std::size_t nb = orbit_min[orbits.find(c.b)];
-          if (nb != c.b) {
-            note(i, "node " + topo.vertex_name(c.b) + " ~ " +
-                        topo.vertex_name(nb) + " (symmetric)");
-            c.b = nb;
-            sym_folded[i] = true;
-          }
-          if (c.a > c.b) std::swap(c.a, c.b);
-        }
+        if (c.a > c.b) std::swap(c.a, c.b);
       }
     }
   }
@@ -487,34 +447,8 @@ CollapsedUniverse collapse(const std::vector<FaultSpec>& universe,
       rules[i] = CollapseRule::kUndetectable;
     } else if (sym_folded[i]) {
       rules[i] = CollapseRule::kSymmetry;
-    } else if (tie_folded[i]) {
-      rules[i] = CollapseRule::kTiedNodes;
     }
     out.signatures[i] = std::move(sig);
-  }
-
-  // Conservative dominance: fold a multi-clamp fault onto a single-clamp
-  // fault it contains. Coverage estimation only — documented approximate.
-  if (opts.dominance) {
-    std::unordered_map<std::string, std::size_t> whole;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!undetectable[i]) whole.try_emplace(out.signatures[i], i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (undetectable[i] || footprints[i].size() < 2) continue;
-      for (const Component& c : footprints[i]) {
-        if (c.bridge) continue;
-        const auto it = whole.find(c.str());
-        if (it != whole.end() && it->second != i) {
-          note(i, "dominated by " + universe[it->second].label +
-                      " (approximate)");
-          out.signatures[i] = c.str();
-          rules[i] = CollapseRule::kDominance;
-          out.approximate = true;
-          break;
-        }
-      }
-    }
   }
 
   out.map = CollapseMap::from_signatures(out.signatures, undetectable,

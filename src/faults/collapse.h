@@ -13,11 +13,8 @@
 //
 //   * canonical dedup      — two faults whose injected components land on
 //                            the same vertices at the same levels are the
-//                            same mutation of the netlist.
-//   * tied-node folding    — vertices joined by a resistance <= the tie
-//                            threshold are one electrical node; clamps on
-//                            either side coincide, and a bridge across a
-//                            tie is a no-op.
+//                            same mutation of the netlist; a bridge from a
+//                            node to itself is a no-op.
 //   * rail absorption      — a clamp on a supply-pinned vertex cannot move
 //                            it (the ideal source wins); a bridge between
 //                            two pinned vertices changes no node voltage.
@@ -31,10 +28,7 @@
 //
 // A fault whose components all elide is statically undetectable: it is
 // never simulated and expands to {undetected, score 0} — by construction
-// the exact result any class-consistent test would report. Conservative
-// dominance (CollapseOptions::dominance) additionally folds multi-site
-// faults onto single-site ones; that is a coverage *estimate*, not an
-// equivalence, and is off by default.
+// the exact result any class-consistent test would report.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +45,7 @@ namespace msbist::faults {
 enum class CollapseRule : std::uint8_t {
   kRepresentative,  ///< simulated on behalf of its class
   kDedup,           ///< same canonical footprint as its representative
-  kTiedNodes,       ///< folded by zero/low-resistance node merging
   kSymmetry,        ///< folded by a verified netlist automorphism
-  kDominance,       ///< conservative dominance (approximate mode only)
   kUndetectable,    ///< no component can influence any tap; never simulated
 };
 
@@ -106,19 +98,6 @@ struct CollapseOptions {
   /// observability-based rules (elision / undetectable marking); the
   /// purely structural rules still apply.
   std::vector<std::string> taps;
-  /// Merge vertices joined by a resistance <= tie_resistance.
-  bool merge_tied_nodes = true;
-  double tie_resistance = 0.0;
-  /// Fold faults related by a verified two-node netlist automorphism.
-  bool fold_symmetric = true;
-  /// Drop fault components with no SignalGraph path to any tap.
-  bool elide_unobservable = true;
-  /// Conservative dominance: additionally fold a multi-clamp fault onto a
-  /// single-clamp fault it contains. Approximate — breaks the bit-identity
-  /// guarantee — and therefore off by default.
-  bool dominance = false;
-  /// Edge model for the observability analysis.
-  analysis::SignalGraphOptions signal;
 };
 
 /// A universe plus its collapse analysis; feed to CampaignOptions::collapse.
@@ -127,7 +106,6 @@ struct CollapsedUniverse {
   CollapseMap map;
   std::vector<std::string> signatures;  ///< canonical footprint per fault
   std::vector<std::string> reasons;     ///< human-readable per-fault note
-  bool approximate = false;  ///< a dominance fold is in play
 
   /// The specs the campaign must actually simulate, in universe order.
   std::vector<FaultSpec> representative_specs() const;

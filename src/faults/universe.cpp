@@ -53,14 +53,12 @@ NodeMap FaultSiteUniverse::node_map() const {
   };
 }
 
-FaultSiteUniverse all_single_stuck(const circuit::Netlist& netlist,
-                                   const FaultSiteOptions& opts) {
+FaultSiteUniverse all_single_stuck(const circuit::Netlist& netlist) {
   const analysis::Topology topo(netlist);
   const std::vector<bool> pinned = analysis::supply_pinned_vertices(topo);
   FaultSiteUniverse u;
   for (std::size_t v = 0; v < topo.ground(); ++v) {
-    if (opts.skip_dangling && topo.degree(v) < 2) continue;
-    if (opts.skip_supply_pinned && pinned[v]) continue;
+    if (topo.degree(v) < 2 || pinned[v]) continue;
     u.sites.push_back(topo.vertex_name(v));
   }
   for (std::size_t k = 0; k < u.sites.size(); ++k) {

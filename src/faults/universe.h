@@ -27,18 +27,11 @@ std::vector<FaultSpec> sc_fault_universe();
 /// coverage studies beyond the paper's selection).
 std::vector<FaultSpec> all_single_stuck(int first_node, int last_node);
 
-/// Site-enumeration knobs for the Topology-driven overload.
-struct FaultSiteOptions {
-  /// Skip nodes pinned by chains of independent voltage sources (clamping
-  /// a supply-pinned node is a no-op against an ideal source).
-  bool skip_supply_pinned = true;
-  /// Skip unconnected and single-terminal stub nodes.
-  bool skip_dangling = true;
-};
-
 /// A fault universe enumerated from a netlist's own topology instead of a
 /// hand-picked paper node range: SA0/SA1 at every internal node that is
-/// neither ground, supply-pinned, nor dangling. Site k (1-based, the
+/// neither ground, supply-pinned (clamping a node pinned by a chain of
+/// independent voltage sources is a no-op against an ideal source), nor
+/// dangling (unconnected or a single-terminal stub). Site k (1-based, the
 /// FaultSpec node number) resolves to sites[k-1] through node_map().
 struct FaultSiteUniverse {
   std::vector<FaultSpec> faults;   ///< SA0 then SA1 per site, site order
@@ -50,7 +43,6 @@ struct FaultSiteUniverse {
 
 /// Enumerate the single-stuck-at universe of a netlist (see
 /// FaultSiteUniverse). The labels carry the node names ("SA0@n7").
-FaultSiteUniverse all_single_stuck(const circuit::Netlist& netlist,
-                                   const FaultSiteOptions& opts = {});
+FaultSiteUniverse all_single_stuck(const circuit::Netlist& netlist);
 
 }  // namespace msbist::faults

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -17,6 +18,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
+
+#include "core/error.h"
+#include "core/job.h"
+#include "core/json.h"
 
 namespace msbist::service {
 
@@ -75,6 +80,38 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Parse the "Name: value" lines of a message head from `pos` to its end
+/// into `headers` (keys lowercased, values trimmed). The server's request
+/// heads and the client's response heads share this parser. Returns
+/// false on a line without a colon.
+bool parse_header_lines(const std::string& head, std::size_t pos,
+                        std::map<std::string, std::string>& headers) {
+  while (pos < head.size()) {
+    std::size_t next = head.find("\r\n", pos);
+    if (next == std::string::npos) next = head.size();
+    const std::string line = head.substr(pos, next - pos);
+    pos = next + 2;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) return false;
+    headers[lower(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
+  }
+  return true;
+}
+
+/// The body length parsed headers announce: 0 without a Content-Length
+/// header. Returns false when its value is not plain decimal digits (RFC
+/// 9112 section 6.3) or does not fit.
+bool content_length_of(const std::map<std::string, std::string>& headers,
+                       std::size_t& length) {
+  length = 0;
+  const auto it = headers.find("content-length");
+  if (it == headers.end()) return true;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, length);
+  return ec == std::errc{} && ptr == end;
 }
 
 }  // namespace
@@ -223,87 +260,18 @@ void HttpServer::worker_loop() {
 namespace {
 
 enum class ReadOutcome {
-  kRequest,  ///< a complete head+body was read
+  kRequest,  ///< a complete head+body was read and parsed
   kClosed,   ///< peer gone / idle timeout before any byte: nothing to answer
-  kError,    ///< malformed or oversized: answer error_status, then close
+  kError,    ///< unreadable, malformed or oversized: answer, then close
 };
 
-/// Read one request off a (possibly reused) connection. `buf` carries
-/// bytes left over from the previous request on this connection
-/// (pipelined clients) and is left holding any bytes past this
-/// request's body. The first read of a reused connection waits
-/// idle_timeout_s for the client to come back; every later read uses
-/// the io timeout.
-ReadOutcome read_request(int fd, const HttpServer::Options& options,
-                         bool first_request, std::string& buf,
-                         std::string& head, std::string& body,
-                         int& error_status) {
-  char chunk[4096];
-  std::size_t header_end = buf.find("\r\n\r\n");
-  // A request head larger than 64 KiB is nobody's legitimate job
-  // submission.
-  constexpr std::size_t kMaxHead = 64u * 1024;
-  bool waiting_for_first_byte = buf.empty();
-  if (!first_request && waiting_for_first_byte) {
-    set_recv_timeout(fd, options.idle_timeout_s > 0.0 ? options.idle_timeout_s
-                                                      : options.io_timeout_s);
-  }
-  while (header_end == std::string::npos) {
-    if (buf.size() > kMaxHead) {
-      error_status = 400;
-      return ReadOutcome::kError;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      // EOF or timeout before the request started: a clean keep-alive
-      // close. Mid-head it is either a vanished peer (nothing to
-      // answer) or a stalled one (answer 400, then close).
-      if (waiting_for_first_byte || n == 0) {
-        error_status = 0;
-        return ReadOutcome::kClosed;
-      }
-      error_status = 400;
-      return ReadOutcome::kError;
-    }
-    if (waiting_for_first_byte) {
-      waiting_for_first_byte = false;
-      if (!first_request) set_recv_timeout(fd, options.io_timeout_s);
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-    header_end = buf.find("\r\n\r\n");
-  }
-  head = buf.substr(0, header_end);
-  const std::size_t body_start = header_end + 4;
+/// What the server answers a request it cannot hand to the router.
+struct ReadError {
+  int status = 0;
+  std::string detail;
+};
 
-  // Content-Length (case-insensitive scan of the raw head).
-  std::size_t content_length = 0;
-  {
-    const std::string lhead = lower(head);
-    const std::size_t pos = lhead.find("content-length:");
-    if (pos != std::string::npos) {
-      content_length = static_cast<std::size_t>(
-          std::strtoull(head.c_str() + pos + 15, nullptr, 10));
-    }
-  }
-  if (content_length > options.max_body) {
-    error_status = 413;
-    return ReadOutcome::kError;
-  }
-  while (buf.size() - body_start < content_length) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      error_status = 0;
-      return ReadOutcome::kClosed;
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-  body = buf.substr(body_start, content_length);
-  buf.erase(0, body_start + content_length);
-  return ReadOutcome::kRequest;
-}
-
+/// Parse the request line and headers of `head` into `req`.
 bool parse_head(const std::string& head, HttpRequest& req) {
   const std::size_t line_end = head.find("\r\n");
   const std::string request_line =
@@ -326,18 +294,78 @@ bool parse_head(const std::string& head, HttpRequest& req) {
     target.resize(qpos);
   }
   req.target = std::move(target);
+  return parse_header_lines(
+      head, line_end == std::string::npos ? head.size() : line_end + 2,
+      req.headers);
+}
 
-  std::size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
-  while (pos < head.size()) {
-    std::size_t next = head.find("\r\n", pos);
-    if (next == std::string::npos) next = head.size();
-    const std::string line = head.substr(pos, next - pos);
-    pos = next + 2;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) return false;
-    req.headers[lower(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
+/// Read one request off a (possibly reused) connection into `req`. The
+/// head is parsed before the body is read, so the body length comes from
+/// the Content-Length header itself. `buf` carries bytes left over from
+/// the previous request on this connection (pipelined clients) and is
+/// left holding any bytes past this request's body. The first read of a
+/// reused connection waits idle_timeout_s for the client to come back;
+/// every later read uses the io timeout.
+ReadOutcome read_request(int fd, const HttpServer::Options& options,
+                         bool first_request, std::string& buf,
+                         HttpRequest& req, ReadError& error) {
+  char chunk[4096];
+  std::size_t header_end = buf.find("\r\n\r\n");
+  // A request head larger than 64 KiB is nobody's legitimate job
+  // submission.
+  constexpr std::size_t kMaxHead = 64u * 1024;
+  bool waiting_for_first_byte = buf.empty();
+  if (!first_request && waiting_for_first_byte) {
+    set_recv_timeout(fd, options.idle_timeout_s > 0.0 ? options.idle_timeout_s
+                                                      : options.io_timeout_s);
   }
-  return true;
+  while (header_end == std::string::npos) {
+    if (buf.size() > kMaxHead) {
+      error = {400, "unreadable request"};
+      return ReadOutcome::kError;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      // EOF or timeout before the request started: a clean keep-alive
+      // close. Mid-head it is either a vanished peer (nothing to
+      // answer) or a stalled one (answer 400, then close).
+      if (waiting_for_first_byte || n == 0) return ReadOutcome::kClosed;
+      error = {400, "unreadable request"};
+      return ReadOutcome::kError;
+    }
+    if (waiting_for_first_byte) {
+      waiting_for_first_byte = false;
+      if (!first_request) set_recv_timeout(fd, options.io_timeout_s);
+    }
+    buf.append(chunk, static_cast<std::size_t>(n));
+    header_end = buf.find("\r\n\r\n");
+  }
+  if (!parse_head(buf.substr(0, header_end), req)) {
+    error = {400, "malformed request line"};
+    return ReadOutcome::kError;
+  }
+  std::size_t content_length = 0;
+  if (!content_length_of(req.headers, content_length)) {
+    error = {400, "invalid Content-Length"};
+    return ReadOutcome::kError;
+  }
+  if (content_length > options.max_body) {
+    error = {413, "unreadable request"};
+    return ReadOutcome::kError;
+  }
+  const std::size_t body_start = header_end + 4;
+  while (buf.size() - body_start < content_length) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return ReadOutcome::kClosed;
+    }
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
+  req.body = buf.substr(body_start, content_length);
+  buf.erase(0, body_start + content_length);
+  return ReadOutcome::kRequest;
 }
 
 std::string render_response(const HttpResponse& resp, bool keep_alive) {
@@ -353,22 +381,22 @@ std::string render_response(const HttpResponse& resp, bool keep_alive) {
   return out;
 }
 
-std::string error_body(int status, const std::string& detail) {
-  // Shape matches core::Failure::to_json for a kBadInput/kInternal
-  // failure so clients parse one error schema everywhere.
-  std::string code = status == 500 ? "internal" : "bad_input";
-  std::string out = "{\"kind\":\"error\",\"failure\":{\"code\":\"" + code +
-                    "\",\"analysis\":\"http\",\"iterations\":0,\"detail\":\"";
-  for (const char c : detail) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  out += "\"}}";
-  return out;
+/// A response the server generates itself (unreadable request, body too
+/// large, handler throwing), in the error document every routed error
+/// carries, so clients parse one error schema everywhere.
+HttpResponse error_response(int status, std::string detail) {
+  core::Failure failure;
+  failure.code =
+      status == 500 ? core::ErrorCode::kInternal : core::ErrorCode::kBadInput;
+  failure.analysis = "http";
+  failure.detail = std::move(detail);
+  core::JsonWriter w;
+  w.begin_object();
+  core::write_report_envelope(w, "error");
+  w.key("failure");
+  failure.to_json(w);
+  w.end_object();
+  return HttpResponse::json(status, w.str());
 }
 
 /// "Connection: close" / "keep-alive" token test (the value may be a
@@ -398,58 +426,44 @@ void HttpServer::serve_connection(int fd) {
   std::size_t served = 0;
   bool open = true;
   while (open) {
-    std::string head;
-    std::string body;
-    int error_status = 0;
+    HttpRequest req;
+    ReadError error;
     const ReadOutcome outcome = read_request(
-        fd, options_, /*first_request=*/served == 0, buf, head, body,
-        error_status);
+        fd, options_, /*first_request=*/served == 0, buf, req, error);
     if (outcome == ReadOutcome::kClosed) break;
     const double start = steady_seconds();
     if (outcome == ReadOutcome::kError) {
-      HttpResponse err = HttpResponse::json(
-          error_status, error_body(error_status, "unreadable request"));
-      write_all(fd, render_response(err, /*keep_alive=*/false));
+      write_all(fd, render_response(
+                        error_response(error.status, std::move(error.detail)),
+                        /*keep_alive=*/false));
       if (options_.observe_internal_response) {
-        options_.observe_internal_response(error_status,
+        options_.observe_internal_response(error.status,
                                            steady_seconds() - start);
       }
       break;
     }
 
     ++served;
-    HttpRequest req;
     req.serial = served;
     HttpResponse resp;
-    const bool parsed = parse_head(head, req);
-    bool keep = false;
-    if (!parsed) {
-      resp = HttpResponse::json(400, error_body(400, "malformed request line"));
-      if (options_.observe_internal_response) {
-        options_.observe_internal_response(400, steady_seconds() - start);
-      }
-    } else {
-      req.body = std::move(body);
-      try {
-        resp = handler_(req);
-      } catch (const std::exception& e) {
-        resp = HttpResponse::json(500, error_body(500, e.what()));
-      } catch (...) {
-        resp = HttpResponse::json(500, error_body(500, "unknown handler error"));
-      }
-      bool stopping = false;
-      {
-        std::lock_guard<std::mutex> lock(queue_->mu);
-        stopping = queue_->stop;
-      }
-      keep = options_.keep_alive && !stopping &&
-             !connection_has_token(req, "close") &&
-             (options_.max_requests_per_connection == 0 ||
-              served < options_.max_requests_per_connection);
-      // HTTP/1.0 defaults to close; honor an explicit keep-alive ask.
-      if (req.version == "HTTP/1.0" && !connection_has_token(req, "keep-alive")) {
-        keep = false;
-      }
+    try {
+      resp = handler_(req);
+    } catch (const std::exception& e) {
+      resp = error_response(500, e.what());
+    } catch (...) {
+      resp = error_response(500, "unknown handler error");
+    }
+    bool stopping = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_->mu);
+      stopping = queue_->stop;
+    }
+    bool keep = !stopping && !connection_has_token(req, "close") &&
+                (options_.max_requests_per_connection == 0 ||
+                 served < options_.max_requests_per_connection);
+    // HTTP/1.0 defaults to close; honor an explicit keep-alive ask.
+    if (req.version == "HTTP/1.0" && !connection_has_token(req, "keep-alive")) {
+      keep = false;
     }
     if (!write_all(fd, render_response(resp, keep))) break;
     open = keep;
@@ -543,30 +557,17 @@ HttpResponse HttpClient::exchange(const std::string& wire) {
   }
   HttpResponse resp;
   resp.status = std::atoi(head.c_str() + 9);
-
-  // Headers: lowercased keys, trimmed values.
-  std::size_t pos = head.find("\r\n");
-  pos = pos == std::string::npos ? head.size() : pos + 2;
-  while (pos < head.size()) {
-    std::size_t next = head.find("\r\n", pos);
-    if (next == std::string::npos) next = head.size();
-    const std::string line = head.substr(pos, next - pos);
-    pos = next + 2;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    resp.headers[lower(trim(line.substr(0, colon)))] =
-        trim(line.substr(colon + 1));
+  const std::size_t status_end = head.find("\r\n");
+  std::size_t content_length = 0;
+  if (!parse_header_lines(
+          head, status_end == std::string::npos ? head.size() : status_end + 2,
+          resp.headers) ||
+      !content_length_of(resp.headers, content_length)) {
+    throw std::runtime_error("http client: malformed response");
   }
   if (const auto it = resp.headers.find("content-type");
       it != resp.headers.end()) {
     resp.content_type = it->second;
-  }
-
-  std::size_t content_length = 0;
-  if (const auto it = resp.headers.find("content-length");
-      it != resp.headers.end()) {
-    content_length =
-        static_cast<std::size_t>(std::strtoull(it->second.c_str(), nullptr, 10));
   }
   const std::size_t body_start = header_end + 4;
   while (buf_.size() - body_start < content_length) {

@@ -10,8 +10,14 @@
 // is stopping. No TLS, no chunked encoding — every feature left out is
 // a feature that cannot break a production tester at 3 a.m.
 //
+// The head is parsed before the body is read, so the body length is the
+// value of the Content-Length header. Every error response the server
+// generates itself carries the error document routed errors carry
+// ({"kind":"error","schema_version":N,"failure":{...}}).
+//
 // Robustness contract:
-//   * Malformed request line / headers    -> 400, structured JSON body,
+//   * Malformed request line / headers, or a Content-Length that is not
+//     plain decimal digits                -> 400, structured JSON body,
 //     connection closed (a client this confused gets a fresh start).
 //   * Body larger than Options::max_body  -> 413, connection closed.
 //   * Handler throwing                    -> 500 (the worker survives).
@@ -78,9 +84,6 @@ class HttpServer {
     std::size_t max_body = 8u << 20;
     int backlog = 64;
     double io_timeout_s = 30.0;   ///< per-connection read/write timeout
-    /// Serve multiple requests per connection (HTTP/1.1 persistent
-    /// connections). Off = the PR-8 one-request-per-connection mode.
-    bool keep_alive = true;
     /// How long an idle kept-alive connection may wait for its next
     /// request before the server closes it.
     double idle_timeout_s = 5.0;

@@ -97,7 +97,6 @@ struct JobManager::Job {
   std::atomic<std::size_t> done{0};
   std::atomic<std::size_t> total{0};
   std::atomic<bool> stop{false};            ///< cooperative stop flag
-  std::atomic<bool> cancel_requested{false};
   std::atomic<bool> deadline_hit{false};
 
   core::Outcome outcome;
@@ -619,7 +618,6 @@ bool JobManager::cancel(std::uint64_t id) {
   if (it == jobs_.end()) return false;
   Job& job = *it->second;
   if (is_terminal(job.state)) return false;
-  job.cancel_requested.store(true, std::memory_order_relaxed);
   job.stop.store(true, std::memory_order_relaxed);
   if (job.state == JobState::kQueued) {
     // Never started: resolve immediately instead of waiting for a slot,

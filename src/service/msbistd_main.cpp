@@ -15,8 +15,7 @@
 //           [--max-threads-per-job N] [--max-queue-depth N]
 //           [--max-queued-per-tag N] [--retry-after-s S] [--aging-s S]
 //           [--idle-timeout-s S] [--max-requests-per-conn N]
-//           [--no-keepalive] [--retain-mb N] [--state-dir DIR]
-//           [--fsync-every N]
+//           [--retain-mb N] [--state-dir DIR] [--fsync-every N]
 //
 // With --state-dir, jobs are journaled to a write-ahead log under DIR
 // (see service/journal.h): a killed daemon restarted on the same DIR
@@ -46,8 +45,7 @@ void usage(std::FILE* out) {
       "               [--max-queue-depth N] [--max-queued-per-tag N]\n"
       "               [--retry-after-s S] [--aging-s S]\n"
       "               [--idle-timeout-s S] [--max-requests-per-conn N]\n"
-      "               [--no-keepalive] [--retain-mb N] [--state-dir DIR]\n"
-      "               [--fsync-every N]\n"
+      "               [--retain-mb N] [--state-dir DIR] [--fsync-every N]\n"
       "\n"
       "Long-running mixed-signal BIST test service. Serves the job API\n"
       "(POST /jobs, GET /jobs/{id}, GET /jobs/{id}/result, POST\n"
@@ -65,7 +63,6 @@ void usage(std::FILE* out) {
       "                            after S seconds (default 5)\n"
       "  --max-requests-per-conn N close connections after N requests\n"
       "                            (0 = unlimited, default 1000)\n"
-      "  --no-keepalive            one request per connection\n"
       "  --retain-mb N             keep finished jobs queryable within N MiB\n"
       "                            of requests and reports, evicting the\n"
       "                            oldest first (default 32)\n"
@@ -161,8 +158,6 @@ int main(int argc, char** argv) {
                parse_size(value, parsed)) {
       http_options.max_requests_per_connection = parsed;
       ++i;
-    } else if (arg == "--no-keepalive") {
-      http_options.keep_alive = false;
     } else if (arg == "--state-dir" && value != nullptr && *value != '\0') {
       job_options.state_dir = value;
       ++i;

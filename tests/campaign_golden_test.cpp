@@ -5,6 +5,11 @@
 // goldens were recorded from the campaign engine before its serial and
 // parallel paths were folded into one, so they are a reference that does
 // not depend on the engine under test agreeing with itself.
+//
+// Beside them, the testability studies dispatch() answers for the same
+// circuits (the testability report plus the collapsed fault universe),
+// compared whole against tests/golden/testability_<circuit>.report.json.
+// Those documents carry no timing members, so every byte is pinned.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -82,6 +87,25 @@ TEST(CampaignGolden, ScIntegratorComparatorMatchesCommittedGolden) {
 
 TEST(CampaignGolden, ScIntegratorComparatorCollapsedMatchesCommittedGolden) {
   expect_golden_campaign("sc_integrator_comparator", true);
+}
+
+void expect_golden_testability(const std::string& circuit) {
+  core::JobRequest req;
+  req.kind = core::JobKind::kTestability;
+  req.circuit = circuit;
+  const service::DispatchResult res = service::dispatch(req);
+  ASSERT_TRUE(res.testability.has_value());
+  ASSERT_TRUE(res.collapsed.has_value());
+  EXPECT_EQ(res.report_json + "\n",
+            read_golden("testability_" + circuit + ".report.json"));
+}
+
+TEST(TestabilityGolden, Op1FollowerMatchesCommittedGolden) {
+  expect_golden_testability("op1_follower");
+}
+
+TEST(TestabilityGolden, ScIntegratorComparatorMatchesCommittedGolden) {
+  expect_golden_testability("sc_integrator_comparator");
 }
 
 }  // namespace

@@ -345,31 +345,6 @@ TEST(Campaign, ProgressCallbackFiresOncePerFault) {
   }
 }
 
-TEST(Campaign, StopOnFirstUndetectedMatchesBetweenEngines) {
-  const auto universe = all_single_stuck(1, 30);  // 60 faults
-  // First undetected fault is at universe index 17 (node 9, stuck-at-1).
-  const FaultTestFn probe = [](const FaultSpec& f) {
-    FaultResult r = deterministic_probe(f);
-    r.detected = !(f.node_a == 9 && f.stuck_high) && f.node_a != 20;
-    return r;
-  };
-  const CampaignReport serial = [&] {
-    CampaignOptions opts;
-    opts.stop_on_first_undetected = true;
-    return run_campaign(universe, probe, opts);
-  }();
-  ASSERT_EQ(serial.results.size(), 18u);
-  EXPECT_FALSE(serial.results.back().detected);
-  for (std::size_t threads : {2u, 8u}) {
-    CampaignOptions opts;
-    opts.threads = threads;
-    opts.stop_on_first_undetected = true;
-    const CampaignReport par = run_campaign_parallel(universe, probe, opts);
-    EXPECT_EQ(par.canonical_outcomes(), serial.canonical_outcomes())
-        << "threads=" << threads;
-  }
-}
-
 TEST(Campaign, ReportsElapsedAndThroughput) {
   const auto universe = sc_fault_universe();
   const CampaignReport rep = run_campaign(universe, deterministic_probe);

@@ -107,7 +107,7 @@ void build_bistable(Netlist& n) {
 circuit::DcOptions fast_dc_options() {
   circuit::DcOptions opts;
   opts.newton.max_iterations = 60;
-  opts.source_steps = 4;
+  opts.rescue.max_source_steps = 4;
   opts.rescue.max_gmin_steps = 2;
   return opts;
 }

@@ -370,17 +370,6 @@ TEST(Resume, StoppedCampaignKeepsRestoredItems) {
   }
 }
 
-TEST(Resume, ResumeIsIncompatibleWithStopOnFirstUndetected) {
-  faults::CampaignResume resume;
-  faults::CampaignOptions opts;
-  opts.resume = &resume;
-  opts.stop_on_first_undetected = true;
-  EXPECT_THROW(
-      faults::run_campaign(faults::sc_fault_universe(), deterministic_probe(),
-                           opts),
-      std::invalid_argument);
-}
-
 // --- Dispatch-layer wiring: the path the daemon actually takes --------
 
 core::JobRequest small_batch_request() {

@@ -12,6 +12,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -163,10 +164,20 @@ service::JobSnapshot await_job(const service::JobManager& manager,
 
 /// Send raw bytes to the server and collect everything it answers until
 /// it closes the connection — for abuse cases no well-formed client can
-/// produce (unparseable request lines, oversized bodies).
-std::string raw_exchange(std::uint16_t port, const std::string& wire) {
+/// produce (unparseable request lines, oversized bodies). With
+/// recv_timeout_s > 0 a read that waits longer gives up, so a server
+/// stuck waiting for bytes that never come yields what arrived so far.
+std::string raw_exchange(std::uint16_t port, const std::string& wire,
+                         double recv_timeout_s = 0.0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (recv_timeout_s > 0.0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(recv_timeout_s);
+    tv.tv_usec = static_cast<suseconds_t>(
+        (recv_timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -556,6 +567,26 @@ TEST(KeepAlive, MaxRequestsPerConnectionCaps) {
   EXPECT_EQ(client.connects(), 3u);
 }
 
+TEST(KeepAlive, ContentLengthIsReadFromItsOwnHeader) {
+  ServiceFixture fx;
+  // "content-length:" elsewhere in the head — inside another header's
+  // name, or in the request target — announces no body: each request is
+  // answered at once instead of waiting for 64 bytes that never come.
+  for (const std::string& head :
+       {std::string("GET /healthz HTTP/1.1\r\nX-Upstream-Content-Length: 64"
+                    "\r\nConnection: close\r\n\r\n"),
+        std::string("GET /healthz?content-length:64 HTTP/1.1\r\n"
+                    "Connection: close\r\n\r\n")}) {
+    const std::string raw = raw_exchange(fx.server.port(), head, 2.0);
+    EXPECT_EQ(raw.rfind("HTTP/1.1 200", 0), 0u) << head;
+  }
+  // A length that is not plain decimal digits is a bad request.
+  const std::string raw = raw_exchange(
+      fx.server.port(),
+      "POST /jobs HTTP/1.1\r\nContent-Length: 12ab\r\n\r\n{}", 2.0);
+  EXPECT_EQ(raw.rfind("HTTP/1.1 400", 0), 0u) << raw;
+}
+
 TEST(KeepAlive, InternalBadRequestIsCountedInMetrics) {
   ServiceFixture fx;
   // An unparseable request line never reaches the API handler: the
@@ -564,6 +595,30 @@ TEST(KeepAlive, InternalBadRequestIsCountedInMetrics) {
   const std::string raw =
       raw_exchange(fx.server.port(), "THIS IS NOT HTTP\r\n\r\n");
   EXPECT_NE(raw.find("400"), std::string::npos);
+  // The server's own error bodies carry the envelope every routed error
+  // carries: kind, schema_version and a structured failure.
+  const auto expect_error_envelope = [](const std::string& response,
+                                        int status) {
+    EXPECT_EQ(response.rfind("HTTP/1.1 " + std::to_string(status), 0), 0u)
+        << response;
+    const std::size_t body = response.find("\r\n\r\n");
+    ASSERT_NE(body, std::string::npos) << response;
+    const JsonValue doc = parse_json(response.substr(body + 4));
+    ASSERT_NE(doc.find("kind"), nullptr);
+    EXPECT_EQ(doc.find("kind")->as_string(), "error");
+    ASSERT_NE(doc.find("schema_version"), nullptr) << response;
+    EXPECT_EQ(doc.find("schema_version")->as_u64(), core::kSchemaVersion);
+    ASSERT_NE(doc.find("failure"), nullptr);
+    EXPECT_EQ(doc.find("failure")->find("code")->as_string(), "bad_input");
+  };
+  expect_error_envelope(raw, 400);
+  // A body over max_body is refused before it is read, in the same shape.
+  const std::string oversized = raw_exchange(
+      fx.server.port(),
+      "POST /jobs HTTP/1.1\r\nContent-Length: " +
+          std::to_string(ServiceFixture::http_options().max_body + 1) +
+          "\r\n\r\n");
+  expect_error_envelope(oversized, 413);
 
   const JsonValue m = parse_json(fx.request("GET", "/metrics").body);
   const JsonValue* counters = m.find("counters");

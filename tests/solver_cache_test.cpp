@@ -288,70 +288,6 @@ TEST(SolverWorkspaceTest, CachingToggleForcesRebind) {
   EXPECT_FALSE(ws.matrix_fully_static());
 }
 
-TEST(SolverWorkspaceTest, ForcedDynamicTracksMutationWithoutRebind) {
-  // set_forced_dynamic classifies a named element's entries as dynamic:
-  // in-place parameter changes take effect on the next solve with no
-  // invalidate() and no rebind — the cached base and classification
-  // survive. This is the machinery under dc_sweep's swept_elements.
-  Netlist n;
-  const NodeId in = n.node("in");
-  const NodeId out = n.node("out");
-  n.add<VoltageSource>(in, kGround, 10.0);
-  n.add<Resistor>(in, out, 1e3);
-  auto* r_bot = n.add<Resistor>(out, kGround, 1e3);
-  n.name_last("RBOT");
-  const std::size_t unknowns = n.assign_unknowns();
-  StampContext ctx;
-  ctx.mode = StampContext::Mode::kDc;
-
-  SolverWorkspace ws;
-  ws.set_forced_dynamic({"RBOT"});
-  std::vector<double> x = solve_mna(n, ctx, unknowns,
-                                    std::vector<double>(unknowns, 0.0),
-                                    NewtonOptions{}, &ws);
-  EXPECT_NEAR(x[static_cast<std::size_t>(out)], 5.0, 1e-6);
-  EXPECT_FALSE(ws.matrix_fully_static());
-
-  r_bot->set_resistance(3e3);  // no invalidate()
-  x = solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-                NewtonOptions{}, &ws);
-  EXPECT_EQ(ws.stats().binds, 1u);  // caches survived the mutation
-  EXPECT_NEAR(x[static_cast<std::size_t>(out)], 7.5, 1e-6);
-}
-
-TEST(SolverCache, DcSweepSweptElementsBitIdentical) {
-  // A/B: naming the swept element (cache-preserving forced-dynamic path)
-  // must reproduce the invalidate-per-point sweep bit for bit — the
-  // keep-mask moves writes between base and per-iteration stamping but
-  // never reorders any entry's accumulation.
-  const std::vector<double> values = {500.0, 1e3, 2e3, 3e3, 9e3};
-  const auto run_sweep = [&](bool name_swept) {
-    Netlist n;
-    const NodeId in = n.node("in");
-    const NodeId out = n.node("out");
-    n.add<VoltageSource>(in, kGround, 10.0);
-    n.add<Resistor>(in, out, 1e3);
-    auto* r_bot = n.add<Resistor>(out, kGround, 1e3);
-    n.name_last("RBOT");
-    DcOptions opts;
-    if (name_swept) opts.swept_elements = {"RBOT"};
-    return dc_sweep(
-        n, values,
-        [r_bot](Netlist&, double r) { r_bot->set_resistance(r); }, "out",
-        opts);
-  };
-  const DcSweepResult legacy = run_sweep(false);
-  const DcSweepResult fast = run_sweep(true);
-  ASSERT_TRUE(legacy.complete());
-  ASSERT_TRUE(fast.complete());
-  ASSERT_EQ(fast.values.size(), legacy.values.size());
-  for (std::size_t i = 0; i < legacy.values.size(); ++i) {
-    EXPECT_EQ(fast.values[i], legacy.values[i]) << "point " << i;
-  }
-  EXPECT_NEAR(legacy.values[1], 5.0, 1e-6);  // sanity: the divider moved
-  EXPECT_NEAR(legacy.values[4], 9.0, 1e-6);
-}
-
 TEST(SolverCache, DcSweepUnaffectedByCachedWorkspace) {
   // dc_sweep mutates a resistor per point through an arbitrary lambda;
   // the engine must invalidate per point or the sweep flatlines.

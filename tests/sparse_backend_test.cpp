@@ -139,7 +139,7 @@ TEST(SparseBackend, RescueLadderRunsUnchangedOnSparsePath) {
                        /*r_on=*/1.0, /*r_off=*/1e9);
   DcOptions opts;
   opts.newton.max_iterations = 60;
-  opts.source_steps = 4;
+  opts.rescue.max_source_steps = 4;
   opts.rescue.max_gmin_steps = 2;
   core::ErrorCode code = core::ErrorCode::kNone;
   try {
