@@ -193,6 +193,7 @@ void JobManager::restore_terminal_jobs() {
     ++recovered_jobs_;
     metrics_.jobs_recovered.fetch_add(1, std::memory_order_relaxed);
   }
+  last_completed_ = journal_->recovered().last_completed;
   evict_terminal_locked();
 }
 
@@ -234,6 +235,7 @@ void JobManager::recover_jobs() {
           job->finished_seconds = now_seconds();
           jobs_.emplace(id, job);
           retained_bytes_ += job->retained_charge();
+          last_completed_ = id;
           journal_->append_result(id, "failed", "null",
                                   to_json_text(job->failure), "", nullptr);
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -554,6 +556,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     --tag.running;
     ++tag.completed;
     if (job->report_json) retained_bytes_ += job->report_json->size();
+    last_completed_ = job->id;
     evict_terminal_locked();
   }
   if (resumed_units > 0) {
@@ -632,6 +635,7 @@ bool JobManager::cancel(std::uint64_t id) {
     --tag.queued;
     ++tag.completed;
     metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+    last_completed_ = job.id;
     if (journal_) {
       journal_->append_result(job.id, "cancelled", "null", "", "", nullptr);
     }
@@ -700,11 +704,12 @@ std::size_t JobManager::retained_bytes() const {
 }
 
 void JobManager::evict_terminal_locked() {
-  // std::map iterates in id order: oldest terminal first. Live jobs stay.
+  // std::map iterates in id order: oldest terminal first. Live jobs stay,
+  // and so does the last job to complete, however large its report.
   for (auto it = jobs_.begin();
        it != jobs_.end() && retained_bytes_ > options_.retain_bytes;) {
     const Job& job = *it->second;
-    if (!is_terminal(job.state)) {
+    if (!is_terminal(job.state) || it->first == last_completed_) {
       ++it;
       continue;
     }

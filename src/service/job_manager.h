@@ -130,8 +130,10 @@ struct JobManagerOptions {
   /// Byte budget of retained jobs: every job charges its request text
   /// (JobRequest::to_json) and a terminal job also its report. Past the
   /// budget the oldest terminal jobs are evicted from status/result
-  /// queries; live jobs never are. The journal applies the same budget
-  /// (msbistd --retain-mb).
+  /// queries; live jobs never are, nor is the most recently completed
+  /// job, so a report larger than the whole budget stays fetchable until
+  /// a newer job completes (the overshoot is at most that one job's
+  /// charge). The journal applies the same budget (msbistd --retain-mb).
   std::size_t retain_bytes = 32u << 20;
   /// Bounded admission: submissions arriving while this many jobs are
   /// already queued (not yet running) are rejected with a kOverloaded
@@ -282,6 +284,8 @@ class JobManager {
   std::map<std::string, std::uint64_t> idempotency_;
   /// What jobs_ charges against retain_bytes.
   std::size_t retained_bytes_ = 0;
+  /// The job that became terminal last (0 = none): never evicted.
+  std::uint64_t last_completed_ = 0;
   std::uint64_t next_id_ = 1;
   /// Durable state layer; null without state_dir.
   std::unique_ptr<Journal> journal_;

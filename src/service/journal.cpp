@@ -89,7 +89,8 @@ void sync_dir(const std::string& dir) {
 /// by the caller). `clean` tracks whether the *latest* applied record is
 /// the shutdown marker.
 bool apply_payload(const std::string& payload,
-                   std::map<std::uint64_t, RecoveredJob>& table, bool* clean) {
+                   std::map<std::uint64_t, RecoveredJob>& table, bool* clean,
+                   std::uint64_t* last_result) {
   core::JsonValue doc;
   try {
     doc = core::parse_json(payload);
@@ -170,6 +171,7 @@ bool apply_payload(const std::string& payload,
     }
     // A finished job needs no resume state; drop the bulk now.
     job.checkpoints.clear();
+    *last_result = job_id;
     return true;
   }
   return false;  // unknown record type: a newer schema — skip, don't die
@@ -178,14 +180,15 @@ bool apply_payload(const std::string& payload,
 /// Verify one framed line and apply it. Returns false on any framing,
 /// checksum, or structure problem.
 bool replay_line(const std::string& line,
-                 std::map<std::uint64_t, RecoveredJob>& table, bool* clean) {
+                 std::map<std::uint64_t, RecoveredJob>& table, bool* clean,
+                 std::uint64_t* last_result) {
   // "<8 hex> <payload>" — anything shorter cannot hold both halves.
   if (line.size() < 10 || line[8] != ' ') return false;
   const std::string_view stored(line.data(), 8);
   const std::string_view payload(line.data() + 9, line.size() - 9);
   if (core::crc32_hex(core::crc32(payload)) != stored) return false;
   try {
-    return apply_payload(std::string(payload), table, clean);
+    return apply_payload(std::string(payload), table, clean, last_result);
   } catch (const std::logic_error&) {
     return false;  // a negative id or unit index
   }
@@ -196,6 +199,7 @@ struct ReplayOutcome {
   bool clean_shutdown = false;
   std::size_t skipped = 0;
   std::uint64_t max_seq = 0;
+  std::uint64_t last_result = 0;  ///< job of the last result record
   std::vector<SegmentFile> segments;
 };
 
@@ -212,7 +216,9 @@ ReplayOutcome replay_dir(const std::string& dir) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      if (!replay_line(line, out.table, &out.clean_shutdown)) ++out.skipped;
+      if (!replay_line(line, out.table, &out.clean_shutdown, &out.last_result)) {
+        ++out.skipped;
+      }
     }
   }
   return out;
@@ -293,6 +299,7 @@ RecoveredState Journal::replay(const std::string& state_dir) {
   out.jobs = std::move(rep.table);
   out.clean_shutdown = rep.clean_shutdown;
   out.skipped_records = rep.skipped;
+  out.last_completed = rep.last_result;
   return out;
 }
 
@@ -310,6 +317,8 @@ Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   recovered_.jobs = rep.table;
   recovered_.clean_shutdown = rep.clean_shutdown;
   recovered_.skipped_records = rep.skipped;
+  recovered_.last_completed = rep.last_result;
+  last_result_ = rep.last_result;
   table_ = std::move(rep.table);
   for (const auto& [id, job] : table_) retained_bytes_ += job_charge(job);
   next_seq_ = rep.max_seq + 1;
@@ -433,7 +442,7 @@ void Journal::append_locked(std::string_view payload, bool always_sync) {
 }
 
 bool Journal::write_table_locked() {
-  for (const auto& [id, job] : table_) {
+  const auto write_job = [this](std::uint64_t id, const RecoveredJob& job) {
     if (!job.request_json.empty() &&
         !write_all_locked(frame(admit_payload(id, job.request_json)))) {
       return false;
@@ -447,14 +456,18 @@ bool Journal::write_table_locked() {
             checkpoint_payload(id, job.checkpoint_total, job.checkpoints)))) {
       return false;
     }
-    if (job.has_result &&
-        !write_all_locked(frame(result_payload(
-            id, job.result_state, job.outcome_json, job.failure_json,
-            job.report_kind, job.report_json)))) {
-      return false;
-    }
+    return !job.has_result ||
+           write_all_locked(frame(result_payload(
+               id, job.result_state, job.outcome_json, job.failure_json,
+               job.report_kind, job.report_json)));
+  };
+  // Id order, but the newest result goes last, so a replay of the
+  // rewrite still knows which job completed most recently.
+  for (const auto& [id, job] : table_) {
+    if (id != last_result_ && !write_job(id, job)) return false;
   }
-  return true;
+  const auto last = table_.find(last_result_);
+  return last == table_.end() || write_job(last->first, last->second);
 }
 
 void Journal::compact_locked() {
@@ -473,10 +486,11 @@ void Journal::compact_locked() {
 }
 
 void Journal::evict_terminal_locked() {
-  // Oldest first: the map is id-ordered and ids are monotone.
+  // Oldest first: the map is id-ordered and ids are monotone. The newest
+  // result stays however large its report.
   for (auto it = table_.begin();
        it != table_.end() && retained_bytes_ > options_.retain_bytes;) {
-    if (it->second.has_result) {
+    if (it->second.has_result && it->first != last_result_) {
       retained_bytes_ -= job_charge(it->second);
       it = table_.erase(it);
     } else {
@@ -540,6 +554,7 @@ void Journal::append_result(std::uint64_t id, std::string_view state,
   retained_bytes_ += job_charge(job);
   // A finished job needs no resume state; drop the bulk now.
   job.checkpoints.clear();
+  last_result_ = id;
   evict_terminal_locked();
   append_locked(payload, /*always_sync=*/true);
 }

@@ -65,7 +65,8 @@ void usage(std::FILE* out) {
       "                            (0 = unlimited, default 1000)\n"
       "  --retain-mb N             keep finished jobs queryable within N MiB\n"
       "                            of requests and reports, evicting the\n"
-      "                            oldest first (default 32)\n"
+      "                            oldest first (default 32); the newest\n"
+      "                            finished job stays even past the budget\n"
       "\n"
       "Durability:\n"
       "  --state-dir DIR           journal jobs to a write-ahead log under\n"

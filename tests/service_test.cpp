@@ -1346,4 +1346,60 @@ TEST(JobManager, RetainedJobsStayWithinTheByteBudget) {
   manager.cancel(blocker);
 }
 
+// A report larger than the whole budget is still fetchable once its job
+// completes: the most recently completed job is never evicted, by the
+// manager or by the journal, so the overshoot is that one job's charge.
+// It goes once a newer job completes.
+TEST(JobManager, OversizedResultStaysFetchableUntilANewerJobCompletes) {
+  const std::string dir = fresh_state_dir("oversized_result");
+  service::JobManagerOptions o = durable_options(dir);
+  o.workers = 1;
+  o.retain_bytes = 4096;
+  const core::JobRequest screen = core::JobRequest::from_json_text(
+      R"({"kind":"lockstep_batch","device_count":64,"batch_seed":7,"threads":1})");
+  std::uint64_t id = 0;
+  std::string report;
+  {
+    service::JobManager manager(o);
+    id = manager.submit(screen);
+    const service::JobSnapshot done = await_job(manager, id);
+    ASSERT_EQ(done.state, service::JobState::kSucceeded);
+    ASSERT_NE(done.report_json, nullptr);
+    report = *done.report_json;
+    ASSERT_GT(report.size(), o.retain_bytes);
+    for (int poll = 0; poll < 3; ++poll) {
+      const std::optional<service::JobSnapshot> snap = manager.get(id);
+      ASSERT_TRUE(snap.has_value()) << "poll " << poll;
+      ASSERT_NE(snap->report_json, nullptr);
+      EXPECT_EQ(*snap->report_json, report);
+    }
+    EXPECT_EQ(manager.retained_bytes(), core::to_json(screen).size() + report.size());
+  }
+
+  const core::JobRequest small = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1,"batch_seed":3,)"
+      R"("tiers":["digital"],"threads":1})");
+  std::uint64_t newer = 0;
+  {
+    // The journal kept it too: a restart serves the same report.
+    service::JobManager manager(o);
+    manager.recover_jobs();
+    const std::optional<service::JobSnapshot> restored = manager.get(id);
+    ASSERT_TRUE(restored.has_value());
+    ASSERT_NE(restored->report_json, nullptr);
+    EXPECT_EQ(*restored->report_json, report);
+
+    newer = manager.submit(small);
+    ASSERT_EQ(await_job(manager, newer).state, service::JobState::kSucceeded);
+    EXPECT_FALSE(manager.get(id).has_value());
+    EXPECT_TRUE(manager.get(newer).has_value());
+    EXPECT_LE(manager.retained_bytes(), o.retain_bytes);
+  }
+  // And the journal let it go with the manager.
+  service::JobManager reopened(o);
+  reopened.recover_jobs();
+  EXPECT_FALSE(reopened.get(id).has_value());
+  EXPECT_TRUE(reopened.get(newer).has_value());
+}
+
 }  // namespace
