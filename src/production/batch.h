@@ -245,9 +245,11 @@ struct LockstepPlan {
   /// topology for every die; draw only element values from the spec.
   std::function<void(const DieSpec&, circuit::Netlist&)> build;
   circuit::BatchTransientOptions transient;
-  /// Judge one die's simulated waveforms. Exceptions degrade the die
+  /// Judge one die's simulated waveforms, read in place from its block's
+  /// shared waveform slab (circuit::LaneWaveforms; a scalar transient can
+  /// be judged through LaneWaveforms(result)). Exceptions degrade the die
   /// (structured failing outcome), never the batch.
-  std::function<core::Outcome(const DieSpec&, const circuit::TransientResult&)>
+  std::function<core::Outcome(const DieSpec&, const circuit::LaneWaveforms&)>
       evaluate;
 };
 

@@ -348,7 +348,7 @@ void build_screen_die(const production::DieSpec& spec, circuit::Netlist& n) {
 }
 
 core::Outcome judge_screen_die(const production::DieSpec&,
-                               const circuit::TransientResult& r) {
+                               const circuit::LaneWaveforms& r) {
   double lo = 1e300;
   double hi = -1e300;
   for (double v : r.voltage("out")) {

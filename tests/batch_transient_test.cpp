@@ -6,10 +6,13 @@
 // over the whole lot would.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -103,7 +106,7 @@ TEST(BatchTransient, LockstepMatchesScalarSparseTransients) {
     scalar_opts.dt = opts.dt;
     scalar_opts.t_stop = opts.t_stop;
     const TransientResult scalar = transient(scalar_net, scalar_opts);
-    const TransientResult& lane = *report.variants[v].result;
+    const LaneWaveforms& lane = *report.variants[v].result;
     if (v == 0) {
       // Variant 0 defines the shared pivot sequence, so its lane replays
       // the exact arithmetic of its own scalar factorization: bitwise.
@@ -220,6 +223,95 @@ TEST(BatchTransient, SingularPopulationIsBatchLevelTypedError) {
   EXPECT_THROW(BatchTransient(opts).run(variants), core::SingularMatrixError);
 }
 
+TEST(BatchTransient, MismatchedBranchNamesAreRejected) {
+  // The shared waveform slab holds one branch table: variant 0's.
+  Netlist a;
+  build_macro_array(a, 1.0, 1.0, 1.0);
+  Netlist renamed;
+  build_macro_array(renamed, 1.1, 1.0, 1.0);
+  renamed.elements()[0]->set_name("VDRIVE");
+  Netlist unnamed;
+  build_macro_array(unnamed, 1.1, 1.0, 1.0);
+  unnamed.elements()[0]->set_name("");
+  for (Netlist* other : {&renamed, &unnamed}) {
+    std::vector<Netlist*> variants{&a, other};
+    EXPECT_THROW(BatchTransient(array_options()).run(variants),
+                 std::invalid_argument);
+  }
+}
+
+/// Three lanes of the macro array, marched together.
+BatchTransientReport three_lane_march(std::vector<std::unique_ptr<Netlist>>& nets) {
+  std::vector<Netlist*> variants;
+  for (std::size_t v = 0; v < 3; ++v) {
+    nets.push_back(std::make_unique<Netlist>());
+    build_macro_array(*nets.back(), variant_scale(v, 0.03),
+                      variant_scale(v, 0.02), variant_scale(v, 0.01));
+    variants.push_back(nets.back().get());
+  }
+  return BatchTransient(array_options()).run(variants);
+}
+
+TEST(LaneWaveforms, UnknownNamesThrowAndGroundReadsZero) {
+  std::vector<std::unique_ptr<Netlist>> nets;
+  const BatchTransientReport report = three_lane_march(nets);
+  ASSERT_TRUE(report.variants[1].ok());
+  const LaneWaveforms& lane = *report.variants[1].result;
+  EXPECT_THROW((void)lane.voltage("no_such_node"), std::out_of_range);
+  EXPECT_THROW((void)lane.current("no_such_source"), std::out_of_range);
+  // A node name is not a branch name, nor the other way round.
+  EXPECT_THROW((void)lane.current("out"), std::out_of_range);
+  EXPECT_THROW((void)lane.voltage("VSTIM"), std::out_of_range);
+  const std::vector<double> zeros(lane.time().size(), 0.0);
+  for (const char* ground : {"0", "gnd", "GND"}) {
+    EXPECT_EQ(lane.voltage(ground), zeros) << ground;
+  }
+}
+
+TEST(LaneWaveforms, CopiedViewOutlivesItsReport) {
+  std::optional<LaneWaveforms> kept;
+  std::vector<double> out;
+  std::vector<double> source;
+  {
+    std::vector<std::unique_ptr<Netlist>> nets;
+    const BatchTransientReport report = three_lane_march(nets);
+    ASSERT_TRUE(report.variants[2].ok());
+    kept = *report.variants[2].result;
+    out = report.variants[2].result->voltage("out");
+    source = report.variants[2].result->current("VSTIM");
+  }
+  // The report and its netlists are gone; the copy still holds the slab.
+  EXPECT_EQ(kept->voltage("out"), out);
+  EXPECT_EQ(kept->current("VSTIM"), source);
+  EXPECT_EQ(kept->time().size(), out.size());
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& w) {
+  std::vector<std::uint64_t> out;
+  for (const double x : w) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(LaneWaveforms, ScalarCopyReproducesEveryWaveformBitForBit) {
+  Netlist n;
+  build_macro_array(n, 1.02, 0.98, 1.01);
+  TransientOptions opts;
+  opts.dt = 100e-9;
+  opts.t_stop = 10e-6;
+  const TransientResult scalar = transient(n, opts);
+  const LaneWaveforms view(scalar);
+  EXPECT_EQ(bits(view.time()), bits(scalar.time()));
+  EXPECT_EQ(view.node_names(), scalar.node_names());
+  ASSERT_FALSE(scalar.branch_names().empty());
+  for (const std::string& node : scalar.node_names()) {
+    EXPECT_EQ(bits(view.voltage(node)), bits(scalar.voltage(node))) << node;
+  }
+  for (const std::string& branch : scalar.branch_names()) {
+    EXPECT_EQ(bits(view.current(branch)), bits(scalar.current(branch)))
+        << branch;
+  }
+}
+
 }  // namespace
 }  // namespace msbist::circuit
 
@@ -269,7 +361,7 @@ TEST(RunBatchLockstep, ScreensAPopulationLikeRunBatch) {
   plan.build = build_die;
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 1e-3;
-  plan.evaluate = [](const DieSpec&, const circuit::TransientResult& tr) {
+  plan.evaluate = [](const DieSpec&, const circuit::LaneWaveforms& tr) {
     // After ~2 time constants every healthy die sits well above 4 V.
     const double final_v = tr.voltage("out").back();
     return final_v > 4.0
@@ -303,7 +395,7 @@ TEST(RunBatchLockstep, EvaluateExceptionDegradesOnlyThatDie) {
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 200e-6;
   plan.evaluate = [&](const DieSpec& spec,
-                      const circuit::TransientResult&) -> core::Outcome {
+                      const circuit::LaneWaveforms&) -> core::Outcome {
     if (spec.seed == population[1].seed) {
       throw std::runtime_error("tester glitch");
     }
@@ -355,7 +447,7 @@ void build_pivot_sensitive_die(const DieSpec& spec, Netlist& n) {
 
 /// A verdict carrying the exact bits of the die's waveform (hex-float
 /// sum), so any arithmetic difference shows up in the report.
-core::Outcome judge_bits(const DieSpec&, const circuit::TransientResult& tr) {
+core::Outcome judge_bits(const DieSpec&, const circuit::LaneWaveforms& tr) {
   double sum = 0.0;
   for (const double v : tr.voltage("out")) sum += v;
   char bits[48];
@@ -468,7 +560,7 @@ TEST(RunBatchLockstep, TopologyViolationInTheLastBlockStillThrows) {
   };
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 50e-6;
-  plan.evaluate = [](const DieSpec&, const circuit::TransientResult&) {
+  plan.evaluate = [](const DieSpec&, const circuit::LaneWaveforms&) {
     return core::Outcome::ok();
   };
   for (const std::size_t threads : {1u, 2u}) {
@@ -484,7 +576,7 @@ TEST(RunBatchLockstep, StopBetweenBlocksCompletesOnlyWholeBlocks) {
   plan.build = build_die;
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 50e-6;
-  plan.evaluate = [](const DieSpec&, const circuit::TransientResult&) {
+  plan.evaluate = [](const DieSpec&, const circuit::LaneWaveforms&) {
     return core::Outcome::ok();
   };
   std::vector<std::size_t> completed;

@@ -91,7 +91,7 @@ TEST(Resume, DeviceCheckpointRoundTripsByteIdentical) {
   // evaluation that threw, so it carries a failure record.
   production::LockstepPlan plan = service::lockstep_screen_plan();
   plan.evaluate = [judge = plan.evaluate](const production::DieSpec& spec,
-                                          const circuit::TransientResult& r) {
+                                          const circuit::LaneWaveforms& r) {
     if (spec.label == "die 2") throw std::runtime_error("probe contact lost");
     return judge(spec, r);
   };
