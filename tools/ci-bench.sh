@@ -31,8 +31,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # paper's TSRT fault runs (the only benchmarks that drive a switch-level
 # macro with nonlinear MOS devices through the MNA solver), the sparse
 # MNA solver on a 98-unknown macro array, and the lockstep Monte-Carlo
-# screen. The lockstep main also prints its acceptance comparison
-# (>= 2x lockstep-over-scalar) to the job log.
+# screen. The lockstep main also prints its lockstep-over-scalar gain to
+# the job log, and exits non-zero (failing this script) when the scalar
+# and lockstep verdicts disagree.
 run() {
   local bin="$1" out="$2"
   shift 2
