@@ -62,7 +62,7 @@ bool gmin_ramp(const Netlist& netlist, const StampContext& ctx,
     attempt.parameter = g;
     try {
       seed = solve_mna(netlist, ctx, unknowns, std::move(seed), elevated,
-                       &workspace);
+                       workspace);
     } catch (const core::SolverError& e) {
       attempt.code = e.code();
       attempt.detail = "failed at gmin " + std::to_string(g);
@@ -132,13 +132,13 @@ std::vector<double> solve_dc_with_rescue(const Netlist& netlist, StampContext ct
                                          RescueTrace& trace) {
   if (!rescue.enable) {
     return solve_mna(netlist, ctx, unknowns, std::move(guess), newton,
-                     &workspace);
+                     workspace);
   }
 
   core::Failure last_failure;
   try {
     return solve_mna(netlist, ctx, unknowns, std::move(guess), newton,
-                     &workspace);
+                     workspace);
   } catch (const core::SolverError& e) {
     if (!core::retryable(e.code())) throw;
     RescueAttempt direct = make_attempt(RescueAttempt::Stage::kDirect,
@@ -169,7 +169,7 @@ std::vector<double> solve_dc_with_rescue(const Netlist& netlist, StampContext ct
       ctx.source_scale = static_cast<double>(step) / static_cast<double>(steps);
       source.parameter = ctx.source_scale;
       seed = solve_mna(netlist, ctx, unknowns, std::move(seed), newton,
-                       &workspace);
+                       workspace);
     }
     source.succeeded = true;
     trace.attempts.push_back(std::move(source));
@@ -195,14 +195,14 @@ TransientStepResult solve_transient_step_with_rescue(
   TransientStepResult result;
   if (!rescue.enable) {
     result.state =
-        solve_mna(netlist, ctx, unknowns, state_prev, newton, &workspace);
+        solve_mna(netlist, ctx, unknowns, state_prev, newton, workspace);
     return result;
   }
 
   core::Failure last_failure;
   try {
     result.state =
-        solve_mna(netlist, ctx, unknowns, state_prev, newton, &workspace);
+        solve_mna(netlist, ctx, unknowns, state_prev, newton, workspace);
     return result;
   } catch (const core::SolverError& e) {
     if (!core::retryable(e.code())) throw;
@@ -241,7 +241,7 @@ TransientStepResult solve_transient_step_with_rescue(
       sub.t = t_begin + static_cast<double>(i) * sub_dt;
       try {
         state = solve_mna(netlist, sub, unknowns, std::move(state), newton,
-                          &workspace);
+                          workspace);
       } catch (const core::SolverError& e) {
         attempt.code = e.code();
         attempt.detail = "failed at substep " + std::to_string(i) + "/" +

@@ -119,9 +119,7 @@ std::string unknown_name(const Netlist& netlist, std::size_t index) {
 
 std::vector<double> solve_mna(const Netlist& netlist, StampContext ctx,
                               std::size_t unknowns, std::vector<double> guess,
-                              const NewtonOptions& opts, SolverWorkspace* workspace) {
-  SolverWorkspace local;
-  SolverWorkspace& ws = workspace ? *workspace : local;
+                              const NewtonOptions& opts, SolverWorkspace& ws) {
   // High-gain loops can make the full-step Newton iteration orbit instead
   // of converge; progressively heavier damping is the standard cure.
   // Damping cannot cure a singular matrix, so that code propagates at

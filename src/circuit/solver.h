@@ -42,14 +42,12 @@ std::string unknown_name(const Netlist& netlist, std::size_t index);
 /// the iteration count. Callers wanting automatic recovery use the
 /// rescue ladder (circuit/rescue.h) layered above this function.
 ///
-/// workspace, when provided, carries the stamp cache, LU factorization
-/// cache, and scratch buffers across calls (see workspace.h); the
-/// transient engine passes one workspace for all steps of a run. Passing
-/// nullptr builds a private workspace for this call — correct but without
-/// cross-call reuse. Results are bit-identical either way.
+/// workspace carries the stamp cache, LU factorization cache, and scratch
+/// buffers across calls (see workspace.h); the transient engine passes one
+/// workspace for all steps of a run. A fresh workspace per call is correct
+/// but without cross-call reuse; results are bit-identical either way.
 std::vector<double> solve_mna(const Netlist& netlist, StampContext ctx,
                               std::size_t unknowns, std::vector<double> guess,
-                              const NewtonOptions& opts,
-                              SolverWorkspace* workspace = nullptr);
+                              const NewtonOptions& opts, SolverWorkspace& workspace);
 
 }  // namespace msbist::circuit

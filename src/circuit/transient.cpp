@@ -77,7 +77,7 @@ TransientResult transient(Netlist& netlist, const TransientOptions& opts) {
     // Solve a consistent initial point so sample 0 reflects capacitor
     // initial conditions through the companion models (not accepted as a
     // step: element state stays at the declared ICs).
-    state = solve_mna(netlist, init_ctx, unknowns, state, opts.newton, &workspace);
+    state = solve_mna(netlist, init_ctx, unknowns, state, opts.newton, workspace);
   }
 
   const auto steps = static_cast<std::size_t>(

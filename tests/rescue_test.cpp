@@ -375,11 +375,11 @@ TEST(Workspace, GminChangeInvalidatesCachedStampsAndLu) {
 
   circuit::NewtonOptions newton;
   newton.gmin = 1e-6;
-  std::vector<double> x1 = circuit::solve_mna(n, ctx, unknowns, {}, newton, &ws);
+  std::vector<double> x1 = circuit::solve_mna(n, ctx, unknowns, {}, newton, ws);
   EXPECT_NEAR(x1[0], 1.0, 1e-9);
 
   newton.gmin = 1e-3;
-  std::vector<double> x2 = circuit::solve_mna(n, ctx, unknowns, {}, newton, &ws);
+  std::vector<double> x2 = circuit::solve_mna(n, ctx, unknowns, {}, newton, ws);
   EXPECT_NEAR(x2[0], 1e-3, 1e-12);
   EXPECT_EQ(ws.stats().binds, 2u) << "gmin change must rebind the workspace";
 }

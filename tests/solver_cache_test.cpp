@@ -129,7 +129,7 @@ TEST(SolverCache, DcOperatingPointBitIdentical) {
   raw.set_caching(false);
   const std::vector<double> ref =
       solve_mna(b, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-                opts.newton, &raw);
+                opts.newton, raw);
   ASSERT_EQ(cached.raw().size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(cached.raw()[i], ref[i]);
 }
@@ -146,7 +146,7 @@ TEST(SolverWorkspaceTest, LinearNetlistFactorsOnce) {
   std::vector<double> state(unknowns, 0.0);
   for (int k = 1; k <= 50; ++k) {
     ctx.t = 1e-7 * k;
-    state = solve_mna(n, ctx, unknowns, state, NewtonOptions{}, &ws);
+    state = solve_mna(n, ctx, unknowns, state, NewtonOptions{}, ws);
   }
   EXPECT_TRUE(ws.matrix_fully_static());
   EXPECT_FALSE(ws.nonlinear());
@@ -167,7 +167,7 @@ TEST(SolverWorkspaceTest, NonlinearNetlistFactorsEveryIteration) {
 
   SolverWorkspace ws;
   solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-            NewtonOptions{}, &ws);
+            NewtonOptions{}, ws);
   EXPECT_TRUE(ws.nonlinear());
   EXPECT_FALSE(ws.matrix_fully_static());
   EXPECT_EQ(ws.stats().lu_reuses, 0u);
@@ -185,7 +185,7 @@ TEST(SolverWorkspaceTest, DtChangeRebinds) {
 
   SolverWorkspace ws;
   solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-            NewtonOptions{}, &ws);
+            NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 1u);
   EXPECT_EQ(ws.stats().lu_factorizations, 1u);
 
@@ -194,7 +194,7 @@ TEST(SolverWorkspaceTest, DtChangeRebinds) {
   ctx.dt = 2e-7;
   ctx.t = 2e-7;
   const std::vector<double> fast = solve_mna(
-      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, &ws);
+      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 2u);
   EXPECT_EQ(ws.stats().lu_factorizations, 2u);
 
@@ -202,7 +202,7 @@ TEST(SolverWorkspaceTest, DtChangeRebinds) {
   SolverWorkspace raw;
   raw.set_caching(false);
   const std::vector<double> ref = solve_mna(
-      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, &raw);
+      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, raw);
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(fast[i], ref[i]);
 }
@@ -218,7 +218,7 @@ TEST(SolverWorkspaceTest, FaultInjectionRebindsHeldWorkspace) {
 
   SolverWorkspace ws;
   solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-            NewtonOptions{}, &ws);
+            NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 1u);
 
   // Inject a stuck-at through the campaign API: adds clamp elements, so
@@ -227,13 +227,13 @@ TEST(SolverWorkspaceTest, FaultInjectionRebindsHeldWorkspace) {
                  [](int) { return std::string("out"); });
   unknowns = n.assign_unknowns();
   const std::vector<double> faulty = solve_mna(
-      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, &ws);
+      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 2u);
 
   SolverWorkspace raw;
   raw.set_caching(false);
   const std::vector<double> ref = solve_mna(
-      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, &raw);
+      n, ctx, unknowns, std::vector<double>(unknowns, 0.0), NewtonOptions{}, raw);
   ASSERT_EQ(faulty.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(faulty[i], ref[i]);
   // The clamp actually drags the output low.
@@ -254,7 +254,7 @@ TEST(SolverWorkspaceTest, InvalidateRebuildsAfterParameterMutation) {
   SolverWorkspace ws;
   std::vector<double> x = solve_mna(n, ctx, unknowns,
                                     std::vector<double>(unknowns, 0.0),
-                                    NewtonOptions{}, &ws);
+                                    NewtonOptions{}, ws);
   EXPECT_NEAR(x[static_cast<std::size_t>(out)], 5.0, 1e-6);
 
   // In-place parameter change: invisible to the fingerprint, so the
@@ -263,7 +263,7 @@ TEST(SolverWorkspaceTest, InvalidateRebuildsAfterParameterMutation) {
   r_top->set_resistance(3e3);
   ws.invalidate();
   x = solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-                NewtonOptions{}, &ws);
+                NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 2u);
   EXPECT_NEAR(x[static_cast<std::size_t>(out)], 2.5, 1e-6);
 }
@@ -279,11 +279,11 @@ TEST(SolverWorkspaceTest, CachingToggleForcesRebind) {
 
   SolverWorkspace ws;
   solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-            NewtonOptions{}, &ws);
+            NewtonOptions{}, ws);
   EXPECT_TRUE(ws.matrix_fully_static());
   ws.set_caching(false);
   solve_mna(n, ctx, unknowns, std::vector<double>(unknowns, 0.0),
-            NewtonOptions{}, &ws);
+            NewtonOptions{}, ws);
   EXPECT_EQ(ws.stats().binds, 2u);
   EXPECT_FALSE(ws.matrix_fully_static());
 }

@@ -77,7 +77,8 @@ TEST(SparseBackend, TransientMatchesDenseWithinDocumentedGate) {
       g(node, node) += opts.gmin;
     }
     const std::vector<double> dense = dsp::LuDecomposition(g).solve(rhs);
-    const std::vector<double> sparse = solve_mna(n, ctx, unknowns, {}, opts);
+    SolverWorkspace ws;
+    const std::vector<double> sparse = solve_mna(n, ctx, unknowns, {}, opts, ws);
     EXPECT_LT(max_rel_diff(dense, sparse), 1e-9)
         << (ctx.mode == StampContext::Mode::kDc ? "dc" : "transient");
   }
@@ -95,7 +96,7 @@ TEST(SparseBackend, FullyStaticSystemReusesSparseFactorization) {
   std::vector<double> guess(unknowns, 0.0);
   for (int step = 0; step < 5; ++step) {
     ctx.t = 100e-9 * (step + 1);
-    guess = solve_mna(n, ctx, unknowns, guess, opts, &ws);
+    guess = solve_mna(n, ctx, unknowns, guess, opts, ws);
   }
   EXPECT_TRUE(ws.matrix_fully_static());
   EXPECT_EQ(ws.stats().lu_factorizations, 1u);
@@ -118,7 +119,7 @@ TEST(SparseBackend, NonlinearNewtonReplaysPivotsInsteadOfRefactoring) {
   SolverWorkspace ws;
   StampContext ctx;
   NewtonOptions opts;
-  solve_mna(n, ctx, unknowns, {}, opts, &ws);
+  solve_mna(n, ctx, unknowns, {}, opts, ws);
   EXPECT_FALSE(ws.matrix_fully_static());
   EXPECT_GE(ws.stats().assemblies, 2u);
   // One pivoting factorization, the rest schedule replays.
@@ -161,7 +162,8 @@ TEST(SparseBackend, SingularSparseSystemClassifiesAsSingularMatrixError) {
   const std::size_t unknowns = n.assign_unknowns();
   NewtonOptions opts;
   StampContext ctx;
-  EXPECT_THROW(solve_mna(n, ctx, unknowns, {}, opts), core::SingularMatrixError);
+  SolverWorkspace ws;
+  EXPECT_THROW(solve_mna(n, ctx, unknowns, {}, opts, ws), core::SingularMatrixError);
 }
 
 }  // namespace
