@@ -1,9 +1,7 @@
 #include "faults/campaign.h"
 
-#include <future>
-#include <mutex>
+#include <chrono>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include <stdexcept>
@@ -67,69 +65,10 @@ FaultResult guarded_call(const FaultTestFn& test, const FaultSpec& fault) {
   }
 }
 
-/// Campaign-owned registry of timed-out worker threads. A runaway fault
-/// test cannot be cancelled, but it must not outlive the campaign either
-/// (a detached thread could still be running user-closure code at process
-/// exit — a use-after-free by construction). Overrunning workers are
-/// adopted here and joined before the campaign returns its report: the
-/// timeout bounds what the report *counts*, never a thread's lifetime.
-/// Thread-safe: engine workers adopt concurrently.
-class AbandonedWorkers {
- public:
-  void adopt(std::thread t) {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads_.push_back(std::move(t));
-  }
-  void join_all() {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-    threads_.clear();
-  }
-  ~AbandonedWorkers() { join_all(); }
-
- private:
-  std::mutex mu_;
-  std::vector<std::thread> threads_;
-};
-
-/// Run one fault under the options' timeout policy. Without a timeout the
-/// test runs inline on the calling thread. With one, it runs on a
-/// dedicated thread holding its own copies of the functor and spec; on
-/// overrun the fault is reported timed_out and the still-running thread
-/// handed to the campaign's reaper — it can only touch its private
-/// copies, never the report, and is joined before the campaign returns.
-FaultResult run_one(const FaultTestFn& test, const FaultSpec& fault,
-                    const CampaignOptions& options,
-                    AbandonedWorkers& reaper) {
+/// Run one fault inline on the calling thread and time it.
+FaultResult run_one(const FaultTestFn& test, const FaultSpec& fault) {
   const auto t0 = Clock::now();
-  FaultResult r;
-  if (!options.per_fault_timeout) {
-    r = guarded_call(test, fault);
-  } else {
-    std::packaged_task<FaultResult()> task(
-        [test, fault] { return guarded_call(test, fault); });
-    std::future<FaultResult> done = task.get_future();
-    std::thread runner(std::move(task));
-    if (done.wait_for(*options.per_fault_timeout) ==
-        std::future_status::ready) {
-      runner.join();
-      r = done.get();
-    } else {
-      reaper.adopt(std::move(runner));
-      r.fault = fault;
-      r.detected = false;
-      r.timed_out = true;
-      std::ostringstream os;
-      os << "timed out after " << options.per_fault_timeout->count() << " s";
-      r.detail = os.str();
-      r.has_failure = true;
-      r.failure.code = core::ErrorCode::kTimeout;
-      r.failure.analysis = "campaign";
-      r.failure.detail = r.detail;
-    }
-  }
+  FaultResult r = guarded_call(test, fault);
   r.elapsed_seconds = seconds_since(t0);
   return r;
 }
@@ -139,10 +78,8 @@ void tally(CampaignReport& report, const FaultResult& r) {
   if (r.detected_by_failure) ++report.detected_by_failure_count;
   if (r.errored) ++report.errored_count;
   if (r.timed_out) ++report.timed_out_count;
-  // A timed-out fault's elapsed time is the budget the campaign *waited*,
-  // not compute the test performed (the runaway's real cpu time is
-  // unknowable from here) — counting it would inflate cpu_seconds by
-  // exactly the timeout per overrun.
+  // A timed-out fault's elapsed time (only a restored checkpoint can
+  // carry one) was a wait, not compute.
   if (!r.timed_out) report.cpu_seconds += r.elapsed_seconds;
 }
 
@@ -393,12 +330,10 @@ CampaignReport run_campaign_parallel(const std::vector<FaultSpec>& universe,
   std::vector<FaultResult> slots(n);
   const std::vector<char> restored =
       core::splice_restored(options.resume, slots);
-  // Joined (in its destructor) before the report reaches the caller.
-  AbandonedWorkers reaper;
   core::for_each_slot(n, threads, options.stop, [&](std::size_t k) {
     if (restored[k] != 0) return;
     const std::size_t fault = cu != nullptr ? cu->map.representatives()[k] : k;
-    slots[k] = run_one(test, universe[fault], options, reaper);
+    slots[k] = run_one(test, universe[fault]);
     if (options.on_fault_complete) options.on_fault_complete(k, n, slots[k]);
   });
 

@@ -20,15 +20,12 @@
 // even be solved is a detection, not an error — with the structured
 // core::Failure preserved in the result. Any other throw is captured as
 // {detected=false, errored=true, detail=what()} instead of aborting the
-// campaign, and an optional per-fault wall-clock budget marks overrunning
-// faults timed_out (with a kTimeout Failure record).
+// campaign.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +45,7 @@ enum class FaultOutcome : std::uint8_t {
   kDetectedByFailure = 1,  ///< the faulty circuit failed to solve — itself a detection
   kUndetected = 2,         ///< the test passed the faulty circuit (escape)
   kErrored = 3,            ///< the test threw something outside the taxonomy
-  kTimedOut = 4,           ///< per-fault wall-clock budget exceeded
+  kTimedOut = 4,           ///< timed_out (see FaultResult::timed_out)
 };
 
 const char* to_string(FaultOutcome outcome);
@@ -60,7 +57,9 @@ struct FaultResult {
   double score = 0.0;       ///< technique-specific detection metric
   std::string detail;       ///< free-form diagnostics
   bool errored = false;     ///< the test threw; detail holds what()
-  bool timed_out = false;   ///< per-fault wall-clock budget exceeded
+  /// Part of the report schema and of journaled checkpoints; the engine
+  /// itself never sets it (there is no per-fault wall-clock budget).
+  bool timed_out = false;
   /// The faulty circuit made the solver fail hard (SolverError) or
   /// violated the ERC: counted as detected — a macro that cannot even be
   /// simulated consistently would certainly fail on the tester — with the
@@ -154,15 +153,6 @@ struct CampaignOptions {
   /// Worker threads; 0 = hardware concurrency. run_campaign always
   /// runs on one (inline, in universe order).
   std::size_t threads = 0;
-  /// Per-fault wall-clock budget. When set, each test runs on its own
-  /// thread; on overrun the fault is reported {detected=false,
-  /// timed_out=true} and the runaway thread (holding its own copies of
-  /// the test functor and FaultSpec) keeps running off to the side — the
-  /// campaign joins every such thread before returning its report, so no
-  /// worker ever outlives the campaign call or the closure state it
-  /// captured. Timed-out faults contribute their wait to wall_seconds but
-  /// not to cpu_seconds (the runaway's true compute time is unknowable).
-  std::optional<std::chrono::duration<double>> per_fault_timeout;
   /// Cooperative stop (optional), polled before each work item is
   /// claimed. Once it returns true no further item starts; items already
   /// running finish and fire on_fault_complete. Restored items (`resume`)
