@@ -77,10 +77,6 @@ std::uint32_t DualSlopeAdc::ideal_code(double vin) const {
   return pedestal_counts() + static_cast<std::uint32_t>(std::llround(counts));
 }
 
-void DualSlopeAdc::reseed_noise(std::uint64_t seed) {
-  noise_rng_.seed(seed);
-}
-
 namespace {
 
 /// March up to kConversionLanes conversions of one config together.

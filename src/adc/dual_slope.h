@@ -123,9 +123,6 @@ class DualSlopeAdc {
 
   const DualSlopeAdcConfig& config() const { return cfg_; }
 
-  /// Reset the conversion-noise stream (reproducible characterization).
-  void reseed_noise(std::uint64_t seed);
-
   /// The conversion-noise stream; its position after a run of
   /// conversions is part of the converter's observable state.
   const std::mt19937_64& noise_stream() const { return noise_rng_; }

@@ -16,13 +16,6 @@ SigmaDeltaConfig SigmaDeltaConfig::typical() {
   return cfg;
 }
 
-SigmaDeltaConfig SigmaDeltaConfig::varied(analog::ProcessVariation& pv) const {
-  SigmaDeltaConfig cfg = *this;
-  cfg.integrator = integrator.varied(pv);
-  cfg.comparator = comparator.varied(pv);
-  return cfg;
-}
-
 SigmaDeltaAdc::SigmaDeltaAdc(SigmaDeltaConfig cfg) : cfg_(cfg) {
   if (cfg_.vref <= 0 || cfg_.osr == 0 || cfg_.clock_hz <= 0) {
     throw std::invalid_argument("SigmaDeltaAdc: invalid configuration");
@@ -59,10 +52,6 @@ std::uint32_t SigmaDeltaAdc::ideal_code(double vin) const {
   const double frac = (clamped + cfg_.vref) / (2.0 * cfg_.vref);
   return static_cast<std::uint32_t>(
       std::llround(frac * static_cast<double>(cfg_.osr)));
-}
-
-double SigmaDeltaAdc::lsb_volts() const {
-  return 2.0 * cfg_.vref / static_cast<double>(cfg_.osr);
 }
 
 }  // namespace msbist::adc

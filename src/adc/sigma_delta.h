@@ -25,7 +25,6 @@ struct SigmaDeltaConfig {
   analog::ComparatorParams comparator;
 
   static SigmaDeltaConfig typical();
-  SigmaDeltaConfig varied(analog::ProcessVariation& pv) const;
 };
 
 /// First-order single-bit sigma-delta modulator with a counting
@@ -43,8 +42,6 @@ class SigmaDeltaAdc {
 
   /// Ideal code: round(OSR * (vin + vref) / (2 vref)).
   std::uint32_t ideal_code(double vin) const;
-
-  double lsb_volts() const;
 
   const SigmaDeltaConfig& config() const { return cfg_; }
 

@@ -3,14 +3,13 @@
 // The paper's gate-array macro library offers "voltage references, current
 // mirrors, operational amplifiers, voltage and current comparators,
 // oscillators, ADCs and DACs", each with a published specification. Every
-// behavioural macro in this module exposes its specification limits and a
+// behavioural macro in this module takes its parameters through a
 // process-variation hook so a fabricated batch can be simulated by seeding
 // each die differently.
 #pragma once
 
 #include <cstdint>
 #include <random>
-#include <string>
 
 namespace msbist::analog {
 
@@ -38,13 +37,6 @@ class ProcessVariation {
   ProcessVariation() : rng_(0), nominal_(true) {}
   std::mt19937_64 rng_;
   bool nominal_ = false;
-};
-
-/// A named specification limit, used in test reports.
-struct SpecLimit {
-  std::string parameter;
-  double limit;       ///< pass when |measured| <= limit (or measured <= limit)
-  std::string unit;
 };
 
 }  // namespace msbist::analog

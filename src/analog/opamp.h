@@ -1,14 +1,9 @@
-// Operational amplifier macro.
-//
-// Two views of the same macro:
-//  * OpAmpModel — a fast behavioural macromodel (single dominant pole,
-//    slew limiting, output saturation, input offset) used inside the ADC
-//    and BIST macro simulations.
-//  * build_op1 — the transistor-level OP1 cell of the paper's Figure 3:
-//    a 13-transistor two-stage CMOS amplifier in 5 um technology with the
-//    paper's node numbering (1=In+, 2=In-, 3=Out, 4=IRef/p-bias, 5=n-bias,
-//    6=diff tail, 7=diff output, 8/9=inverter outputs). The transient-
-//    response experiments of the paper inject faults at these nodes.
+// Operational amplifier macro: build_op1 builds the transistor-level OP1
+// cell of the paper's Figure 3, a 13-transistor two-stage CMOS amplifier
+// in 5 um technology with the paper's node numbering (1=In+, 2=In-,
+// 3=Out, 4=IRef/p-bias, 5=n-bias, 6=diff tail, 7=diff output, 8/9=inverter
+// outputs). The transient-response experiments of the paper inject faults
+// at these nodes.
 #pragma once
 
 #include <string>
@@ -18,41 +13,6 @@
 #include "circuit/netlist.h"
 
 namespace msbist::analog {
-
-/// Behavioural op-amp parameters (values typical of the 5 um gate-array
-/// op-amp macro the paper characterized).
-struct OpAmpParams {
-  double dc_gain = 10e3;       ///< open-loop DC gain [V/V]
-  double gbw_hz = 1e6;         ///< gain-bandwidth product [Hz]
-  double slew_v_per_s = 2e6;   ///< slew-rate limit [V/s]
-  double vout_min = 0.05;      ///< output saturation low [V]
-  double vout_max = 4.95;      ///< output saturation high [V]
-  double offset_v = 0.0;       ///< input-referred offset [V]
-
-  /// Apply die-to-die variation (gain, bandwidth, slew, offset).
-  OpAmpParams varied(ProcessVariation& pv) const;
-};
-
-/// Single-pole behavioural op-amp integrated with explicit time steps.
-/// The dominant pole sits at gbw/dc_gain, giving unity-gain bandwidth gbw.
-class OpAmpModel {
- public:
-  explicit OpAmpModel(OpAmpParams p);
-
-  /// Reset internal state to a given output voltage.
-  void reset(double vout = 0.0);
-
-  /// Advance one time step with the given differential input; returns the
-  /// new output voltage.
-  double step(double v_plus, double v_minus, double dt);
-
-  double output() const { return vout_; }
-  const OpAmpParams& params() const { return params_; }
-
- private:
-  OpAmpParams params_;
-  double vout_ = 0.0;
-};
 
 /// Node-name map for the OP1 transistor-level cell, matching Figure 3.
 struct Op1Nodes {

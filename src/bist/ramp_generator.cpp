@@ -36,8 +36,5 @@ std::vector<double> RampGenerator::measurement_times(std::size_t count,
   return times;
 }
 
-circuit::WaveformPtr RampGenerator::waveform() const {
-  return std::make_shared<circuit::RampWave>(0.0, actual_full_scale_, 0.0, ramp_time_);
-}
 
 }  // namespace msbist::bist

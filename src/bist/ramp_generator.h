@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analog/macro.h"
-#include "circuit/waveform.h"
 
 namespace msbist::bist {
 
@@ -36,8 +35,6 @@ class RampGenerator {
   /// samples at 200 ms intervals starting at the first interval.
   std::vector<double> measurement_times(std::size_t count = 6,
                                         double interval = 0.2) const;
-
-  circuit::WaveformPtr waveform() const;
 
   /// Part of the analogue overhead (current source + cap + buffer).
   static constexpr int kTransistorCount = 30;

@@ -34,21 +34,5 @@ double StepGenerator::level(std::size_t tap) const {
   return levels_[tap];
 }
 
-circuit::WaveformPtr StepGenerator::sequence_waveform(double dwell) const {
-  if (dwell <= 0) throw std::invalid_argument("StepGenerator: dwell must be > 0");
-  std::vector<std::pair<double, double>> pts;
-  pts.reserve(levels_.size() * 2);
-  const double edge = dwell * 1e-4;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    const double t0 = static_cast<double>(i) * dwell;
-    if (i == 0) {
-      pts.emplace_back(t0, levels_[i]);
-    } else {
-      pts.emplace_back(t0 + edge, levels_[i]);  // fast edge into the new tap
-    }
-    pts.emplace_back(t0 + dwell - edge, levels_[i]);
-  }
-  return std::make_shared<circuit::PwlWave>(std::move(pts));
-}
 
 }  // namespace msbist::bist

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "analog/macro.h"
-#include "circuit/waveform.h"
 
 namespace msbist::bist {
 
@@ -33,10 +31,6 @@ class StepGenerator {
   std::size_t tap_count() const { return levels_.size(); }
   double level(std::size_t tap) const;
   const std::vector<double>& levels() const { return levels_; }
-
-  /// Waveform stepping through every tap, holding each for dwell seconds
-  /// (for driving a netlist-level test).
-  circuit::WaveformPtr sequence_waveform(double dwell) const;
 
   /// Analogue-section transistor cost of this macro (tap switches plus
   /// reference buffer), part of the paper's 152-transistor overhead.

@@ -61,17 +61,6 @@ double SineWave::value(double t) const {
   return offset_ + amplitude_ * std::sin(2.0 * std::numbers::pi * freq_ * (t - delay_));
 }
 
-RampWave::RampWave(double v0, double v1, double t0, double t1)
-    : v0_(v0), v1_(v1), t0_(t0), t1_(t1) {
-  if (t1_ <= t0_) throw std::invalid_argument("RampWave: t1 must exceed t0");
-}
-
-double RampWave::value(double t) const {
-  if (t <= t0_) return v0_;
-  if (t >= t1_) return v1_;
-  return v0_ + (v1_ - v0_) * (t - t0_) / (t1_ - t0_);
-}
-
 SampledWave::SampledWave(std::vector<double> samples, double dt)
     : samples_(std::move(samples)), dt_(dt) {
   if (samples_.empty()) throw std::invalid_argument("SampledWave: empty samples");

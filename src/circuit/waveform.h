@@ -1,9 +1,8 @@
 // Time-domain source waveforms for the circuit simulator.
 //
 // Every independent source in a netlist is driven by a Waveform — a pure
-// function of time. The BIST macros reuse these directly (a step-input
-// macro is a PwlWave, the on-chip ramp generator a RampWave, the SC clock
-// generator a pair of ClockWaves).
+// function of time. The SC clock generator of the paper's circuits is a
+// pair of ClockWaves.
 #pragma once
 
 #include <cstddef>
@@ -63,16 +62,6 @@ class SineWave final : public Waveform {
 
  private:
   double offset_, amplitude_, freq_, delay_;
-};
-
-/// Linear ramp from v0 at t0 to v1 at t1, clamped outside.
-class RampWave final : public Waveform {
- public:
-  RampWave(double v0, double v1, double t0, double t1);
-  double value(double t) const override;
-
- private:
-  double v0_, v1_, t0_, t1_;
 };
 
 /// Zero-order-hold playback of a uniformly sampled vector (sample k holds

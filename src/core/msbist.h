@@ -7,10 +7,10 @@
 // Layering (bottom-up):
 //   dsp      — signal processing: FFT, convolution/correlation, PRBS,
 //              state-space and z-domain models, matrices
-//   circuit  — SPICE-like MNA simulator: MOS level-1, DC + transient
+//   circuit  — MNA circuit simulator: MOS level-1, DC, AC + transient
 //   analysis — netlist ERC: static pass pipeline run before any solve
 //   analog   — behavioural macro library + transistor-level OP1 / SC cells
-//   digital  — counter, latch, control FSM, scan, LFSR/MISR
+//   digital  — counter, latch, control FSM, MISR
 //   faults   — stuck-at / bridging fault models, universes, campaigns
 //   adc      — dual-slope ADC macro, spec metrics (INL/DNL/offset/gain),
 //              sigma-delta extension
@@ -18,8 +18,8 @@
 //              signature compression, BIST controller, overhead model
 //   tsrt     — transient-response testing: example circuits 1-3,
 //              correlation and impulse-response detection
-//   core     — Device/Batch fabrication model, report tables, thread
-//              pool, unified Outcome/to_json report contract
+//   core     — Device fabrication model, report tables, thread pool,
+//              unified Outcome/to_json report contract
 //   production — Monte-Carlo batch-test engine: populations, test
 //              plans, yield and parametric-distribution reports
 #pragma once
@@ -35,10 +35,8 @@
 #include "adc/metrics.h"
 #include "adc/sigma_delta.h"
 #include "analog/comparator.h"
-#include "analog/current_comparator.h"
 #include "analog/macro.h"
 #include "analog/opamp.h"
-#include "analog/references.h"
 #include "analog/sc_integrator.h"
 #include "bist/controller.h"
 #include "bist/level_sensor.h"
@@ -46,13 +44,11 @@
 #include "bist/ramp_generator.h"
 #include "bist/signature_compressor.h"
 #include "bist/step_generator.h"
-#include "bist/test_access.h"
 #include "circuit/ac.h"
 #include "circuit/dc.h"
 #include "circuit/elements.h"
 #include "circuit/mos.h"
 #include "circuit/netlist.h"
-#include "circuit/parser.h"
 #include "circuit/rescue.h"
 #include "circuit/solver.h"
 #include "circuit/transient.h"
@@ -76,7 +72,6 @@
 #include "dsp/noise.h"
 #include "dsp/polynomial.h"
 #include "dsp/prbs.h"
-#include "dsp/resample.h"
 #include "dsp/spectrum.h"
 #include "dsp/state_space.h"
 #include "dsp/vec.h"

@@ -12,21 +12,6 @@ std::uint32_t width_mask(unsigned bits) {
 
 }  // namespace
 
-PatternLfsr::PatternLfsr(unsigned bits, std::uint32_t taps, std::uint32_t seed)
-    : bits_(bits), taps_(taps), state_(seed & width_mask(bits)) {
-  if (bits_ < 2 || bits_ > 32) {
-    throw std::invalid_argument("PatternLfsr: bits must be in [2, 32]");
-  }
-  if (state_ == 0) throw std::invalid_argument("PatternLfsr: zero seed");
-}
-
-int PatternLfsr::next_bit() {
-  const int out = static_cast<int>(state_ & 1u);
-  state_ >>= 1;
-  if (out) state_ ^= taps_;
-  return out;
-}
-
 Misr::Misr(unsigned width, std::uint32_t taps)
     : width_(width), taps_(taps), mask_(width_mask(width)) {
   if (width_ < 2 || width_ > 32) {
@@ -34,8 +19,6 @@ Misr::Misr(unsigned width, std::uint32_t taps)
   }
   taps_ &= mask_;
 }
-
-void Misr::reset(std::uint32_t seed) { state_ = seed & mask_; }
 
 void Misr::compact(std::uint32_t word) {
   // Shift-right MISR: feedback when the LSB falls out, then XOR the new
@@ -48,31 +31,6 @@ void Misr::compact(std::uint32_t word) {
 
 void Misr::compact_all(const std::vector<std::uint32_t>& words) {
   for (std::uint32_t w : words) compact(w);
-}
-
-ScanChain::ScanChain(std::size_t length) : cells_(length, 0) {
-  if (length == 0) throw std::invalid_argument("ScanChain: length must be > 0");
-}
-
-int ScanChain::shift(int bit_in) {
-  const int out = cells_.back();
-  for (std::size_t i = cells_.size(); i-- > 1;) cells_[i] = cells_[i - 1];
-  cells_[0] = bit_in ? 1 : 0;
-  return out;
-}
-
-void ScanChain::capture(const std::vector<int>& bits) {
-  if (bits.size() != cells_.size()) {
-    throw std::invalid_argument("ScanChain: capture width mismatch");
-  }
-  for (std::size_t i = 0; i < bits.size(); ++i) cells_[i] = bits[i] ? 1 : 0;
-}
-
-std::vector<int> ScanChain::shift_vector(const std::vector<int>& bits_in) {
-  std::vector<int> out;
-  out.reserve(bits_in.size());
-  for (int b : bits_in) out.push_back(shift(b));
-  return out;
 }
 
 }  // namespace msbist::digital

@@ -1,33 +1,16 @@
-// Signature-analysis registers (LFSR pattern source, MISR compactor)
-// and the serial scan chain.
+// Signature-analysis register (MISR compactor).
 //
 // The paper's compressed test "configured the built-in self test macros to
 // perform a quick functional test of the ADC by compressing the digital
 // output signature from the consecutive application of the DC step input
 // values" — the compactor here is a standard multiple-input signature
-// register. The digital section also carries the scan architecture used to
-// shift test data in and capture responses on the serial test bus.
+// register.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace msbist::digital {
-
-/// Serial pattern-generation LFSR (Galois form), up to 32 bits.
-class PatternLfsr {
- public:
-  /// taps: Galois mask (bit k-1 set for each polynomial term x^k).
-  PatternLfsr(unsigned bits, std::uint32_t taps, std::uint32_t seed = 1);
-
-  int next_bit();
-  std::uint32_t state() const { return state_; }
-
- private:
-  unsigned bits_;
-  std::uint32_t taps_;
-  std::uint32_t state_;
-};
 
 /// Multiple-input signature register: compacts a stream of parallel words
 /// into a fixed-width signature. Identical input streams always produce
@@ -39,7 +22,6 @@ class Misr {
   /// 16-bit x^16 + x^12 + x^5 + 1.
   explicit Misr(unsigned width = 16, std::uint32_t taps = 0x8810);
 
-  void reset(std::uint32_t seed = 0);
   /// Absorb one parallel word (truncated to the register width).
   void compact(std::uint32_t word);
   /// Absorb a whole sequence.
@@ -53,26 +35,6 @@ class Misr {
   std::uint32_t taps_;
   std::uint32_t mask_;
   std::uint32_t state_ = 0;
-};
-
-/// Serial scan chain for the digital test bus: shift in stimulus, capture
-/// parallel data, shift out responses.
-class ScanChain {
- public:
-  explicit ScanChain(std::size_t length);
-
-  /// Shift one bit in at the head; the tail bit falls out and is returned.
-  int shift(int bit_in);
-  /// Parallel capture into the chain.
-  void capture(const std::vector<int>& bits);
-  /// Shift an entire vector through, returning the bits that emerged.
-  std::vector<int> shift_vector(const std::vector<int>& bits_in);
-
-  const std::vector<int>& state() const { return cells_; }
-  std::size_t length() const { return cells_.size(); }
-
- private:
-  std::vector<int> cells_;
 };
 
 }  // namespace msbist::digital

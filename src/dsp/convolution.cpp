@@ -41,13 +41,4 @@ std::vector<double> convolve(const std::vector<double>& a,
   return convolve_fft(a, b);
 }
 
-std::vector<double> convolve_same(const std::vector<double>& a,
-                                  const std::vector<double>& kernel) {
-  if (a.empty() || kernel.empty()) return {};
-  std::vector<double> full = convolve(a, kernel);
-  const std::size_t start = (kernel.size() - 1) / 2;
-  return {full.begin() + static_cast<std::ptrdiff_t>(start),
-          full.begin() + static_cast<std::ptrdiff_t>(start + a.size())};
-}
-
 }  // namespace msbist::dsp

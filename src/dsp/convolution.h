@@ -24,9 +24,4 @@ std::vector<double> convolve_fft(const std::vector<double>& a,
 std::vector<double> convolve(const std::vector<double>& a,
                              const std::vector<double>& b);
 
-/// "Same"-mode convolution: the central a.size() samples of the full
-/// convolution, aligned so the kernel is centred.
-std::vector<double> convolve_same(const std::vector<double>& a,
-                                  const std::vector<double>& kernel);
-
 }  // namespace msbist::dsp

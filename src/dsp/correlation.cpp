@@ -1,10 +1,6 @@
 #include "dsp/correlation.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "dsp/convolution.h"
-#include "dsp/vec.h"
 
 namespace msbist::dsp {
 
@@ -15,45 +11,6 @@ std::vector<double> cross_correlate(const std::vector<double>& x,
   // time-reversed gives correlation.
   std::vector<double> xr(x.rbegin(), x.rend());
   return convolve(xr, y);
-}
-
-std::vector<double> cross_correlate_normalized(const std::vector<double>& x,
-                                               const std::vector<double>& y) {
-  std::vector<double> r = cross_correlate(x, y);
-  const double nx = norm(x);
-  const double ny = norm(y);
-  const double denom = nx * ny;
-  if (denom <= 0.0) return std::vector<double>(r.size(), 0.0);
-  return scale(r, 1.0 / denom);
-}
-
-std::vector<double> autocorrelate(const std::vector<double>& x) {
-  return cross_correlate(x, x);
-}
-
-double correlation_coefficient(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double sab = 0.0, saa = 0.0, sbb = 0.0;
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    sab += da * db;
-    saa += da * da;
-    sbb += db * db;
-  }
-  if (saa <= 0.0 || sbb <= 0.0) return 0.0;
-  return sab / std::sqrt(saa * sbb);
-}
-
-std::ptrdiff_t peak_lag(const std::vector<double>& x, const std::vector<double>& y) {
-  const std::vector<double> r = cross_correlate_normalized(x, y);
-  if (r.empty()) return 0;
-  const std::size_t idx = argmax_abs(r);
-  // Index 0 corresponds to lag -(x.size()-1) under the reversed-convolve
-  // layout used in cross_correlate.
-  return static_cast<std::ptrdiff_t>(idx) - static_cast<std::ptrdiff_t>(x.size() - 1);
 }
 
 }  // namespace msbist::dsp

@@ -3,11 +3,9 @@
 // Correlating the captured transient y(t) with a signal p(t) derived from
 // the applied PRBS stimulus yields R(y,p), which equals the composite
 // impulse response of the signal path currently propagating the stimulus
-// (paper, "Technique details"). Normalization makes the result comparable
-// across devices with different gains.
+// (paper, "Technique details").
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace msbist::dsp {
@@ -17,22 +15,5 @@ namespace msbist::dsp {
 /// index 0 corresponds to the most negative lag.
 std::vector<double> cross_correlate(const std::vector<double>& x,
                                     const std::vector<double>& y);
-
-/// Cross-correlation normalized by the L2 norms of both inputs, so the
-/// peak of the autocorrelation of any signal is exactly 1.
-std::vector<double> cross_correlate_normalized(const std::vector<double>& x,
-                                               const std::vector<double>& y);
-
-/// Autocorrelation of x (raw).
-std::vector<double> autocorrelate(const std::vector<double>& x);
-
-/// Pearson correlation coefficient between two equal-length signals,
-/// in [-1, 1]. Returns 0 when either signal has zero variance.
-double correlation_coefficient(const std::vector<double>& a,
-                               const std::vector<double>& b);
-
-/// Lag (in samples, possibly negative) at which the normalized
-/// cross-correlation of x and y peaks in absolute value.
-std::ptrdiff_t peak_lag(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace msbist::dsp

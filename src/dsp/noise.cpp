@@ -1,9 +1,6 @@
 #include "dsp/noise.h"
 
-#include <cmath>
 #include <random>
-
-#include "dsp/spectrum.h"
 
 namespace msbist::dsp {
 
@@ -13,14 +10,6 @@ std::vector<double> gaussian_noise(std::size_t n, double sigma, std::uint64_t se
   std::vector<double> out(n);
   for (auto& v : out) v = sigma > 0.0 ? dist(rng) : 0.0;
   return out;
-}
-
-std::vector<double> add_awgn_snr(const std::vector<double>& x, double snr_db,
-                                 std::uint64_t seed) {
-  const double ps = power(x);
-  if (ps <= 0.0) return x;
-  const double pn = ps / std::pow(10.0, snr_db / 10.0);
-  return add_noise(x, std::sqrt(pn), seed);
 }
 
 std::vector<double> add_noise(const std::vector<double>& x, double sigma,

@@ -15,12 +15,6 @@ namespace msbist::dsp {
 /// n samples of zero-mean Gaussian noise with the given standard deviation.
 std::vector<double> gaussian_noise(std::size_t n, double sigma, std::uint64_t seed);
 
-/// Copy of x with AWGN added so the result has the requested SNR in dB
-/// relative to the power of x. A signal with zero power is returned
-/// unchanged.
-std::vector<double> add_awgn_snr(const std::vector<double>& x, double snr_db,
-                                 std::uint64_t seed);
-
 /// Copy of x with zero-mean Gaussian noise of absolute level sigma added.
 std::vector<double> add_noise(const std::vector<double>& x, double sigma,
                               std::uint64_t seed);

@@ -18,21 +18,6 @@ void require(bool cond, const char* msg) {
 // agree on what counts as a failed factorization.
 constexpr double kPivotFloor = 1e-300;
 
-int permutation_sign(const std::vector<int>& p) {
-  int sign = 1;
-  std::vector<char> seen(p.size(), 0);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (seen[i]) continue;
-    std::size_t len = 0;
-    for (std::size_t j = i; !seen[j]; j = static_cast<std::size_t>(p[j])) {
-      seen[j] = 1;
-      ++len;
-    }
-    if (len % 2 == 0) sign = -sign;
-  }
-  return sign;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -99,24 +84,6 @@ SparseMatrix SparseMatrix::from_pattern(std::size_t rows, std::size_t cols,
   return m;
 }
 
-SparseMatrix SparseMatrix::from_dense(const Matrix& a, double drop_tol) {
-  SparseMatrix m;
-  m.rows_ = a.rows();
-  m.cols_ = a.cols();
-  m.row_ptr_.assign(m.rows_ + 1, 0);
-  for (std::size_t r = 0; r < m.rows_; ++r) {
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      const double v = a(r, c);
-      if (std::abs(v) > drop_tol) {
-        m.col_idx_.push_back(static_cast<int>(c));
-        m.values_.push_back(v);
-      }
-    }
-    m.row_ptr_[r + 1] = static_cast<int>(m.col_idx_.size());
-  }
-  return m;
-}
-
 std::size_t SparseMatrix::index_of(int r, int c) const {
   if (r < 0 || c < 0 || static_cast<std::size_t>(r) >= rows_ ||
       static_cast<std::size_t>(c) >= cols_) {
@@ -137,10 +104,6 @@ double SparseMatrix::at(int r, int c) const {
 double* SparseMatrix::find(int r, int c) {
   const std::size_t p = index_of(r, c);
   return p == npos ? nullptr : &values_[p];
-}
-
-void SparseMatrix::set_zero() {
-  std::fill(values_.begin(), values_.end(), 0.0);
 }
 
 std::vector<double> SparseMatrix::operator*(const std::vector<double>& v) const {
@@ -443,17 +406,6 @@ void SparseLu::solve_into(const std::vector<double>& b,
   // Undo the column permutation: pivot position k solved unknown q_[k].
   x.resize(n_);
   for (int k = 0; k < n; ++k) x[q_[k]] = w[prow_[k]];
-}
-
-double SparseLu::determinant() const {
-  if (!factored_) {
-    throw std::logic_error(
-        "SparseLu::determinant: decomposition is not factored");
-  }
-  double d = static_cast<double>(permutation_sign(prow_) *
-                                 permutation_sign(q_));
-  for (double u : ud_) d *= u;
-  return d;
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 // state-space models. The pieces:
 //
 //  * SparseMatrix — CSR storage with a *fixed pattern*: construction
-//    chooses the nonzero set (triplets, an explicit coordinate pattern,
-//    or a dense matrix), after which only values change. That mirrors how
+//    chooses the nonzero set (triplets or an explicit coordinate
+//    pattern), after which only values change. That mirrors how
 //    the MNA workspace uses it: the stamp-discovery pass fixes the
 //    pattern once per analysis, and every Newton iteration only rewrites
 //    values ("pattern-preserving stamp updates").
@@ -65,9 +65,6 @@ class SparseMatrix {
   static SparseMatrix from_pattern(std::size_t rows, std::size_t cols,
                                    std::vector<std::pair<int, int>> coords);
 
-  /// Compress a dense matrix, keeping entries with |a(i,j)| > drop_tol.
-  static SparseMatrix from_dense(const Matrix& a, double drop_tol = 0.0);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return col_idx_.size(); }
@@ -89,9 +86,6 @@ class SparseMatrix {
   /// Storage index of (r, c) in values(), or npos when absent.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(int r, int c) const;
-
-  /// Reset every stored value to zero (pattern unchanged).
-  void set_zero();
 
   std::vector<double> operator*(const std::vector<double>& v) const;
   Matrix to_dense() const;
@@ -155,10 +149,6 @@ class SparseLu {
   /// unfactored (never an empty solution).
   std::vector<double> solve(const std::vector<double>& b) const;
   void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
-
-  /// Determinant of the factored matrix. Hard std::logic_error when
-  /// unfactored.
-  double determinant() const;
 
   const SparseLuStats& stats() const { return stats_; }
   void reset_stats() { stats_ = SparseLuStats{}; }

@@ -1,11 +1,8 @@
 #include "dsp/spectrum.h"
 
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 #include "dsp/fft.h"
-#include "dsp/vec.h"
 
 namespace msbist::dsp {
 
@@ -27,36 +24,6 @@ std::vector<double> magnitude_spectrum(const std::vector<double>& x,
     mag[k] = s;
   }
   return mag;
-}
-
-std::vector<double> spectrum_frequencies(std::size_t n, double sample_rate) {
-  if (n == 0) return {};
-  if (sample_rate <= 0) throw std::invalid_argument("sample_rate must be > 0");
-  const std::size_t half = n / 2;
-  std::vector<double> f(half + 1);
-  for (std::size_t k = 0; k <= half; ++k) {
-    f[k] = sample_rate * static_cast<double>(k) / static_cast<double>(n);
-  }
-  return f;
-}
-
-double power(const std::vector<double>& x) {
-  if (x.empty()) return 0.0;
-  return dot(x, x) / static_cast<double>(x.size());
-}
-
-double power_db(double p1, double p0) {
-  if (p0 <= 0) throw std::invalid_argument("reference power must be > 0");
-  if (p1 <= 0) return -std::numeric_limits<double>::infinity();
-  return 10.0 * std::log10(p1 / p0);
-}
-
-double snr_db(const std::vector<double>& clean, const std::vector<double>& noisy) {
-  const std::vector<double> residual = sub(noisy, clean);
-  const double pn = power(residual);
-  const double ps = power(clean);
-  if (pn == 0.0) return std::numeric_limits<double>::infinity();
-  return power_db(ps, pn);
 }
 
 }  // namespace msbist::dsp

@@ -1,11 +1,10 @@
-// Magnitude spectra and power estimates.
+// Magnitude spectra.
 //
 // The paper's technique detects "possible minor changes to the signal
 // spectrum, indicative of circuit faults" — these helpers expose that
 // frequency-domain view of a captured transient.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "dsp/window.h"
@@ -17,19 +16,5 @@ namespace msbist::dsp {
 /// amplitude. Bin 0 and (for even N) the Nyquist bin are not doubled.
 std::vector<double> magnitude_spectrum(const std::vector<double>& x,
                                        WindowKind window_kind = WindowKind::kHann);
-
-/// Frequencies (Hz) of the one-sided bins for a signal of length n sampled
-/// at sample_rate.
-std::vector<double> spectrum_frequencies(std::size_t n, double sample_rate);
-
-/// Total signal power (mean square).
-double power(const std::vector<double>& x);
-
-/// Power ratio in decibels: 10 log10(p1 / p0). Returns -inf for p1 == 0.
-double power_db(double p1, double p0);
-
-/// Signal-to-noise ratio in dB between a clean signal and a noisy copy
-/// (noise = noisy - clean). Returns +inf when the residual is zero.
-double snr_db(const std::vector<double>& clean, const std::vector<double>& noisy);
 
 }  // namespace msbist::dsp

@@ -16,42 +16,12 @@ void require_same_size(const std::vector<double>& a, const std::vector<double>& 
   }
 }
 
-void require_nonempty(const std::vector<double>& a) {
-  if (a.empty()) throw std::invalid_argument("empty vector");
-}
-
 }  // namespace
-
-std::vector<double> add(const std::vector<double>& a, const std::vector<double>& b) {
-  require_same_size(a, b);
-  std::vector<double> r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] + b[i];
-  return r;
-}
-
-std::vector<double> sub(const std::vector<double>& a, const std::vector<double>& b) {
-  require_same_size(a, b);
-  std::vector<double> r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
-  return r;
-}
 
 std::vector<double> mul(const std::vector<double>& a, const std::vector<double>& b) {
   require_same_size(a, b);
   std::vector<double> r(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] * b[i];
-  return r;
-}
-
-std::vector<double> scale(const std::vector<double>& a, double k) {
-  std::vector<double> r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] * k;
-  return r;
-}
-
-std::vector<double> offset(const std::vector<double>& a, double k) {
-  std::vector<double> r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] + k;
   return r;
 }
 
@@ -65,80 +35,14 @@ double sum(const std::vector<double>& a) {
 }
 
 double mean(const std::vector<double>& a) {
-  require_nonempty(a);
+  if (a.empty()) throw std::invalid_argument("empty vector");
   return sum(a) / static_cast<double>(a.size());
-}
-
-double variance(const std::vector<double>& a) {
-  const double m = mean(a);
-  double acc = 0.0;
-  for (double x : a) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(a.size());
-}
-
-double stddev(const std::vector<double>& a) { return std::sqrt(variance(a)); }
-
-double rms(const std::vector<double>& a) {
-  require_nonempty(a);
-  return std::sqrt(dot(a, a) / static_cast<double>(a.size()));
-}
-
-double max(const std::vector<double>& a) {
-  require_nonempty(a);
-  return *std::max_element(a.begin(), a.end());
-}
-
-double min(const std::vector<double>& a) {
-  require_nonempty(a);
-  return *std::min_element(a.begin(), a.end());
 }
 
 double max_abs(const std::vector<double>& a) {
   double m = 0.0;
   for (double x : a) m = std::max(m, std::abs(x));
   return m;
-}
-
-std::size_t argmax(const std::vector<double>& a) {
-  require_nonempty(a);
-  return static_cast<std::size_t>(std::max_element(a.begin(), a.end()) - a.begin());
-}
-
-std::size_t argmax_abs(const std::vector<double>& a) {
-  require_nonempty(a);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    if (std::abs(a[i]) > std::abs(a[best])) best = i;
-  }
-  return best;
-}
-
-double norm(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
-
-std::vector<double> clamp(const std::vector<double>& a, double lo, double hi) {
-  std::vector<double> r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = std::clamp(a[i], lo, hi);
-  return r;
-}
-
-std::vector<double> linspace(double start, double stop, std::size_t n) {
-  if (n == 0) throw std::invalid_argument("linspace: n must be >= 1");
-  std::vector<double> r(n);
-  if (n == 1) {
-    r[0] = start;
-    return r;
-  }
-  const double step = (stop - start) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) r[i] = start + step * static_cast<double>(i);
-  return r;
-}
-
-bool approx_equal(const std::vector<double>& a, const std::vector<double>& b, double tol) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > tol) return false;
-  }
-  return true;
 }
 
 }  // namespace msbist::dsp

@@ -4,25 +4,12 @@
 // time; these helpers keep the numerical code in the higher layers terse.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace msbist::dsp {
 
-/// Element-wise sum. Both vectors must have the same size.
-std::vector<double> add(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Element-wise difference a - b. Both vectors must have the same size.
-std::vector<double> sub(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Element-wise product. Both vectors must have the same size.
 std::vector<double> mul(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Multiply every element by a scalar.
-std::vector<double> scale(const std::vector<double>& a, double k);
-
-/// Add a scalar to every element.
-std::vector<double> offset(const std::vector<double>& a, double k);
 
 /// Inner product. Both vectors must have the same size.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
@@ -33,41 +20,7 @@ double sum(const std::vector<double>& a);
 /// Arithmetic mean. Throws std::invalid_argument on an empty vector.
 double mean(const std::vector<double>& a);
 
-/// Population variance (divides by N). Throws on an empty vector.
-double variance(const std::vector<double>& a);
-
-/// Population standard deviation.
-double stddev(const std::vector<double>& a);
-
-/// Root-mean-square value. Throws on an empty vector.
-double rms(const std::vector<double>& a);
-
-/// Largest element. Throws on an empty vector.
-double max(const std::vector<double>& a);
-
-/// Smallest element. Throws on an empty vector.
-double min(const std::vector<double>& a);
-
 /// Largest absolute value (0 for an empty vector).
 double max_abs(const std::vector<double>& a);
-
-/// Index of the largest element. Throws on an empty vector.
-std::size_t argmax(const std::vector<double>& a);
-
-/// Index of the largest absolute value. Throws on an empty vector.
-std::size_t argmax_abs(const std::vector<double>& a);
-
-/// Euclidean (L2) norm.
-double norm(const std::vector<double>& a);
-
-/// Clamp every element into [lo, hi].
-std::vector<double> clamp(const std::vector<double>& a, double lo, double hi);
-
-/// Evenly spaced vector of n points from start to stop inclusive.
-/// n == 1 yields {start}. Throws on n == 0.
-std::vector<double> linspace(double start, double stop, std::size_t n);
-
-/// True when |a[i] - b[i]| <= tol for all i and sizes match.
-bool approx_equal(const std::vector<double>& a, const std::vector<double>& b, double tol);
 
 }  // namespace msbist::dsp

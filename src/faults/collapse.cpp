@@ -125,16 +125,6 @@ const char* to_string(CollapseRule rule) {
   return "?";
 }
 
-CollapseMap CollapseMap::identity(std::size_t n) {
-  return from_signatures(
-      [n] {
-        std::vector<std::string> sig(n);
-        for (std::size_t i = 0; i < n; ++i) sig[i] = std::to_string(i);
-        return sig;
-      }(),
-      std::vector<bool>(n, false));
-}
-
 CollapseMap CollapseMap::from_signatures(
     const std::vector<std::string>& signatures,
     const std::vector<bool>& undetectable, std::vector<CollapseRule> rules) {
@@ -176,13 +166,6 @@ std::size_t CollapseMap::undetectable_count() const {
   std::size_t n = 0;
   for (bool u : undetectable_) n += u ? 1 : 0;
   return n;
-}
-
-std::vector<FaultSpec> CollapsedUniverse::representative_specs() const {
-  std::vector<FaultSpec> out;
-  out.reserve(map.representatives().size());
-  for (std::size_t i : map.representatives()) out.push_back(universe[i]);
-  return out;
 }
 
 std::vector<FaultResult> CollapsedUniverse::expand(

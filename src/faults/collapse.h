@@ -58,9 +58,6 @@ class CollapseMap {
  public:
   CollapseMap() = default;
 
-  /// Every fault its own representative (no collapsing).
-  static CollapseMap identity(std::size_t n);
-
   /// Group items with equal signatures; the first occurrence (in index
   /// order) represents the class. Items flagged undetectable join no
   /// class and are excluded from representatives(). `rules` may be empty
@@ -106,9 +103,6 @@ struct CollapsedUniverse {
   CollapseMap map;
   std::vector<std::string> signatures;  ///< canonical footprint per fault
   std::vector<std::string> reasons;     ///< human-readable per-fault note
-
-  /// The specs the campaign must actually simulate, in universe order.
-  std::vector<FaultSpec> representative_specs() const;
 
   /// Expand per-representative results (in representatives() order) to a
   /// full per-fault result vector: members copy their representative's

@@ -2,16 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace msbist::production {
-
-std::string ParamStats::summary(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  os << mean << " ± " << sigma << " [" << min << " .. " << max << "]";
-  return os.str();
-}
 
 void ParamStats::to_json(core::JsonWriter& w) const {
   w.begin_object()

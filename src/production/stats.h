@@ -22,9 +22,6 @@ struct ParamStats {
   double p50 = 0.0;
   double p95 = 0.0;
 
-  /// "mean ± sigma [min .. max]" with the given precision.
-  std::string summary(int precision = 4) const;
-
   void to_json(core::JsonWriter& w) const;
 };
 

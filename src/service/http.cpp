@@ -622,10 +622,4 @@ HttpResponse HttpClient::request(const std::string& method,
   return resp;
 }
 
-HttpResponse http_request(std::uint16_t port, const std::string& method,
-                          const std::string& target, const std::string& body) {
-  HttpClient client(port);
-  return client.request(method, target, body, /*close_connection=*/true);
-}
-
 }  // namespace msbist::service

@@ -177,11 +177,4 @@ class HttpClient {
   std::string buf_;  ///< unread bytes from the current connection
 };
 
-/// Minimal one-shot loopback request (fresh connection, Connection:
-/// close): the pre-keep-alive convenience entry point, kept for tests
-/// and scripts that want a single exchange.
-HttpResponse http_request(std::uint16_t port, const std::string& method,
-                          const std::string& target,
-                          const std::string& body = "");
-
 }  // namespace msbist::service

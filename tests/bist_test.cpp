@@ -46,20 +46,10 @@ TEST(StepGen, VariationStaysTight) {
   }
 }
 
-TEST(StepGen, SequenceWaveformVisitsEveryTap) {
-  const StepGenerator gen = StepGenerator::typical();
-  const auto wave = gen.sequence_waveform(1e-3);
-  for (std::size_t i = 0; i < gen.tap_count(); ++i) {
-    const double t = (static_cast<double>(i) + 0.5) * 1e-3;
-    EXPECT_NEAR(wave->value(t), gen.level(i), 1e-9) << "tap " << i;
-  }
-}
-
 TEST(StepGen, InvalidArgsThrow) {
   analog::ProcessVariation pv = analog::ProcessVariation::nominal();
   EXPECT_THROW(StepGenerator({}, 0.0, pv), std::invalid_argument);
   EXPECT_THROW(StepGenerator::typical().level(6), std::out_of_range);
-  EXPECT_THROW(StepGenerator::typical().sequence_waveform(0.0), std::invalid_argument);
 }
 
 TEST(RampGen, PaperTiming) {

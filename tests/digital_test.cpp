@@ -1,5 +1,5 @@
 // Unit tests for the digital sub-macros: counter, latch, control FSM,
-// monotonicity checker, scan chain, LFSR/MISR.
+// monotonicity checker, MISR.
 #include <gtest/gtest.h>
 
 #include "digital/counter.h"
@@ -188,17 +188,6 @@ TEST(Monotonicity, ResetClears) {
   EXPECT_TRUE(mc.report().monotonic);
 }
 
-TEST(Lfsr, GeneratesNonTrivialStream) {
-  PatternLfsr lfsr(8, 0xB8, 1);
-  int ones = 0;
-  for (int i = 0; i < 255; ++i) ones += lfsr.next_bit();
-  EXPECT_EQ(ones, 128);  // balance property of a maximal sequence
-}
-
-TEST(Lfsr, ZeroSeedThrows) {
-  EXPECT_THROW(PatternLfsr(8, 0xB8, 0), std::invalid_argument);
-}
-
 TEST(MisrTest, DeterministicSignature) {
   Misr a, b;
   const std::vector<std::uint32_t> stream{1, 2, 3, 250, 251, 10};
@@ -222,36 +211,6 @@ TEST(MisrTest, OrderSensitivity) {
   a.compact_all({1, 2, 3});
   b.compact_all({3, 2, 1});
   EXPECT_NE(a.signature(), b.signature());
-}
-
-TEST(MisrTest, ResetRestoresSeed) {
-  Misr m;
-  m.compact(99);
-  m.reset(0);
-  EXPECT_EQ(m.signature(), 0u);
-}
-
-TEST(Scan, ShiftThrough) {
-  ScanChain sc(4);
-  // Shift in 1,0,1,1; the chain was zeros so zeros fall out first.
-  EXPECT_EQ(sc.shift(1), 0);
-  EXPECT_EQ(sc.shift(0), 0);
-  EXPECT_EQ(sc.shift(1), 0);
-  EXPECT_EQ(sc.shift(1), 0);
-  // Now the first bit shifted in emerges.
-  EXPECT_EQ(sc.shift(0), 1);
-}
-
-TEST(Scan, CaptureAndShiftOut) {
-  ScanChain sc(3);
-  sc.capture({1, 0, 1});
-  const auto out = sc.shift_vector({0, 0, 0});
-  EXPECT_EQ(out, (std::vector<int>{1, 0, 1}));
-}
-
-TEST(Scan, CaptureWidthMismatchThrows) {
-  ScanChain sc(3);
-  EXPECT_THROW(sc.capture({1, 0}), std::invalid_argument);
 }
 
 }  // namespace

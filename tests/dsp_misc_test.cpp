@@ -1,14 +1,14 @@
-// Unit tests for windows, spectra, noise, and resampling.
+// Unit tests for windows, spectra and noise.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
 #include "dsp/noise.h"
-#include "dsp/resample.h"
 #include "dsp/spectrum.h"
 #include "dsp/vec.h"
 #include "dsp/window.h"
+#include "dsp_test_util.h"
 
 namespace msbist::dsp {
 namespace {
@@ -66,20 +66,6 @@ TEST(Spectrum, DcComponentNotDoubled) {
   EXPECT_NEAR(mag[0], 2.0, 1e-9);
 }
 
-TEST(Spectrum, PowerAndDb) {
-  EXPECT_DOUBLE_EQ(power({3.0, -3.0}), 9.0);
-  EXPECT_NEAR(power_db(100.0, 1.0), 20.0, 1e-12);
-  EXPECT_THROW(power_db(1.0, 0.0), std::invalid_argument);
-}
-
-TEST(Spectrum, SnrOfKnownNoise) {
-  const std::size_t n = 20000;
-  std::vector<double> clean(n);
-  for (std::size_t i = 0; i < n; ++i) clean[i] = std::sin(0.01 * static_cast<double>(i));
-  const auto noisy = add_awgn_snr(clean, 20.0, 1234);
-  EXPECT_NEAR(snr_db(clean, noisy), 20.0, 0.5);
-}
-
 TEST(Noise, Deterministic) {
   const auto a = gaussian_noise(100, 1.0, 42);
   const auto b = gaussian_noise(100, 1.0, 42);
@@ -97,49 +83,6 @@ TEST(Noise, SigmaScales) {
 TEST(Noise, ZeroSigmaIsSilent) {
   const auto x = gaussian_noise(10, 0.0, 1);
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Noise, AwgnOnZeroSignalIsIdentity) {
-  const std::vector<double> z(10, 0.0);
-  EXPECT_EQ(add_awgn_snr(z, 10.0, 5), z);
-}
-
-TEST(Resample, InterpLinearBasics) {
-  const std::vector<double> xs{0.0, 1.0, 2.0};
-  const std::vector<double> ys{0.0, 10.0, 0.0};
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 1.5), 5.0);
-  // Edge hold.
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 3.0), 0.0);
-}
-
-TEST(Resample, InterpLinearValidation) {
-  EXPECT_THROW(interp_linear({}, {}, 0.0), std::invalid_argument);
-  EXPECT_THROW(interp_linear({0.0, 1.0}, {0.0}, 0.5), std::invalid_argument);
-}
-
-TEST(Resample, UpsampleLinearRamp) {
-  // A ramp resampled at half the step stays a ramp.
-  const std::vector<double> y{0.0, 1.0, 2.0, 3.0};
-  const auto r = resample_linear(y, 1.0, 0.5);
-  ASSERT_EQ(r.size(), 7u);
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_NEAR(r[i], 0.5 * static_cast<double>(i), 1e-12);
-  }
-}
-
-TEST(Resample, DownsamplePreservesEndpointsOfRamp) {
-  const auto ramp = linspace(0.0, 10.0, 101);
-  const auto r = resample_linear(ramp, 0.01, 0.05);
-  EXPECT_NEAR(r.front(), 0.0, 1e-12);
-  EXPECT_NEAR(r.back(), 10.0, 1e-9);
-}
-
-TEST(Resample, Decimate) {
-  const std::vector<double> y{0, 1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(decimate(y, 3), (std::vector<double>{0, 3, 6}));
-  EXPECT_THROW(decimate(y, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "dsp/vec.h"
+#include "dsp_test_util.h"
 
 namespace msbist::dsp {
 namespace {

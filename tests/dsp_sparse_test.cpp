@@ -51,28 +51,6 @@ TEST(SparseMatrix, TripletOutOfRangeThrows) {
                std::invalid_argument);
 }
 
-TEST(SparseMatrix, DenseRoundTripAndMatvec) {
-  Matrix d(3, 3);
-  d(0, 0) = 4.0;
-  d(0, 2) = -1.0;
-  d(1, 1) = 2.0;
-  d(2, 0) = 1.0;
-  d(2, 2) = 3.0;
-  const SparseMatrix s = SparseMatrix::from_dense(d);
-  EXPECT_EQ(s.nnz(), 5u);
-  const Matrix back = s.to_dense();
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(back(r, c), d(r, c));
-  }
-  const std::vector<double> v{1.0, -2.0, 0.5};
-  const std::vector<double> dense_prod = d * v;
-  const std::vector<double> sparse_prod = s * v;
-  ASSERT_EQ(sparse_prod.size(), dense_prod.size());
-  for (std::size_t i = 0; i < dense_prod.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sparse_prod[i], dense_prod[i]);
-  }
-}
-
 TEST(SparseMatrix, PatternConstructionDeduplicates) {
   SparseMatrix m = SparseMatrix::from_pattern(
       2, 2, {{1, 1}, {0, 0}, {1, 1}, {0, 1}});
@@ -80,8 +58,6 @@ TEST(SparseMatrix, PatternConstructionDeduplicates) {
   EXPECT_EQ(m.at(0, 0), 0.0);
   *m.find(1, 1) = 7.0;
   EXPECT_EQ(m.at(1, 1), 7.0);
-  m.set_zero();
-  EXPECT_EQ(m.at(1, 1), 0.0);
 }
 
 TEST(SparseLu, SolvesMnaSystemWithStructuralZeroDiagonal) {
@@ -100,14 +76,6 @@ TEST(SparseLu, SolvesMnaSystemWithStructuralZeroDiagonal) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(x[i], xd[i], 1e-12);
   }
-}
-
-TEST(SparseLu, DeterminantMatchesDenseIncludingSign) {
-  const SparseMatrix a = mna_example();
-  SparseLu lu;
-  lu.factor(a);
-  const double dd = LuDecomposition(a.to_dense()).determinant();
-  EXPECT_NEAR(lu.determinant(), dd, 1e-12 * std::abs(dd));
 }
 
 TEST(SparseLu, RefactorReproducesFactorBitwise) {
@@ -182,7 +150,6 @@ TEST(SparseLu, UnfactoredUseIsHardError) {
   std::vector<double> x;
   EXPECT_THROW(lu.solve({}), std::logic_error);
   EXPECT_THROW(lu.solve_into({}, x), std::logic_error);
-  EXPECT_THROW(lu.determinant(), std::logic_error);
 }
 
 // The dense engine shares the hardened contract: before this fix a

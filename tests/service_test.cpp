@@ -69,10 +69,12 @@ struct ServiceFixture {
         server(with_observer(std::move(hopts), manager),
                service::make_api_handler(manager)) {}
 
+  /// One-shot exchange on a fresh connection (Connection: close).
   service::HttpResponse request(const std::string& method,
                                 const std::string& target,
                                 const std::string& body = "") {
-    return service::http_request(server.port(), method, target, body);
+    service::HttpClient client(server.port());
+    return client.request(method, target, body, /*close_connection=*/true);
   }
 
   /// Poll GET /jobs/{id} until the state is terminal (or 10 s elapse).

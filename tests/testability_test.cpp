@@ -254,11 +254,6 @@ TEST(Collapse, FoldsTheOp1Universe) {
   EXPECT_EQ(cu.map.representative_of(14), 0u);
   EXPECT_EQ(cu.map.representative_of(15), 1u);
   EXPECT_FALSE(cu.reasons[14].empty());
-
-  // representative_specs preserves universe order and size.
-  const std::vector<faults::FaultSpec> reps = cu.representative_specs();
-  ASSERT_EQ(reps.size(), 10u);
-  EXPECT_EQ(reps.front().label, universe.front().label);
 }
 
 TEST(Collapse, MarksTheScIslandUndetectable) {
@@ -319,10 +314,6 @@ TEST(CollapseMap, SignatureAlgebra) {
   const std::vector<std::size_t> cls = m.members_of(0);
   ASSERT_EQ(cls.size(), 2u);
   EXPECT_EQ(cls[1], 2u);
-
-  const faults::CollapseMap id = faults::CollapseMap::identity(3);
-  EXPECT_EQ(id.simulated_count(), 3u);
-  EXPECT_EQ(id.solves_saved(), 0u);
 
   EXPECT_THROW(faults::CollapseMap::from_signatures({"a"}, {true, false}),
                std::invalid_argument);

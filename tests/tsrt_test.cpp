@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dsp/vec.h"
+#include "dsp_test_util.h"
 #include "faults/universe.h"
 #include "tsrt/detector.h"
 #include "tsrt/example_circuits.h"
