@@ -431,8 +431,8 @@ void ScoredTestabilityPass::run(const Topology& topo, Report& out) const {
                "node's state to any declared tap — the ramp-gain-masking "
                "blind spot of the paper, generalized",
                n.node, "",
-               "route the node to a DcLevelSensor / TestAccessPort tap or "
-               "accept that faults here escape the BIST tiers"});
+               "route the node to a DcLevelSensor or declared observation tap "
+               "or accept that faults here escape the BIST tiers"});
     }
     if (n.controllability == 0.0) {
       out.add({Severity::kInfo, name(),
@@ -457,7 +457,7 @@ void TestPointPass::run(const Topology& topo, Report& out) const {
           << " blind node(s) observable";
     }
     out.add({Severity::kInfo, name(), msg.str(), s.node, "",
-             "wire this node to a DcLevelSensor / TestAccessPort input"});
+             "wire this node to a DcLevelSensor or declared observation tap"});
   }
 }
 

@@ -8,7 +8,7 @@
 //                     this node from the tester's drive points), and
 //   observability   — to the declared BIST observation taps (how hard is
 //                     it for a perturbation at this node to reach a
-//                     DcLevelSensor / TestAccessPort input).
+//                     DcLevelSensor or declared observation tap).
 //
 // Distances run over a SignalGraph: a directed, impedance-weighted
 // influence graph derived from the Topology. Conduction edges (resistors,
@@ -97,8 +97,8 @@ class SignalGraph {
 };
 
 struct TestabilityOptions {
-  /// Declared BIST observation taps (DcLevelSensor / TestAccessPort
-  /// inputs, ramp comparator nodes).
+  /// Declared BIST observation taps (DcLevelSensor inputs, ramp
+  /// comparator nodes).
   std::vector<std::string> taps;
   /// Greedy test-point suggestions to compute (0 disables).
   std::size_t max_suggestions = 3;
