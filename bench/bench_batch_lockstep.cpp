@@ -6,14 +6,17 @@
 // R/C/drive spreads — a resistive cell bank hanging off the test bus
 // with RC poles on every 16th cell and on the output — marched for 50
 // steps, the short screen a production insertion actually runs. The
-// scalar reference fabricates each of 32 dies and runs its own sparse
-// transient through run_batch's DeviceTestFn path — 32 symbolic
-// analyses, 32 factorizations, 32 independent marches. The lockstep path
-// (production::run_batch_lockstep over circuit::BatchTransient) performs
-// one symbolic analysis per lane block, replays its pivot schedule
-// across the dies' entry-major SoA value slabs, and batches the DC seeds
-// and every march step into vectorized solves — so the per-die setup
-// cost that dominates a short screen is paid once per block, not per die.
+// scalar reference builds each of 32 dies as a standalone netlist
+// (LockstepPlan::build) and runs its own sparse transient through
+// run_batch's DeviceTestFn path — 32 netlists, 32 symbolic analyses, 32
+// factorizations, 32 independent marches. The lockstep path
+// (production::run_batch_lockstep over circuit::BatchTransient) writes
+// each die's value row into lane netlists it builds once per call,
+// performs one symbolic analysis per lane block, replays its pivot
+// schedule across the dies' entry-major SoA value slabs, and batches the
+// DC seeds and every march step into vectorized solves — so the per-die
+// setup cost that dominates a short screen is paid once per block, not
+// per die.
 //
 // The reproduction prints the 32-die comparison (the per-die throughput
 // gain, best of 3 runs per path) and the lockstep per-die cost at 256

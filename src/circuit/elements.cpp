@@ -21,6 +21,13 @@ Capacitor::Capacitor(NodeId a, NodeId b, double farads) : a_(a), b_(b), farads_(
   if (farads_ <= 0) throw std::invalid_argument("Capacitor: capacitance must be > 0");
 }
 
+void Capacitor::set_values(const double* values) {
+  if (values[0] <= 0) {
+    throw std::invalid_argument("Capacitor: capacitance must be > 0");
+  }
+  farads_ = values[0];
+}
+
 void Capacitor::set_initial_voltage(double v) {
   has_ic_ = true;
   ic_ = v;

@@ -18,6 +18,9 @@ class Resistor final : public Element {
   std::vector<NodeId> terminals() const override { return {a_, b_}; }
   std::vector<std::pair<int, int>> dc_paths() const override { return {{0, 1}}; }
   bool time_invariant_stamp() const override { return true; }
+  /// One slot: the resistance.
+  std::size_t value_count() const override { return 1; }
+  void set_values(const double* values) override { set_resistance(values[0]); }
   double resistance() const { return ohms_; }
   void set_resistance(double ohms);
   NodeId node_a() const { return a_; }
@@ -37,6 +40,9 @@ class Capacitor final : public Element {
   void set_initial_voltage(double v);
   void stamp(Stamper& s, const StampContext& ctx) const override;
   std::vector<NodeId> terminals() const override { return {a_, b_}; }
+  /// One slot: the capacitance.
+  std::size_t value_count() const override { return 1; }
+  void set_values(const double* values) override;
   /// The companion conductance C/dt (or 2C/dt) is fixed for a fixed-dt
   /// analysis; only the companion history current (an RHS term) varies.
   bool time_invariant_stamp() const override { return true; }
@@ -80,6 +86,11 @@ class VoltageSource final : public Element {
   int branch_count() const override { return 1; }
   /// Branch-row stamps are the constants +/-1; the drive level is RHS-only.
   bool time_invariant_stamp() const override { return true; }
+  /// The waveform's slots (Waveform::value_count).
+  std::size_t value_count() const override { return wave_->value_count(); }
+  void set_values(const double* values) override {
+    wave_ = wave_->with_values(values);
+  }
   NodeId pos() const { return pos_; }
   NodeId neg() const { return neg_; }
   /// Branch current (positive flowing pos -> through source -> neg) in a

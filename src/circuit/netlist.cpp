@@ -1,7 +1,9 @@
 #include "circuit/netlist.h"
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace msbist::circuit {
 
@@ -48,6 +50,34 @@ std::size_t Netlist::assign_unknowns() {
     }
   }
   return next;
+}
+
+std::size_t value_count(const Netlist& netlist) {
+  std::size_t total = 0;
+  for (const auto& el : netlist.elements()) total += el->value_count();
+  return total;
+}
+
+void set_values(Netlist& netlist, std::span<const double> row) {
+  if (row.size() != value_count(netlist)) {
+    throw std::invalid_argument(
+        "set_values: row has " + std::to_string(row.size()) +
+        " values, the netlist " + std::to_string(value_count(netlist)) +
+        " slots");
+  }
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (!std::isfinite(row[i])) {
+      throw std::invalid_argument("set_values: slot " + std::to_string(i) +
+                                  " is not finite");
+    }
+  }
+  const double* next = row.data();
+  for (auto& el : netlist.elements()) {
+    const std::size_t n = el->value_count();
+    if (n == 0) continue;
+    el->set_values(next);
+    next += n;
+  }
 }
 
 }  // namespace msbist::circuit

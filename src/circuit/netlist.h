@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -155,6 +156,13 @@ class Element {
   /// this by construction (their writes are guarded only by node indices).
   virtual bool time_invariant_stamp() const { return false; }
 
+  /// Value slots: the element values a lockstep population varies die by
+  /// die (see set_values below). Elements without slots keep the value
+  /// they were built with.
+  virtual std::size_t value_count() const { return 0; }
+  /// Overwrite the element's slots from values[0 .. value_count()).
+  virtual void set_values(const double* /*values*/) {}
+
   /// Number of extra MNA branch-current rows this element needs.
   virtual int branch_count() const { return 0; }
 
@@ -235,5 +243,15 @@ class Netlist {
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Element>> elements_;
 };
+
+/// Total value slots of a netlist: the length of its value row.
+std::size_t value_count(const Netlist& netlist);
+
+/// Write a value row into a netlist: each element's slots in turn, in
+/// element order. Throws std::invalid_argument, before writing any
+/// element, when the row's length is not value_count(netlist) or any
+/// entry is not finite (a NaN would slip past the elements' own range
+/// checks).
+void set_values(Netlist& netlist, std::span<const double> row);
 
 }  // namespace msbist::circuit

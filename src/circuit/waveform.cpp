@@ -7,6 +7,10 @@
 
 namespace msbist::circuit {
 
+WaveformPtr Waveform::with_values(const double*) const {
+  throw std::logic_error("Waveform::with_values: the waveform has no value slots");
+}
+
 PwlWave::PwlWave(std::vector<std::pair<double, double>> points)
     : points_(std::move(points)) {
   if (points_.empty()) throw std::invalid_argument("PwlWave: needs at least one point");
@@ -59,6 +63,10 @@ SineWave::SineWave(double offset, double amplitude, double frequency_hz, double 
 
 double SineWave::value(double t) const {
   return offset_ + amplitude_ * std::sin(2.0 * std::numbers::pi * freq_ * (t - delay_));
+}
+
+WaveformPtr SineWave::with_values(const double* values) const {
+  return std::make_shared<SineWave>(values[0], values[1], values[2], values[3]);
 }
 
 SampledWave::SampledWave(std::vector<double> samples, double dt)

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -597,7 +600,36 @@ void score_lane(const DieSpec& spec, std::size_t index,
   }
 }
 
+/// Draw die `spec`'s value row. The row is filled with NaN first, so a
+/// slot values() leaves unwritten makes circuit::set_values throw instead
+/// of keeping whatever the buffer held.
+void draw_row(const LockstepPlan& plan, const DieSpec& spec,
+              std::span<double> row) {
+  std::fill(row.begin(), row.end(), std::numeric_limits<double>::quiet_NaN());
+  plan.values(spec, row);
+}
+
+/// The lane netlists of one block, reused block after block within one
+/// run_batch_lockstep call: the leader lane plus a full block of
+/// netlists built from the plan's topology, and the buffer each die's
+/// row is drawn into before it is written into its lane.
+struct LaneSet {
+  explicit LaneSet(const LockstepPlan& plan) : nets(kLockstepBlockDies + 1) {
+    for (circuit::Netlist& n : nets) plan.topology(n);
+    row.resize(circuit::value_count(nets.front()));
+  }
+  std::vector<circuit::Netlist> nets;
+  std::vector<double> row;
+};
+
 }  // namespace
+
+void LockstepPlan::build(const DieSpec& spec, circuit::Netlist& netlist) const {
+  topology(netlist);
+  std::vector<double> row(circuit::value_count(netlist));
+  draw_row(*this, spec, row);
+  circuit::set_values(netlist, row);
+}
 
 BatchReport run_batch(const std::vector<DieSpec>& population,
                       const TestPlan& plan, std::size_t threads,
@@ -666,9 +698,10 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
                                const BatchResume* resume,
                                const DeviceCompleteFn& on_complete,
                                std::size_t threads, const core::StopFn& stop) {
-  if (!plan.build || !plan.evaluate) {
+  if (!plan.topology || !plan.values || !plan.evaluate) {
     throw std::invalid_argument(
-        "run_batch_lockstep: plan.build and plan.evaluate are required");
+        "run_batch_lockstep: plan.topology, plan.values and plan.evaluate "
+        "are required");
   }
   const auto t0 = Clock::now();
   const std::size_t n = population.size();
@@ -685,26 +718,64 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
       (live.size() + kLockstepBlockDies - 1) / kLockstepBlockDies;
   if (threads == 0) threads = core::ThreadPool::default_thread_count();
   threads = std::clamp<std::size_t>(threads, 1, std::max<std::size_t>(blocks, 1));
+
+  // Lane sets not held by a block. A block builds a set only when none is
+  // free, so at most `threads` exist; all of them die with this call.
+  std::mutex free_mu;
+  std::vector<std::unique_ptr<LaneSet>> free_sets;
+  const auto take_lane_set = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(free_mu);
+      if (!free_sets.empty()) {
+        std::unique_ptr<LaneSet> set = std::move(free_sets.back());
+        free_sets.pop_back();
+        return set;
+      }
+    }
+    return std::make_unique<LaneSet>(plan);
+  };
+  // The leader lane's row (die live[0]), drawn once, into the first set's
+  // shape; the set then waits on the free list for the first block.
+  const auto ts = Clock::now();
+  std::vector<double> leader_row;
+  if (!live.empty()) {
+    free_sets.push_back(std::make_unique<LaneSet>(plan));
+    leader_row.resize(free_sets.back()->row.size());
+    draw_row(plan, population[live[0]], leader_row);
+  }
+  const double setup_seconds = seconds_since(ts);
+
   // Block b owns slots live[b*B .. b*B+B) and block_seconds[b].
   std::vector<double> block_seconds(blocks, 0.0);
   core::for_each_slot(blocks, threads, stop, [&](std::size_t b) {
     const auto tb = Clock::now();
     const std::size_t first = b * kLockstepBlockDies;
     const std::size_t last = std::min(first + kLockstepBlockDies, live.size());
+    std::unique_ptr<LaneSet> set = take_lane_set();
     // Lane 0 is die live[0] in every block (see batch.h): blocks after
-    // the first march a rebuilt copy of it ahead of their own dies.
+    // the first march the leader row ahead of their own dies.
     const std::size_t lead = b == 0 ? 0 : 1;
-    std::vector<circuit::Netlist> nets(lead + last - first);
-    std::vector<circuit::Netlist*> variants(nets.size());
-    for (std::size_t lane = 0; lane < nets.size(); ++lane) {
-      const std::size_t die = lane < lead ? live[0] : live[first + lane - lead];
-      plan.build(population[die], nets[lane]);
-      variants[lane] = &nets[lane];
+    std::vector<circuit::Netlist*> variants(lead + last - first);
+    for (std::size_t lane = 0; lane < variants.size(); ++lane) {
+      circuit::Netlist& net = set->nets[lane];
+      if (lane < lead) {
+        circuit::set_values(net, leader_row);
+      } else {
+        draw_row(plan, population[live[first + lane - lead]], set->row);
+        circuit::set_values(net, set->row);
+      }
+      variants[lane] = &net;
     }
     circuit::BatchTransientOptions opts = plan.transient;
     opts.erc = opts.erc && b == 0;  // every block shares lane 0's topology
     const circuit::BatchTransientReport sim =
         circuit::BatchTransient(opts).run(variants);
+    // Scoring reads the march's waveform slab, not the lanes, so the set
+    // goes back first.
+    {
+      const std::lock_guard<std::mutex> lock(free_mu);
+      free_sets.push_back(std::move(set));
+    }
     // The block's dies score side by side, fire as one checkpoint, then
     // move into their (not necessarily adjacent) slots.
     std::vector<DeviceOutcome> scored(last - first);
@@ -722,8 +793,8 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
   BatchReport report = aggregate(std::move(slots), threads);
   report.wall_seconds = seconds_since(t0);
   // Lanes of a block share one march, so per-die elapsed time is not
-  // separable; cpu_seconds sums the blocks' own times instead.
-  report.cpu_seconds = 0.0;
+  // separable; cpu_seconds sums the lot setup and the blocks' own times.
+  report.cpu_seconds = setup_seconds;
   for (const double s : block_seconds) report.cpu_seconds += s;
   return report;
 }

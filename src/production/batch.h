@@ -230,20 +230,26 @@ BatchReport run_batch(const std::vector<DieSpec>& population,
 /// make_population + run_batch.
 BatchReport run_batch(const BatchConfig& cfg);
 
-/// A lockstep production screen: how to fabricate each die's macro
-/// netlist, how to march the population, and how to judge the waveforms.
+/// A lockstep production screen: the lot's circuit, each die's element
+/// values, how to march the population, and how to judge the waveforms.
 ///
 /// The contract mirrors DeviceTestFn — one die in, one verdict out — but
-/// the middle runs through circuit::BatchTransient: build() produces
-/// value-variants of ONE topology (same nodes, same elements; only
-/// parameters may depend on the spec), the population is simulated in
+/// the middle runs through circuit::BatchTransient. Every die shares ONE
+/// topology (same nodes, same elements); a die is only a row of element
+/// values (circuit::set_values), which the engine writes into lane
+/// netlists it builds once and reuses. The population is simulated in
 /// lockstep lane blocks, and evaluate() scores each die's waveforms into
-/// its DeviceOutcome. build() and evaluate() run on engine worker
+/// its DeviceOutcome. values() and evaluate() run on engine worker
 /// threads when threads > 1 and must be thread-safe.
 struct LockstepPlan {
-  /// Fabricate die `spec` into the (empty) netlist. Must build the same
-  /// topology for every die; draw only element values from the spec.
-  std::function<void(const DieSpec&, circuit::Netlist&)> build;
+  /// Build the lot's nodes and elements into the (empty) netlist. Values
+  /// are placeholders: every die's row overwrites each value slot.
+  std::function<void(circuit::Netlist&)> topology;
+  /// Die `spec`'s value row: one entry per value slot of topology()'s
+  /// netlist, in element order. The engine fills the row with NaN first,
+  /// so a slot left unwritten fails the lot instead of keeping another
+  /// die's value.
+  std::function<void(const DieSpec&, std::span<double> row)> values;
   circuit::BatchTransientOptions transient;
   /// Judge one die's simulated waveforms, read in place from its block's
   /// shared waveform slab (circuit::LaneWaveforms; a scalar transient can
@@ -251,6 +257,11 @@ struct LockstepPlan {
   /// (structured failing outcome), never the batch.
   std::function<core::Outcome(const DieSpec&, const circuit::LaneWaveforms&)>
       evaluate;
+
+  /// Die `spec` as a standalone netlist: topology() into the (empty)
+  /// netlist, then the die's row. For scalar references and one-off
+  /// marches; run_batch_lockstep never builds a netlist per die.
+  void build(const DieSpec& spec, circuit::Netlist& netlist) const;
 };
 
 /// Dies per lockstep block. Memory and per-die cost stay flat in lot
@@ -263,26 +274,32 @@ inline constexpr std::size_t kLockstepBlockDies = 32;
 /// aggregation); dies whose lane failed (typed solver failure) or whose
 /// evaluate() threw are degraded failing outcomes, exactly like a
 /// DeviceTestFn that threw under run_batch. Throws std::invalid_argument
-/// when build() violates the shared-topology contract and
-/// core::SingularMatrixError when a die's matrix defeats even private
-/// re-pivoting (see circuit/batch_transient.h); with several failing
-/// blocks, the lowest block's error is the one thrown.
+/// when a die's row is malformed — a slot values() left unwritten, or any
+/// other non-finite or out-of-range value — and core::SingularMatrixError
+/// when a die's matrix defeats even private re-pivoting (see
+/// circuit/batch_transient.h); with several failing blocks, the lowest
+/// block's error is the one thrown.
 ///
 /// The dies still to test (the "live" dies: population order, restored
 /// dies excluded) march in blocks of kLockstepBlockDies, one
 /// core::for_each_slot unit each, on `threads` workers (0 = hardware
-/// concurrency). Each block builds its dies' netlists, runs one
-/// circuit::BatchTransient march, evaluates, fires `on_complete` once
-/// with all of its dies, and frees everything, so engine memory is bounded
-/// by the block size times the thread count, not by the lot. Every
-/// block marches with the first live die's netlist as its lane 0 (a
-/// leader lane, discarded in every block but the first): lane 0 defines
-/// the pivot sequence all lanes replay, so each die's waveforms — and
-/// the report — are byte-identical to one march over every live die at
-/// once, at any thread count. The ERC runs once per lot, in the first
-/// block. `cpu_seconds` sums the blocks' build + march + evaluate times.
+/// concurrency). A block takes a lane set — kLockstepBlockDies + 1
+/// netlists built from topology(), and a row buffer — from a free list
+/// local to the call, building one only when none is free, so at most
+/// `threads` sets exist and none outlives the call. It writes each of
+/// its dies' rows into a lane, runs one circuit::BatchTransient march,
+/// evaluates, fires `on_complete` once with all of its dies, and returns
+/// the set: engine memory is bounded by the block size times the thread
+/// count, not by the lot. Every block marches with the first live die's
+/// row, computed once per lot, in its lane 0 (a leader lane, discarded in
+/// every block but the first): lane 0 defines the pivot sequence all
+/// lanes replay, so each die's waveforms — and the report — are
+/// byte-identical to one march over every live die at once, at any
+/// thread count. The ERC runs once per lot, in the first block.
+/// `cpu_seconds` sums the blocks' own times: lane-set build (in the
+/// blocks that build one), row writes, march and evaluation.
 ///
-/// Resume and stop semantics: dies listed in `resume` are never built
+/// Resume and stop semantics: dies listed in `resume` are never written
 /// or marched; their restored outcomes are spliced into the report.
 /// `stop` is polled before each block is claimed. A block is atomic —
 /// its checkpoint (`on_complete`) fires only once the whole block has

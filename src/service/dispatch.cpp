@@ -321,28 +321,44 @@ double spread(std::uint64_t seed, std::uint64_t salt, double amp) {
 
 constexpr std::size_t kScreenCells = 94;  // 98 MNA unknowns
 
-void build_screen_die(const production::DieSpec& spec, circuit::Netlist& n) {
+/// The screen's circuit. Every value is a placeholder that
+/// screen_values() overwrites.
+void screen_topology(circuit::Netlist& n) {
   using circuit::kGround;
-  const double r_scale = spread(spec.seed, 0x52, 0.05);
-  const double c_scale = spread(spec.seed, 0x43, 0.05);
   const circuit::NodeId stim = n.node("stim");
   const circuit::NodeId bus = n.node("bus");
   const circuit::NodeId out = n.node("out");
   n.add<circuit::VoltageSource>(
-      stim, kGround,
-      std::make_shared<circuit::SineWave>(
-          2.5, 2.5 * spread(spec.seed, 0x56, 0.02), 50e3));
-  n.add<circuit::Resistor>(stim, bus, 100.0 * r_scale);
-  n.add<circuit::Resistor>(bus, out, 1e3 * r_scale);
-  n.add<circuit::Resistor>(out, kGround, 10e3 * r_scale);
-  n.add<circuit::Capacitor>(out, kGround, 10e-9 * c_scale);
+      stim, kGround, std::make_shared<circuit::SineWave>(0.0, 0.0, 0.0));
+  n.add<circuit::Resistor>(stim, bus, 1.0);
+  n.add<circuit::Resistor>(bus, out, 1.0);
+  n.add<circuit::Resistor>(out, kGround, 1.0);
+  n.add<circuit::Capacitor>(out, kGround, 1.0);
   for (std::size_t i = 0; i < kScreenCells; ++i) {
     const circuit::NodeId cell = n.node("cell" + std::to_string(i));
-    n.add<circuit::Resistor>(
-        bus, cell, (1e3 + 10.0 * static_cast<double>(i)) * r_scale);
+    n.add<circuit::Resistor>(bus, cell, 1.0);
+    if (i % 16 == 0) n.add<circuit::Capacitor>(cell, kGround, 1.0);
+  }
+}
+
+/// One die's row, slot for slot in screen_topology()'s element order.
+void screen_values(const production::DieSpec& spec, std::span<double> row) {
+  const double r_scale = spread(spec.seed, 0x52, 0.05);
+  const double c_scale = spread(spec.seed, 0x43, 0.05);
+  std::size_t k = 0;
+  // The drive: SineWave offset, amplitude, frequency, delay.
+  row[k++] = 2.5;
+  row[k++] = 2.5 * spread(spec.seed, 0x56, 0.02);
+  row[k++] = 50e3;
+  row[k++] = 0.0;
+  row[k++] = 100.0 * r_scale;
+  row[k++] = 1e3 * r_scale;
+  row[k++] = 10e3 * r_scale;
+  row[k++] = 10e-9 * c_scale;
+  for (std::size_t i = 0; i < kScreenCells; ++i) {
+    row[k++] = (1e3 + 10.0 * static_cast<double>(i)) * r_scale;
     if (i % 16 == 0) {
-      n.add<circuit::Capacitor>(
-          cell, kGround, (1e-9 + 1e-11 * static_cast<double>(i)) * c_scale);
+      row[k++] = (1e-9 + 1e-11 * static_cast<double>(i)) * c_scale;
     }
   }
 }
@@ -363,7 +379,8 @@ core::Outcome judge_screen_die(const production::DieSpec&,
 
 production::LockstepPlan lockstep_screen_plan() {
   production::LockstepPlan plan;
-  plan.build = build_screen_die;
+  plan.topology = screen_topology;
+  plan.values = screen_values;
   plan.transient.dt = 100e-9;
   plan.transient.t_stop = 5e-6;  // 50-step settling screen
   plan.evaluate = judge_screen_die;

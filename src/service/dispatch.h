@@ -119,7 +119,9 @@ DispatchResult dispatch(const core::JobRequest& request,
 std::vector<production::DieSpec> lockstep_screen_population(
     std::size_t count, std::uint64_t batch_seed);
 
-/// The screen's LockstepPlan (build + march options + judge).
+/// The screen's LockstepPlan: the array topology, each die's value row
+/// (R/C scales and drive amplitude drawn from its seed), the march
+/// options and the judge.
 production::LockstepPlan lockstep_screen_plan();
 
 /// Resolve wire tier names onto bist::Tier values; empty input means

@@ -1,16 +1,20 @@
 // circuit::BatchTransient + production::run_batch_lockstep: lockstep
 // waveforms must match one-die-at-a-time sparse transients (bitwise for
 // the pivot-defining variant, < 1e-9 relative for the rest), per-lane
-// failures must stay in their lane, topology-contract violations must be
-// rejected, and the lane-block march must report exactly what one march
-// over the whole lot would.
+// failures must stay in their lane, topology-contract violations and
+// malformed value rows must be rejected, a lane netlist rewritten with a
+// die's row must march exactly like that die built afresh, and the
+// lane-block march must report exactly what one march over the whole lot
+// would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,6 +31,7 @@
 #include "core/json_value.h"
 #include "core/outcome.h"
 #include "production/batch.h"
+#include "service/dispatch.h"
 
 namespace msbist::circuit {
 namespace {
@@ -312,6 +317,55 @@ TEST(LaneWaveforms, ScalarCopyReproducesEveryWaveformBitForBit) {
   }
 }
 
+/// The netlist's transient matrix and right-hand side at one instant,
+/// flattened: what every element's values stamp.
+std::vector<double> stamps(Netlist& n) {
+  const std::size_t unknowns = n.assign_unknowns();
+  dsp::Matrix g(unknowns, unknowns);
+  std::vector<double> rhs(unknowns, 0.0);
+  StampContext ctx;
+  ctx.mode = StampContext::Mode::kTransient;
+  ctx.dt = 100e-9;
+  ctx.t = 1e-6;
+  Stamper s(g, rhs);
+  for (const auto& el : n.elements()) el->stamp(s, ctx);
+  std::vector<double> out(g.data(), g.data() + unknowns * unknowns);
+  out.insert(out.end(), rhs.begin(), rhs.end());
+  return out;
+}
+
+TEST(BatchTransient, SetValuesRejectsBadRowsBeforeWritingAny) {
+  Netlist n;
+  build_macro_array(n, 1.0, 1.0, 1.0);
+  const std::vector<double> before = stamps(n);
+  // Four sine slots, three resistors and a capacitor, then a resistor
+  // and a capacitor per cell.
+  const std::size_t slots = value_count(n);
+  ASSERT_EQ(slots, 8 + 2 * kCells);
+  // A row that moves every value, spoiled only in its last slot: a
+  // writer that checked as it went would already have changed the rest.
+  const std::vector<double> good(slots, 2.0);
+  std::vector<std::vector<double>> bad_rows;
+  bad_rows.emplace_back(good.begin(), good.end() - 1);
+  bad_rows.push_back(good);
+  bad_rows.back().push_back(2.0);
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    bad_rows.push_back(good);
+    bad_rows.back().back() = x;
+  }
+  for (const std::vector<double>& row : bad_rows) {
+    EXPECT_THROW(set_values(n, row), std::invalid_argument)
+        << row.size() << " values, last " << row.back();
+    EXPECT_EQ(stamps(n), before)
+        << row.size() << " values, last " << row.back();
+  }
+  // The same row unspoiled is written: the stamp probe sees values move.
+  set_values(n, good);
+  EXPECT_NE(stamps(n), before);
+}
+
 }  // namespace
 }  // namespace msbist::circuit
 
@@ -336,16 +390,21 @@ DeviceCompleteFn each_die(
 
 /// Seed-derived RC time constant: every die charges the same node through
 /// a slightly different resistor.
-void build_die(const DieSpec& spec, Netlist& n) {
+void die_topology(Netlist& n) {
   const NodeId in = n.node("in");
   const NodeId out = n.node("out");
+  n.add<VoltageSource>(in, kGround, 5.0);
+  n.name_last("VDD");
+  n.add<Resistor>(in, out, 1.0);
+  n.add<Capacitor>(out, kGround, 1.0);
+}
+
+void die_values(const DieSpec& spec, std::span<double> row) {
   // Map the seed into a +/-10% spread around 1 kOhm.
   const double unit =
       static_cast<double>(spec.seed % 1000u) / 999.0;  // [0, 1]
-  n.add<VoltageSource>(in, kGround, 5.0);
-  n.name_last("VDD");
-  n.add<Resistor>(in, out, 1e3 * (0.9 + 0.2 * unit));
-  n.add<Capacitor>(out, kGround, 100e-9);
+  row[0] = 1e3 * (0.9 + 0.2 * unit);
+  row[1] = 100e-9;
 }
 
 TEST(RunBatchLockstep, ScreensAPopulationLikeRunBatch) {
@@ -358,7 +417,8 @@ TEST(RunBatchLockstep, ScreensAPopulationLikeRunBatch) {
   }
 
   LockstepPlan plan;
-  plan.build = build_die;
+  plan.topology = die_topology;
+  plan.values = die_values;
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 1e-3;
   plan.evaluate = [](const DieSpec&, const circuit::LaneWaveforms& tr) {
@@ -391,7 +451,8 @@ TEST(RunBatchLockstep, EvaluateExceptionDegradesOnlyThatDie) {
     population.push_back(d);
   }
   LockstepPlan plan;
-  plan.build = build_die;
+  plan.topology = die_topology;
+  plan.values = die_values;
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 200e-6;
   plan.evaluate = [&](const DieSpec& spec,
@@ -424,25 +485,39 @@ double decade_spread(std::uint64_t seed, std::uint64_t salt) {
 /// disagree on the partial-pivoting sequence. Lanes replay lane 0's
 /// pivots, so a die's low-order waveform bits depend on which die leads
 /// its march — what the block march's leader lane has to pin down.
-void build_pivot_sensitive_die(const DieSpec& spec, Netlist& n) {
+void pivot_sensitive_topology(Netlist& n) {
   NodeId prev = n.node("in");
   n.add<VoltageSource>(prev, kGround,
-                       std::make_shared<circuit::SineWave>(2.5, 2.0, 50e3));
+                       std::make_shared<circuit::SineWave>(0.0, 0.0, 0.0));
   for (std::uint64_t i = 0; i < 6; ++i) {
     const NodeId node = n.node("n" + std::to_string(i));
-    n.add<Resistor>(prev, node, decade_spread(spec.seed, 10 + i));
-    n.add<Resistor>(node, kGround, decade_spread(spec.seed, 20 + i));
-    n.add<Capacitor>(node, kGround, 1e-6);
+    n.add<Resistor>(prev, node, 1.0);
+    n.add<Resistor>(node, kGround, 1.0);
+    n.add<Capacitor>(node, kGround, 1.0);
     if (i >= 2) {
-      n.add<Resistor>(node, n.node("n" + std::to_string(i - 2)),
-                      decade_spread(spec.seed, 30 + i));
+      n.add<Resistor>(node, n.node("n" + std::to_string(i - 2)), 1.0);
     }
     prev = node;
   }
   const NodeId out = n.node("out");
-  n.add<Resistor>(prev, out, decade_spread(spec.seed, 40));
-  n.add<Resistor>(out, kGround, 10.0);
-  n.add<Capacitor>(out, kGround, 1e-6);
+  n.add<Resistor>(prev, out, 1.0);
+  n.add<Resistor>(out, kGround, 1.0);
+  n.add<Capacitor>(out, kGround, 1.0);
+}
+
+void pivot_sensitive_values(const DieSpec& spec, std::span<double> row) {
+  std::size_t k = 0;
+  // The drive: SineWave(2.5, 2.0, 50e3), delay 0.
+  for (const double v : {2.5, 2.0, 50e3, 0.0}) row[k++] = v;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    row[k++] = decade_spread(spec.seed, 10 + i);
+    row[k++] = decade_spread(spec.seed, 20 + i);
+    row[k++] = 1e-6;
+    if (i >= 2) row[k++] = decade_spread(spec.seed, 30 + i);
+  }
+  row[k++] = decade_spread(spec.seed, 40);
+  row[k++] = 10.0;
+  row[k++] = 1e-6;
 }
 
 /// A verdict carrying the exact bits of the die's waveform (hex-float
@@ -457,7 +532,8 @@ core::Outcome judge_bits(const DieSpec&, const circuit::LaneWaveforms& tr) {
 
 LockstepPlan pivot_sensitive_plan() {
   LockstepPlan plan;
-  plan.build = build_pivot_sensitive_die;
+  plan.topology = pivot_sensitive_topology;
+  plan.values = pivot_sensitive_values;
   plan.transient.dt = 1e-6;
   plan.transient.t_stop = 20e-6;
   plan.evaluate = judge_bits;
@@ -549,14 +625,18 @@ TEST(RunBatchLockstep, BlockMarchEqualsOnePassMarchAtAnyThreadCount) {
   }
 }
 
-TEST(RunBatchLockstep, TopologyViolationInTheLastBlockStillThrows) {
+TEST(RunBatchLockstep, UnsetSlotInTheLastDieThrows) {
   const std::vector<DieSpec> population = lot(3 * kLockstepBlockDies + 5, 9);
   LockstepPlan plan;
-  plan.build = [&population](const DieSpec& spec, Netlist& n) {
-    build_die(spec, n);
-    if (spec.seed == population.back().seed) {
-      n.add<Resistor>(n.find_node("out"), kGround, 1e6);  // one extra element
-    }
+  plan.topology = die_topology;
+  // The population's last die leaves its last slot (the capacitance)
+  // unwritten; every other die writes its full row.
+  plan.values = [&population](const DieSpec& spec, std::span<double> row) {
+    std::vector<double> full(row.size());
+    die_values(spec, full);
+    const std::size_t written =
+        spec.seed == population.back().seed ? row.size() - 1 : row.size();
+    std::copy_n(full.begin(), written, row.begin());
   };
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 50e-6;
@@ -570,10 +650,78 @@ TEST(RunBatchLockstep, TopologyViolationInTheLastBlockStillThrows) {
   }
 }
 
+/// Every waveform of a scalar transient of `n` under the plan's march
+/// options, time axis first, as exact bits.
+std::vector<std::vector<std::uint64_t>> scalar_bits(Netlist& n,
+                                                    const LockstepPlan& plan) {
+  circuit::TransientOptions t;
+  t.dt = plan.transient.dt;
+  t.t_stop = plan.transient.t_stop;
+  t.newton = plan.transient.newton;
+  const circuit::TransientResult r = circuit::transient(n, t);
+  std::vector<std::vector<std::uint64_t>> out{circuit::bits(r.time())};
+  for (const std::string& node : r.node_names()) {
+    out.push_back(circuit::bits(r.voltage(node)));
+  }
+  for (const std::string& branch : r.branch_names()) {
+    out.push_back(circuit::bits(r.current(branch)));
+  }
+  return out;
+}
+
+TEST(RunBatchLockstep, RewrittenLaneEqualsAFreshBuild) {
+  const std::vector<DieSpec> population = lot(2, 31);
+  const DieSpec& die_i = population[0];
+  const DieSpec& die_j = population[1];
+  for (const LockstepPlan& plan :
+       {service::lockstep_screen_plan(), pivot_sensitive_plan()}) {
+    // A lane that last held die j, marched (capacitor history and all).
+    Netlist lane;
+    plan.topology(lane);
+    std::vector<double> row(circuit::value_count(lane));
+    plan.values(die_j, row);
+    circuit::set_values(lane, row);
+    const auto held_j = scalar_bits(lane, plan);
+    // Rewritten with die i's row, it marches exactly like die i built
+    // afresh.
+    plan.values(die_i, row);
+    circuit::set_values(lane, row);
+    Netlist fresh;
+    plan.build(die_i, fresh);
+    const auto fresh_i = scalar_bits(fresh, plan);
+    EXPECT_NE(held_j, fresh_i);  // the rewrite has something to undo
+    EXPECT_EQ(scalar_bits(lane, plan), fresh_i);
+  }
+}
+
+TEST(RunBatchLockstep, NoLaneSetOutlivesItsCall) {
+  // Two plans with different circuits, back to back: a lane set kept past
+  // its call would march the second plan's rows on the first's circuit.
+  const std::vector<DieSpec> population = lot(2 * kLockstepBlockDies + 3, 77);
+  LockstepPlan rc;
+  rc.topology = die_topology;
+  rc.values = die_values;
+  rc.transient.dt = 5e-6;
+  rc.transient.t_stop = 50e-6;
+  rc.evaluate = judge_bits;
+  LockstepPlan pivot = pivot_sensitive_plan();
+  for (const std::size_t threads : {1u, 2u}) {
+    for (const LockstepPlan* plan : {&pivot, &rc}) {
+      BatchReport ref = one_pass_reference(population, *plan);
+      ref.threads_used = threads;
+      EXPECT_EQ(without_timing(
+                    run_batch_lockstep(population, *plan, nullptr, {}, threads)),
+                without_timing(ref))
+          << "threads " << threads;
+    }
+  }
+}
+
 TEST(RunBatchLockstep, StopBetweenBlocksCompletesOnlyWholeBlocks) {
   const std::vector<DieSpec> population = lot(5 * kLockstepBlockDies, 4);
   LockstepPlan plan;
-  plan.build = build_die;
+  plan.topology = die_topology;
+  plan.values = die_values;
   plan.transient.dt = 5e-6;
   plan.transient.t_stop = 50e-6;
   plan.evaluate = [](const DieSpec&, const circuit::LaneWaveforms&) {
