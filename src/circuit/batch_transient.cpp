@@ -290,72 +290,70 @@ BatchTransientReport BatchTransient::run(
   // failed and sits the march out; a lane whose matrix is singular even
   // under private re-pivoting fails the batch (shared factorization
   // cannot route around it).
-  if (!opts_.use_initial_conditions) {
-    StampContext dc_ctx;
-    dc_ctx.mode = StampContext::Mode::kDc;
-    dc_ctx.t = 0.0;
-    dc_ctx.guess = nullptr;
-    // DC footprints differ from the transient ones (capacitors vanish),
-    // so the DC system gets its own pattern, from variant 0's DC write
-    // logs. The scratch matrix is all zeros again after the transient
-    // assembly, so each lane accumulates onto zeros here too.
-    SharedPattern dc;
-    std::vector<double> dc_x(unknowns * nvar, 0.0);
-    for (std::size_t v = 0; v < nvar; ++v) {
-      std::fill(scratch_rhs.begin(), scratch_rhs.end(), 0.0);
-      if (v == 0) {
-        std::vector<std::pair<int, int>> dc_coords;
-        for (const auto& el : variants[0]->elements()) {
-          matrix_log.clear();
-          rhs_log.clear();
-          Stamper s(scratch_g, scratch_rhs);
-          s.set_write_log(&matrix_log, &rhs_log);
-          el->stamp(s, dc_ctx);
-          dc_coords.insert(dc_coords.end(), matrix_log.begin(),
-                           matrix_log.end());
-        }
-        dc.build(std::move(dc_coords), unknowns, nodes, nvar);
-      } else {
+  StampContext dc_ctx;
+  dc_ctx.mode = StampContext::Mode::kDc;
+  dc_ctx.t = 0.0;
+  dc_ctx.guess = nullptr;
+  // DC footprints differ from the transient ones (capacitors vanish),
+  // so the DC system gets its own pattern, from variant 0's DC write
+  // logs. The scratch matrix is all zeros again after the transient
+  // assembly, so each lane accumulates onto zeros here too.
+  SharedPattern dc;
+  std::vector<double> dc_x(unknowns * nvar, 0.0);
+  for (std::size_t v = 0; v < nvar; ++v) {
+    std::fill(scratch_rhs.begin(), scratch_rhs.end(), 0.0);
+    if (v == 0) {
+      std::vector<std::pair<int, int>> dc_coords;
+      for (const auto& el : variants[0]->elements()) {
+        matrix_log.clear();
+        rhs_log.clear();
         Stamper s(scratch_g, scratch_rhs);
-        for (const auto& el : variants[v]->elements()) el->stamp(s, dc_ctx);
+        s.set_write_log(&matrix_log, &rhs_log);
+        el->stamp(s, dc_ctx);
+        dc_coords.insert(dc_coords.end(), matrix_log.begin(),
+                         matrix_log.end());
       }
-      for (std::size_t node = 0; node < nodes; ++node) {
-        scratch_g(node, node) += opts_.newton.gmin;
-      }
-      dc.take(scratch_g, v, nvar);
-      for (std::size_t row = 0; row < unknowns; ++row) {
-        dc_x[row * nvar + v] = scratch_rhs[row];
-      }
+      dc.build(std::move(dc_coords), unknowns, nodes, nvar);
+    } else {
+      Stamper s(scratch_g, scratch_rhs);
+      for (const auto& el : variants[v]->elements()) el->stamp(s, dc_ctx);
     }
-    dsp::SparseLu dc_shared;
-    dsp::BatchSparseLu dc_batch;
-    try {
-      dc.factor(dc_shared, dc_batch, nvar);
-    } catch (const std::runtime_error& e) {
-      throw core::SingularMatrixError(
-          lane_failure(core::ErrorCode::kSingularMatrix,
-                       "batch_transient/seed", e.what()));
+    for (std::size_t node = 0; node < nodes; ++node) {
+      scratch_g(node, node) += opts_.newton.gmin;
     }
-    dc_batch.solve_batch(dc_x.data());
-    for (std::size_t v = 0; v < nvar; ++v) {
-      Lane& lane = lanes[v];
-      bool finite = true;
-      for (std::size_t row = 0; row < unknowns; ++row) {
-        lane.state[row] = dc_x[row * nvar + v];
-        if (!std::isfinite(lane.state[row])) finite = false;
-      }
-      if (!finite) {
-        lane.alive = false;
-        lane.failure = lane_failure(
-            core::ErrorCode::kNumericOverflow, "batch_transient/seed",
-            "DC operating point is not finite");
-        lane.state.assign(unknowns, 0.0);
-      }
+    dc.take(scratch_g, v, nvar);
+    for (std::size_t row = 0; row < unknowns; ++row) {
+      dc_x[row * nvar + v] = scratch_rhs[row];
+    }
+  }
+  dsp::SparseLu dc_shared;
+  dsp::BatchSparseLu dc_batch;
+  try {
+    dc.factor(dc_shared, dc_batch, nvar);
+  } catch (const std::runtime_error& e) {
+    throw core::SingularMatrixError(
+        lane_failure(core::ErrorCode::kSingularMatrix,
+                     "batch_transient/seed", e.what()));
+  }
+  dc_batch.solve_batch(dc_x.data());
+  for (std::size_t v = 0; v < nvar; ++v) {
+    Lane& lane = lanes[v];
+    bool finite = true;
+    for (std::size_t row = 0; row < unknowns; ++row) {
+      lane.state[row] = dc_x[row * nvar + v];
+      if (!std::isfinite(lane.state[row])) finite = false;
+    }
+    if (!finite) {
+      lane.alive = false;
+      lane.failure = lane_failure(
+          core::ErrorCode::kNumericOverflow, "batch_transient/seed",
+          "DC operating point is not finite");
+      lane.state.assign(unknowns, 0.0);
     }
   }
   for (std::size_t v = 0; v < nvar; ++v) {
     for (auto& el : lanes[v].netlist->elements()) {
-      el->transient_begin(lanes[v].state, opts_.use_initial_conditions);
+      el->transient_begin(lanes[v].state, /*use_initial_conditions=*/false);
     }
   }
 
@@ -370,40 +368,6 @@ BatchTransientReport BatchTransient::run(
     // with the same typed error the scalar solver would raise.
     throw core::SingularMatrixError(lane_failure(
         core::ErrorCode::kSingularMatrix, "batch_transient", e.what()));
-  }
-
-  if (opts_.use_initial_conditions) {
-    // Consistent initial point through the companion models, exactly as
-    // transient() computes sample 0 under initial conditions: one solve of
-    // the (already factored) march matrix against the t_start RHS, not
-    // accepted as a step. Batched across lanes through the march
-    // factorization — the same solve the scalar workspace would perform.
-    std::vector<double> x0(unknowns * nvar, 0.0);
-    for (std::size_t v = 0; v < nvar; ++v) {
-      Lane& lane = lanes[v];
-      std::fill(lane.rhs.begin(), lane.rhs.end(), 0.0);
-      Stamper s(scratch_g, lane.rhs, Stamper::RhsOnly{});
-      for (const Element* el : lane.rhs_elements) el->stamp(s, discovery);
-      for (std::size_t row = 0; row < unknowns; ++row) {
-        x0[row * nvar + v] = lane.rhs[row];
-      }
-    }
-    batch.solve_batch(x0.data());
-    for (std::size_t v = 0; v < nvar; ++v) {
-      Lane& lane = lanes[v];
-      bool finite = true;
-      for (std::size_t row = 0; row < unknowns; ++row) {
-        lane.state[row] = x0[row * nvar + v];
-        if (!std::isfinite(lane.state[row])) finite = false;
-      }
-      if (!finite) {
-        lane.alive = false;
-        lane.failure = lane_failure(
-            core::ErrorCode::kNumericOverflow, "batch_transient/seed",
-            "initial-condition solve is not finite");
-        lane.state.assign(unknowns, 0.0);
-      }
-    }
   }
 
   const auto steps = static_cast<std::size_t>(

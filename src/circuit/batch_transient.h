@@ -67,7 +67,6 @@ struct BatchTransientOptions {
   double t_stop = 1e-3;  ///< end time [s]
   double t_start = 0.0;  ///< start time [s]
   Integration method = Integration::kTrapezoidal;
-  bool use_initial_conditions = false;  ///< skip the DC point; honor cap ICs
   /// Seeds the per-variant DC operating point and supplies gmin. The
   /// batch engine eliminates in the scalar solver's sparse pattern, which
   /// keeps each lane bit-identical to a scalar transient of its netlist.

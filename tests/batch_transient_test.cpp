@@ -224,7 +224,6 @@ TEST(BatchTransient, SingularPopulationIsBatchLevelTypedError) {
   std::vector<Netlist*> variants{&n0, &n1};
   BatchTransientOptions opts = array_options();
   opts.erc = false;
-  opts.use_initial_conditions = true;  // skip the (also singular) DC seed
   EXPECT_THROW(BatchTransient(opts).run(variants), core::SingularMatrixError);
 }
 
