@@ -204,7 +204,9 @@ HttpResponse register_population(JobManager& manager,
   }
   std::uint64_t batch_seed = 1995;
   if (const core::JsonValue* v = doc.find("batch_seed")) {
-    if (!v->is_integer() || (v->is_integer() && v->as_i64() < 0)) {
+    // JobRequest's rule for the same field: any exact integer >= 0 that
+    // fits 64 bits, read unsigned.
+    if (!v->is_integer() || v->as_double() < 0) {
       bad.detail = "\"batch_seed\" must be a non-negative integer";
       return failure_response(400, bad);
     }
@@ -241,19 +243,15 @@ HttpResponse list_populations(JobManager& manager) {
 
 HttpResponse metrics(JobManager& manager) {
   ServiceGauges gauges;
-  for (const auto& snap : manager.list()) {
-    if (snap.state == JobState::kRunning) ++gauges.jobs_running;
-    if (snap.state == JobState::kQueued) ++gauges.jobs_queued;
+  const std::vector<ClientStats> clients = manager.client_stats();
+  for (const ClientStats& c : clients) {
+    gauges.jobs_running += c.running;
+    gauges.jobs_queued += c.queued;
   }
   gauges.queue_depth = manager.queue_depth();
   gauges.populations = manager.populations().size();
   gauges.retained_bytes = manager.retained_bytes();
   gauges.retain_budget_bytes = manager.options().retain_bytes;
-  std::vector<ClientMetricsRow> clients;
-  for (const ClientStats& s : manager.client_stats()) {
-    clients.push_back({s.tag, s.submitted, s.rejected, s.completed, s.queued,
-                       s.running});
-  }
   const JournalStatus journal = manager.journal_status();
   core::JsonWriter w;
   manager.metrics().to_json(w, gauges, manager.now_seconds(), clients,

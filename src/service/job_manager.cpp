@@ -23,15 +23,6 @@ JobState parse_terminal_state(std::string_view name) {
   return JobState::kFailed;
 }
 
-/// Render one JSON document to text (the journal stores payload text,
-/// not trees).
-template <typename T>
-std::string to_json_text(const T& value) {
-  core::JsonWriter w;
-  value.to_json(w);
-  return w.str();
-}
-
 }  // namespace
 
 const char* to_string(JobState s) {
@@ -120,9 +111,10 @@ struct JobManager::Job {
   bool recovered = false;        ///< rebuilt from the journal at boot
   std::size_t resumed_units = 0; ///< units spliced instead of re-run
 
-  /// What this job charges against JobManagerOptions::retain_bytes.
+  /// What this job charges against JobManagerOptions::retain_bytes: its
+  /// request text and, once terminal, its report.
   std::size_t retained_charge() const {
-    return service::retained_charge(request_bytes, report_json);
+    return request_bytes + (report_json ? report_json->size() : 0);
   }
 };
 
@@ -133,7 +125,6 @@ JobManager::JobManager(JobManagerOptions options)
     jopts.state_dir = options_.state_dir;
     jopts.fsync_every_records =
         std::max<std::size_t>(1, options_.journal_fsync_every);
-    jopts.retain_bytes = options_.retain_bytes;
     journal_ = std::make_unique<Journal>(std::move(jopts));
     restore_terminal_jobs();
   }
@@ -151,13 +142,16 @@ void JobManager::restore_terminal_jobs() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, rec] : journal_->recovered().jobs) {
     next_id_ = std::max(next_id_, id + 1);
-    if (!rec.has_result || rec.request_json.empty()) continue;
+    if (!rec.has_result) continue;
 
     auto job = std::make_shared<Job>();
     try {
       job->request = core::JobRequest::from_json_text(rec.request_json);
     } catch (const std::exception&) {
-      continue;  // unreadable envelope: drop the historical job
+      // No admit record, or an envelope this daemon rejects: the job
+      // cannot be served, so the journal drops it too.
+      forget_locked(id);
+      continue;
     }
     job->id = id;
     job->state = parse_terminal_state(rec.result_state);
@@ -199,6 +193,7 @@ void JobManager::restore_terminal_jobs() {
 
 void JobManager::recover_jobs() {
   std::vector<std::shared_ptr<Job>> readmitted;
+  bool compact = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!journal_ || recovery_done_) return;
@@ -207,13 +202,14 @@ void JobManager::recover_jobs() {
     // releases the boot snapshot, which would otherwise pin every
     // restored report past its eviction.
     for (auto& [id, rec] : journal_->take_recovered_jobs()) {
-      if (rec.has_result || rec.request_json.empty()) continue;
+      if (rec.has_result) continue;  // the constructor restored or forgot it
 
       auto job = std::make_shared<Job>();
       try {
         job->request = core::JobRequest::from_json_text(rec.request_json);
       } catch (const std::exception&) {
-        continue;
+        forget_locked(id);  // checkpoints without an admit record, or a
+        continue;           // request this daemon rejects
       }
       job->id = id;
       job->request_bytes = rec.request_json.size();
@@ -237,7 +233,7 @@ void JobManager::recover_jobs() {
           retained_bytes_ += job->retained_charge();
           last_completed_ = id;
           journal_->append_result(id, "failed", "null",
-                                  to_json_text(job->failure), "", nullptr);
+                                  core::to_json(job->failure), "", nullptr);
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -263,7 +259,11 @@ void JobManager::recover_jobs() {
       readmitted.push_back(job);
     }
     evict_terminal_locked();
+    compact = journal_forgot_;
   }
+  // The boot compaction rewrote every replayed job; drop the forgotten
+  // ones from disk before the re-admitted jobs append again.
+  if (compact) journal_->compact();
   for (std::size_t i = 0; i < readmitted.size(); ++i) {
     pool_->submit([this] { run_next(); });
   }
@@ -312,7 +312,7 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
 
   auto job = std::make_shared<Job>();
   job->request = std::move(request);
-  const std::string request_json = to_json_text(job->request);
+  const std::string request_json = core::to_json(job->request);
   job->request_bytes = request_json.size();
 
   std::uint64_t id = 0;
@@ -345,7 +345,7 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
     job->queued_seconds = now_seconds();
     jobs_.emplace(id, job);
     pending_.push_back(job);
-    TagCounts& tag = tags_[job->request.client_tag];
+    ClientStats& tag = tags_[job->request.client_tag];
     ++tag.submitted;
     ++tag.queued;
     if (!job->request.idempotency_key.empty()) {
@@ -429,7 +429,7 @@ std::shared_ptr<JobManager::Job> JobManager::take_next_locked() {
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
   job->state = JobState::kRunning;
   job->started_seconds = now;
-  TagCounts& tag = tags_[job->request.client_tag];
+  ClientStats& tag = tags_[job->request.client_tag];
   --tag.queued;
   ++tag.running;
   if (journal_) journal_->append_state(job->id, "running");
@@ -537,8 +537,8 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
   // the verdict). The result fsyncs immediately.
   if (journal_) {
     journal_->append_result(
-        job->id, to_string(final_state), to_json_text(outcome),
-        failure.code != core::ErrorCode::kNone ? to_json_text(failure) : "",
+        job->id, to_string(final_state), core::to_json(outcome),
+        failure.code != core::ErrorCode::kNone ? core::to_json(failure) : "",
         report_kind, report_json);
   }
 
@@ -552,7 +552,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     job->resumed_units = resumed_units;
     job->resume_data.clear();
     job->finished_seconds = now_seconds();
-    TagCounts& tag = tags_[job->request.client_tag];
+    ClientStats& tag = tags_[job->request.client_tag];
     --tag.running;
     ++tag.completed;
     if (job->report_json) retained_bytes_ += job->report_json->size();
@@ -631,7 +631,7 @@ bool JobManager::cancel(std::uint64_t id) {
     if (pending != pending_.end()) pending_.erase(pending);
     job.state = JobState::kCancelled;
     job.finished_seconds = now_seconds();
-    TagCounts& tag = tags_[job.request.client_tag];
+    ClientStats& tag = tags_[job.request.client_tag];
     --tag.queued;
     ++tag.completed;
     metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
@@ -669,14 +669,8 @@ std::vector<ClientStats> JobManager::client_stats() const {
   std::vector<ClientStats> out;
   out.reserve(tags_.size());
   for (const auto& [tag, counts] : tags_) {
-    ClientStats s;
-    s.tag = tag;
-    s.submitted = counts.submitted;
-    s.rejected = counts.rejected;
-    s.completed = counts.completed;
-    s.queued = counts.queued;
-    s.running = counts.running;
-    out.push_back(std::move(s));
+    out.push_back(counts);
+    out.back().tag = tag;
   }
   return out;
 }
@@ -705,7 +699,8 @@ std::size_t JobManager::retained_bytes() const {
 
 void JobManager::evict_terminal_locked() {
   // std::map iterates in id order: oldest terminal first. Live jobs stay,
-  // and so does the last job to complete, however large its report.
+  // and so does the last job to complete, however large its report. The
+  // journal forgets each evicted job, so it keeps what the manager keeps.
   for (auto it = jobs_.begin();
        it != jobs_.end() && retained_bytes_ > options_.retain_bytes;) {
     const Job& job = *it->second;
@@ -721,8 +716,15 @@ void JobManager::evict_terminal_locked() {
       }
     }
     retained_bytes_ -= job.retained_charge();
+    forget_locked(it->first);
     it = jobs_.erase(it);
   }
+}
+
+void JobManager::forget_locked(std::uint64_t id) {
+  if (!journal_) return;
+  journal_->forget(id);
+  journal_forgot_ = true;
 }
 
 }  // namespace msbist::service

@@ -110,17 +110,6 @@ struct PopulationInfo {
   std::size_t device_count = 0;
 };
 
-/// Point-in-time fairness accounting for one client_tag (""
-/// aggregates untagged submissions).
-struct ClientStats {
-  std::string tag;
-  std::uint64_t submitted = 0;   ///< accepted submissions
-  std::uint64_t rejected = 0;    ///< bounced by admission control (429)
-  std::uint64_t completed = 0;   ///< reached any terminal state
-  std::uint64_t queued = 0;      ///< currently in the dispatch queue
-  std::uint64_t running = 0;     ///< currently occupying a slot
-};
-
 struct JobManagerOptions {
   /// Concurrent job slots.
   std::size_t workers = 2;
@@ -133,7 +122,9 @@ struct JobManagerOptions {
   /// queries; live jobs never are, nor is the most recently completed
   /// job, so a report larger than the whole budget stays fetchable until
   /// a newer job completes (the overshoot is at most that one job's
-  /// charge). The journal applies the same budget (msbistd --retain-mb).
+  /// charge). This is the only retention policy (msbistd --retain-mb):
+  /// the journal keeps exactly the jobs the manager holds, because the
+  /// manager makes it forget every job it evicts.
   std::size_t retain_bytes = 32u << 20;
   /// Bounded admission: submissions arriving while this many jobs are
   /// already queued (not yet running) are rejected with a kOverloaded
@@ -205,7 +196,11 @@ class JobManager {
   /// ones are restored in the constructor so /jobs/{id}/result works
   /// immediately). Called by the daemon *after* register_population so
   /// recovered jobs can resolve their populations; a no-op without a
-  /// journal, on a clean-shutdown journal, and on second call.
+  /// journal and on second call. The journal forgets every replayed job
+  /// that boot does not hold — one without an admit record, with a
+  /// request this daemon rejects, or past the byte budget — and when
+  /// there was any, this compacts the journal once, so a restart never
+  /// replays a job the manager dropped.
   void recover_jobs();
 
   /// Durability status snapshot for /healthz and /metrics (all-zeros
@@ -253,13 +248,6 @@ class JobManager {
 
  private:
   struct Job;
-  struct TagCounts {
-    std::uint64_t submitted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t completed = 0;
-    std::size_t queued = 0;
-    std::size_t running = 0;
-  };
 
   void run_next();
   std::shared_ptr<Job> take_next_locked();
@@ -267,6 +255,7 @@ class JobManager {
   void execute(const std::shared_ptr<Job>& job);
   JobSnapshot snapshot_locked(const Job& job) const;
   void evict_terminal_locked();
+  void forget_locked(std::uint64_t id);
   void restore_terminal_jobs();
 
   JobManagerOptions options_;
@@ -277,7 +266,8 @@ class JobManager {
   /// The dispatch queue: queued (never cancelled) jobs in submission
   /// order; take_next_locked() selects by effective priority.
   std::vector<std::shared_ptr<Job>> pending_;
-  std::map<std::string, TagCounts> tags_;
+  /// client_tag -> its counts; client_stats() fills in each row's tag.
+  std::map<std::string, ClientStats> tags_;
   std::map<std::string, std::vector<production::DieSpec>> populations_;
   /// idempotency_key -> job id, maintained alongside jobs_ (entries die
   /// with their job at eviction; rebuilt from the journal at boot).
@@ -290,6 +280,9 @@ class JobManager {
   /// Durable state layer; null without state_dir.
   std::unique_ptr<Journal> journal_;
   bool recovery_done_ = false;      ///< recover_jobs() already ran
+  /// The journal was told to forget a job; recover_jobs() then compacts
+  /// once, dropping what the boot compaction rewrote.
+  bool journal_forgot_ = false;
   std::uint64_t recovered_jobs_ = 0;
   std::uint64_t resumed_jobs_ = 0;
   std::atomic<bool> draining_{false};

@@ -261,10 +261,6 @@ std::string checkpoint_payload(std::uint64_t id, std::size_t total,
   return w.str();
 }
 
-std::size_t job_charge(const RecoveredJob& job) {
-  return retained_charge(job.request_json.size(), job.report_json);
-}
-
 std::string result_payload(std::uint64_t id, std::string_view state,
                            std::string_view outcome_json,
                            std::string_view failure_json,
@@ -320,11 +316,9 @@ Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   recovered_.last_completed = rep.last_result;
   last_result_ = rep.last_result;
   table_ = std::move(rep.table);
-  for (const auto& [id, job] : table_) retained_bytes_ += job_charge(job);
   next_seq_ = rep.max_seq + 1;
 
   std::lock_guard<std::mutex> lock(mu_);
-  evict_terminal_locked();
   if (!open_segment_locked(next_seq_++)) {
     core::Failure f;
     f.code = core::ErrorCode::kInternal;
@@ -471,7 +465,6 @@ bool Journal::write_table_locked() {
 }
 
 void Journal::compact_locked() {
-  evict_terminal_locked();
   const std::string old_segment = live_segment_;
   if (!open_segment_locked(next_seq_++)) {
     degrade_locked("open");
@@ -485,20 +478,6 @@ void Journal::compact_locked() {
   ++compactions_;
 }
 
-void Journal::evict_terminal_locked() {
-  // Oldest first: the map is id-ordered and ids are monotone. The newest
-  // result stays however large its report.
-  for (auto it = table_.begin();
-       it != table_.end() && retained_bytes_ > options_.retain_bytes;) {
-    if (it->second.has_result && it->first != last_result_) {
-      retained_bytes_ -= job_charge(it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 // Each append folds its record into the compaction table first (under the
 // same lock), so a compaction the append triggers already includes it; a
 // failed write degrades the journal anyway, so a table ahead of disk is
@@ -507,11 +486,7 @@ void Journal::evict_terminal_locked() {
 void Journal::append_admit(std::uint64_t id, std::string_view request_json) {
   std::lock_guard<std::mutex> lock(mu_);
   if (degraded_) return;
-  RecoveredJob& job = table_[id];
-  retained_bytes_ -= job.request_json.size();
-  job.request_json = request_json;
-  retained_bytes_ += job.request_json.size();
-  evict_terminal_locked();
+  table_[id].request_json = request_json;
   append_locked(admit_payload(id, request_json), /*always_sync=*/true);
 }
 
@@ -549,13 +524,10 @@ void Journal::append_result(std::uint64_t id, std::string_view state,
   job.outcome_json = outcome_json;
   if (!failure_json.empty()) job.failure_json = failure_json;
   job.report_kind = report_kind;
-  retained_bytes_ -= job_charge(job);
   job.report_json = std::move(report);
-  retained_bytes_ += job_charge(job);
   // A finished job needs no resume state; drop the bulk now.
   job.checkpoints.clear();
   last_result_ = id;
-  evict_terminal_locked();
   append_locked(payload, /*always_sync=*/true);
 }
 
@@ -564,6 +536,16 @@ void Journal::append_clean_shutdown() {
   core::JsonWriter w;
   w.begin_object().member("type", "clean_shutdown").end_object();
   append_locked(w.str(), /*always_sync=*/true);
+}
+
+void Journal::forget(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  table_.erase(id);
+}
+
+void Journal::compact() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!degraded_) compact_locked();
 }
 
 void Journal::sync() {

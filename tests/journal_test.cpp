@@ -1,14 +1,17 @@
 // service::Journal — the write-ahead job journal: CRC framing, replay,
-// torn-tail tolerance, compaction across reopen, terminal eviction, and
-// degraded-mode behavior under injected write failures.
+// torn-tail tolerance, compaction across reopen, forgetting the jobs the
+// JobManager drops, and degraded-mode behavior under injected write
+// failures.
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -369,31 +372,44 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
   check(Journal::replay(dir), "after boot compaction");
 }
 
-TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
-  const std::string dir = fresh_state_dir("evict");
-  JournalOptions o = options_for(dir);
-  // A byte budget that holds two terminal jobs' requests beside the
-  // live job's.
-  o.retain_bytes = 2 * std::string_view(R"({"kind":"testability"})").size() +
-                   std::string_view(R"({"kind":"batch"})").size();
+// The journal keeps what the JobManager keeps: a forgotten job's report
+// buffer is released at once, the job leaves the log at the next
+// compaction, and every job not forgotten — the live one included —
+// stays, with the newest result still replayed last.
+TEST(Journal, ForgottenJobsLeaveTheLogAtTheNextCompaction) {
+  const std::string dir = fresh_state_dir("forget");
+  const JournalOptions o = options_for(dir);
   {
     Journal j(o);
+    std::weak_ptr<const std::string> first_report;
     for (std::uint64_t id = 1; id <= 4; ++id) {
+      service::ReportBuffer buffer = report(R"({"pass":true})");
+      if (id == 1) first_report = buffer;
       j.append_admit(id, R"({"kind":"testability"})");
       j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                      "testability_report", nullptr);
+                      "testability_report", std::move(buffer));
     }
-    j.append_admit(5, R"({"kind":"batch"})");  // live: never evicted
+    j.append_admit(5, R"({"kind":"batch"})");  // live
+    j.forget(1);
+    j.forget(2);
+    EXPECT_TRUE(first_report.expired());
+    // Nothing is rewritten until a compaction.
+    EXPECT_EQ(Journal::replay(dir).jobs.size(), 5u);
+    j.compact();
+    EXPECT_EQ(j.segments(), 1u);
+    EXPECT_EQ(segment_files(dir), 1u);
   }
-  // Eviction runs in the reopen's boot compaction; recovered() is the
-  // pre-eviction snapshot, so assert against what landed on DISK.
+  const auto check = [](const RecoveredState& state, const char* when) {
+    EXPECT_EQ(state.jobs.count(1), 0u) << when;
+    EXPECT_EQ(state.jobs.count(2), 0u) << when;
+    EXPECT_EQ(state.jobs.count(3), 1u) << when;
+    EXPECT_EQ(state.jobs.count(4), 1u) << when;
+    EXPECT_EQ(state.jobs.count(5), 1u) << when;
+    EXPECT_EQ(state.last_completed, 4u) << when;
+  };
+  check(Journal::replay(dir), "after compact()");
   { Journal reopened(o); }
-  const RecoveredState state = Journal::replay(dir);
-  EXPECT_EQ(state.jobs.count(1), 0u);
-  EXPECT_EQ(state.jobs.count(2), 0u);
-  EXPECT_EQ(state.jobs.count(3), 1u);
-  EXPECT_EQ(state.jobs.count(4), 1u);
-  EXPECT_EQ(state.jobs.count(5), 1u);
+  check(Journal::replay(dir), "after the boot compaction");
 }
 
 // Online compaction is amortized: a rewrite waits until more bytes have
@@ -404,7 +420,6 @@ TEST(Journal, TerminalJobsBeyondRetentionAreEvicted) {
 TEST(Journal, CompactionWritesAtMostTwiceWhatWasAppended) {
   const std::string dir = fresh_state_dir("amortized_compaction");
   JournalOptions o = options_for(dir);
-  o.retain_bytes = std::size_t{64} << 20;  // holds every report below
   // The first write of each append call is its record; every other write
   // is compaction rewriting the table.
   bool next_is_record = false;

@@ -509,6 +509,36 @@ TEST(Service, LockstepBatchOverWireMatchesDirectCall) {
   EXPECT_EQ(wire_report.find("device_count")->as_u64(), kDies);
 }
 
+// A population takes every seed a lockstep job takes: any exact integer
+// from 0 to 2^64-1, read unsigned.
+TEST(Service, PopulationTakesEverySeedAJobTakes) {
+  ServiceFixture fx;
+  const auto created = fx.request(
+      "POST", "/populations",
+      R"({"name":"top","device_count":4,"batch_seed":18446744073709551615})");
+  ASSERT_EQ(created.status, 201) << created.body;
+  EXPECT_EQ(parse_json(created.body).find("batch_seed")->as_u64(),
+            18446744073709551615u);
+
+  const std::uint64_t on_population =
+      fx.submit(R"({"kind":"lockstep_batch","population":"top"})");
+  const std::uint64_t direct = fx.submit(
+      R"({"kind":"lockstep_batch","device_count":4,)"
+      R"("batch_seed":18446744073709551615})");
+  const auto report = [&fx](std::uint64_t id) {
+    EXPECT_EQ(fx.await_terminal(id).find("state")->as_string(), "succeeded");
+    const JsonValue result = parse_json(
+        fx.request("GET", "/jobs/" + std::to_string(id) + "/result").body);
+    return strip_timing(*result.find("report")).dump();
+  };
+  EXPECT_EQ(report(on_population), report(direct));
+
+  EXPECT_EQ(fx.request("POST", "/populations",
+                       R"({"name":"neg","device_count":4,"batch_seed":-1})")
+                .status,
+            400);
+}
+
 TEST(Service, DrainRejectsNewSubmissionsWith503) {
   ServiceFixture fx;
   fx.manager.drain(/*hard=*/true);
@@ -1287,6 +1317,93 @@ TEST(Durability, RecoveredJobWithUnknownPopulationFailsOnce) {
   }
 }
 
+/// The job ids a replay of the state directory holds.
+std::vector<std::uint64_t> journaled_ids(const std::string& dir) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, job] : service::Journal::replay(dir).jobs) ids.push_back(id);
+  return ids;
+}
+
+/// The job ids the manager holds.
+std::vector<std::uint64_t> held_ids(const service::JobManager& manager) {
+  std::vector<std::uint64_t> ids;
+  for (const service::JobSnapshot& snap : manager.list()) ids.push_back(snap.id);
+  return ids;
+}
+
+// Jobs that recovery cannot adopt leave the journal at the first boot:
+// a terminal and an interrupted job whose requests this daemon rejects,
+// and a result and checkpoints that have no admit record.
+TEST(Durability, BootForgetsReplayedJobsItCannotAdopt) {
+  const std::string dir = fresh_state_dir("boot_forgets");
+  const core::JobRequest kept = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1,"batch_seed":3,)"
+      R"("tiers":["digital"],"threads":1})");
+  const std::string outcome = R"({"pass":true,"detail":""})";
+  {
+    service::JournalOptions jo;
+    jo.state_dir = dir;
+    jo.fsync_every_records = 1;
+    service::Journal journal(jo);
+    journal.append_admit(1, R"({"kind":"no_such_kind"})");
+    journal.append_result(1, "succeeded", outcome, "", "batch_report",
+                          std::make_shared<const std::string>("{}"));
+    journal.append_admit(2, R"({"kind":"no_such_kind"})");
+    journal.append_state(2, "running");
+    journal.append_checkpoint(2, 0, 4, "{}");
+    journal.append_checkpoint(3, 0, 4, "{}");
+    journal.append_result(4, "succeeded", outcome, "", "batch_report",
+                          std::make_shared<const std::string>("{}"));
+    journal.append_admit(5, core::to_json(kept));
+    journal.append_result(5, "succeeded", outcome, "", "batch_report",
+                          std::make_shared<const std::string>(
+                              service::dispatch(kept).report_json));
+  }
+  ASSERT_EQ(journaled_ids(dir), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+
+  service::JobManager manager(durable_options(dir));
+  manager.recover_jobs();
+  EXPECT_EQ(held_ids(manager), std::vector<std::uint64_t>{5});
+  EXPECT_EQ(journaled_ids(dir), std::vector<std::uint64_t>{5});
+  // (journal_status() refreshes the journal counters in metrics().)
+  EXPECT_EQ(manager.journal_status().gauges.journal_segments, 1u);
+  EXPECT_EQ(manager.metrics().journal_compactions.load(), 1u);
+}
+
+// One owner for retention: a restart under a smaller budget evicts in
+// the manager, and the journal drops exactly those jobs at boot. A boot
+// with nothing to forget does no extra compaction.
+TEST(Durability, RestartUnderASmallerBudgetKeepsTheJournalInStep) {
+  const std::string dir = fresh_state_dir("smaller_budget");
+  const core::JobRequest small = core::JobRequest::from_json_text(
+      R"({"kind":"batch","device_count":1,"batch_seed":3,)"
+      R"("tiers":["digital"],"threads":1})");
+  std::size_t charge = 0;  // one job's request plus report
+  {
+    service::JobManager manager(durable_options(dir));
+    manager.recover_jobs();
+    EXPECT_EQ(manager.journal_status().gauges.journal_segments, 1u);
+    EXPECT_EQ(manager.metrics().journal_compactions.load(), 0u);
+    for (int k = 0; k < 5; ++k) {
+      const std::uint64_t id = manager.submit(small);
+      ASSERT_EQ(await_job(manager, id).state, service::JobState::kSucceeded);
+    }
+    charge = manager.retained_bytes() / 5;
+    EXPECT_EQ(held_ids(manager), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+    manager.drain();
+  }
+  EXPECT_EQ(journaled_ids(dir), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+
+  service::JobManagerOptions o = durable_options(dir);
+  o.retain_bytes = 2 * charge + charge / 2;  // two finished jobs
+  service::JobManager manager(o);
+  manager.recover_jobs();
+  EXPECT_EQ(held_ids(manager), (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(journaled_ids(dir), held_ids(manager));
+  EXPECT_EQ(manager.journal_status().gauges.journal_segments, 1u);
+  EXPECT_EQ(manager.metrics().journal_compactions.load(), 1u);
+}
+
 // Retention is a byte budget: every job charges its request, a finished
 // job also its report. Terminal jobs go oldest first; jobs without a
 // report (cancelled, failed) still charge their requests, so they stay
@@ -1349,9 +1466,9 @@ TEST(JobManager, RetainedJobsStayWithinTheByteBudget) {
 }
 
 // A report larger than the whole budget is still fetchable once its job
-// completes: the most recently completed job is never evicted, by the
-// manager or by the journal, so the overshoot is that one job's charge.
-// It goes once a newer job completes.
+// completes: the manager never evicts the most recently completed job,
+// and the journal keeps what the manager keeps, so the overshoot is that
+// one job's charge. It goes once a newer job completes.
 TEST(JobManager, OversizedResultStaysFetchableUntilANewerJobCompletes) {
   const std::string dir = fresh_state_dir("oversized_result");
   service::JobManagerOptions o = durable_options(dir);

@@ -30,6 +30,9 @@
 #      units than the job holds.
 #   5. A second clean restart finds a clean-shutdown marker and the
 #      journaled terminal result still queryable (no third execution).
+#   6. After that restart the journal segments hold exactly the job ids
+#      GET /jobs lists: the daemon's retention decides what the journal
+#      keeps.
 #
 # The verdicts are left in CRASHTEST.json (uploaded as a CI artifact).
 set -euo pipefail
@@ -204,9 +207,26 @@ EOF
   state="$(curl -sSf "http://127.0.0.1:$port/jobs/1" |
     python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')"
   [ "$state" = "succeeded" ] || { echo "$name: journaled result lost: $state"; exit 1; }
+  local listed
+  listed="$(curl -sSf "http://127.0.0.1:$port/jobs")"
+  python3 - "$name" "$STATE_DIR" "$listed" <<'EOF'
+import glob, json, sys
+name, state_dir, listed = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+journaled = set()
+for path in glob.glob(state_dir + "/journal-*.wal"):
+    for line in open(path):
+        if line.strip():
+            record = json.loads(line[9:])  # "<crc32-hex> <payload>"
+            if "id" in record:
+                journaled.add(record["id"])
+held = {job["id"] for job in listed["jobs"]}
+assert journaled == held, \
+    f"{name}: journal holds jobs {sorted(journaled)}, daemon lists {sorted(held)}"
+EOF
   kill -TERM "$daemon"; wait "$daemon" || true
   daemon=""
-  echo "crash gate ($name): journaled result survives a clean restart"
+  echo "crash gate ($name): journaled result survives a clean restart," \
+    "and the journal holds exactly the listed jobs"
 }
 
 crash_scenario batch \
