@@ -67,7 +67,7 @@ void print_campaign_throughput() {
   const auto universe = faults::op1_fault_universe();
   const faults::CampaignReport serial = faults::run_campaign(universe, test);
   faults::CampaignOptions copts;
-  copts.threads = core::ThreadPool::default_thread_count();
+  copts.threads = core::default_thread_count();
   const faults::CampaignReport parallel =
       faults::run_campaign_parallel(universe, test, copts);
   std::printf(

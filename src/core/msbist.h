@@ -18,7 +18,7 @@
 //              signature compression, BIST controller, overhead model
 //   tsrt     — transient-response testing: example circuits 1-3,
 //              correlation and impulse-response detection
-//   core     — Device fabrication model, report tables, thread pool,
+//   core     — Device fabrication model, report tables, slot executor,
 //              unified Outcome/to_json report contract
 //   production — Monte-Carlo batch-test engine: populations, test
 //              plans, yield and parametric-distribution reports

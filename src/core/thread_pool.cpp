@@ -3,69 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <stdexcept>
-#include <utility>
+#include <mutex>
+#include <thread>
 
 namespace msbist::core {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    throw std::invalid_argument("ThreadPool: thread count must be >= 1");
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      throw std::logic_error("ThreadPool: submit after shutdown");
-    }
-    queue_.push(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-std::size_t ThreadPool::default_thread_count() {
+std::size_t default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      job = std::move(queue_.front());
-      queue_.pop();
-      ++in_flight_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-    }
-    idle_cv_.notify_all();
-  }
 }
 
 void for_each_slot(std::size_t n, std::size_t threads, const StopFn& stop,
@@ -97,12 +42,9 @@ void for_each_slot(std::size_t n, std::size_t threads, const StopFn& stop,
       }
     }
   };
-  const std::size_t workers = std::min(threads, n);
-  {
-    ThreadPool pool(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.submit(worker);
-    pool.wait_idle();
-  }
+  std::vector<std::thread> workers(std::min(threads, n));
+  for (std::thread& t : workers) t = std::thread(worker);
+  for (std::thread& t : workers) t.join();
   if (error) std::rethrow_exception(error);
 }
 

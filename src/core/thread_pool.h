@@ -1,58 +1,21 @@
-// A small fixed-size thread pool (deliberately work-stealing-free): jobs
-// are taken from one FIFO queue by `thread_count` workers. This is the
-// substrate for for_each_slot, the executor the lot and fault-campaign
-// engines share, which wants plain fan-out over an index space —
-// determinism there comes from writing results into pre-assigned slots,
-// not from scheduling order, so a simple shared queue is all the
-// machinery needed.
+// The deterministic slot executor that the lot, lockstep-screen and
+// fault-campaign engines share, and the thread count they default to.
+// It is plain fan-out over an index space: each call starts its own
+// worker threads, which claim slot indices from one atomic counter, and
+// joins them before it returns. Determinism comes from each body writing
+// into its pre-assigned slot, not from scheduling order.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
 #include <vector>
 
 namespace msbist::core {
 
-class ThreadPool {
- public:
-  /// Spins up `threads` workers (>= 1, else std::invalid_argument).
-  explicit ThreadPool(std::size_t threads);
-  /// Drains the queue, then joins every worker.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue a job. Jobs must not throw (wrap fallible work yourself —
-  /// the campaign engine does); a throwing job terminates the process.
-  void submit(std::function<void()> job);
-
-  /// Block until the queue is empty and no job is running. The pool is
-  /// reusable afterwards; submissions from other threads during the wait
-  /// extend it.
-  void wait_idle();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// std::thread::hardware_concurrency with a floor of 1 (the standard
-  /// allows it to return 0 when unknown).
-  static std::size_t default_thread_count();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< signalled on submit / shutdown
-  std::condition_variable idle_cv_;  ///< signalled when a job finishes
-  std::size_t in_flight_ = 0;        ///< jobs currently executing
-  bool stop_ = false;
-};
+/// std::thread::hardware_concurrency with a floor of 1 (the standard
+/// allows it to return 0 when unknown): the engines' thread count when a
+/// request leaves it at 0.
+std::size_t default_thread_count();
 
 /// Cooperative stop predicate of the slot executor, shared by every engine
 /// that runs on it (lots, lockstep screens, fault campaigns). Called from
@@ -61,8 +24,8 @@ using StopFn = std::function<bool()>;
 
 /// The deterministic slot executor the engines share: run body(i)
 /// once for each slot i in [0, n). With threads <= 1 the slots run
-/// inline, in order; otherwise min(threads, n) pooled workers claim slot
-/// indices from one atomic counter. Determinism is the body's part of
+/// inline, in order; otherwise min(threads, n) worker threads claim
+/// slot indices from one atomic counter. Determinism is the body's part of
 /// the contract: slot i writes only storage slot i owns, and the caller
 /// aggregates in slot order after the call returns (every body has
 /// finished by then).

@@ -320,9 +320,8 @@ CampaignReport run_campaign_parallel(const std::vector<FaultSpec>& universe,
   const CollapsedUniverse* cu = checked_collapse(universe, options);
   // Work item k tests universe[k], or the k-th class representative.
   const std::size_t n = cu != nullptr ? cu->map.simulated_count() : universe.size();
-  std::size_t threads = options.threads != 0
-                            ? options.threads
-                            : core::ThreadPool::default_thread_count();
+  std::size_t threads =
+      options.threads != 0 ? options.threads : core::default_thread_count();
   if (n > 0 && threads > n) threads = n;
 
   // Determinism: item k owns slot [k] and only its own slot is written;

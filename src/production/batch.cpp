@@ -638,7 +638,7 @@ BatchReport run_batch(const std::vector<DieSpec>& population,
                       const core::StopFn& stop) {
   const auto t0 = Clock::now();
   const std::size_t n = population.size();
-  if (threads == 0) threads = core::ThreadPool::default_thread_count();
+  if (threads == 0) threads = core::default_thread_count();
   if (n > 0 && threads > n) threads = n;
   // Per-die isolation: one die whose test throws — a custom test_fn
   // propagating a solver failure, or an unexpected bug — degrades to a
@@ -716,7 +716,7 @@ BatchReport run_batch_lockstep(const std::vector<DieSpec>& population,
 
   const std::size_t blocks =
       (live.size() + kLockstepBlockDies - 1) / kLockstepBlockDies;
-  if (threads == 0) threads = core::ThreadPool::default_thread_count();
+  if (threads == 0) threads = core::default_thread_count();
   threads = std::clamp<std::size_t>(threads, 1, std::max<std::size_t>(blocks, 1));
 
   // Lane sets not held by a block. A block builds a set only when none is

@@ -31,8 +31,7 @@ namespace {
 /// Resolve the effective engine thread count: 0 means hardware
 /// concurrency, then the per-job cap clamps.
 std::size_t effective_threads(const core::JobRequest& req) {
-  std::size_t t = req.threads == 0 ? core::ThreadPool::default_thread_count()
-                                   : req.threads;
+  std::size_t t = req.threads == 0 ? core::default_thread_count() : req.threads;
   if (req.limits.max_threads > 0 && t > req.limits.max_threads) {
     t = req.limits.max_threads;
   }

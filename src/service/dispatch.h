@@ -94,7 +94,7 @@ struct DispatchResult {
 };
 
 /// Execute a job request synchronously in the calling thread (engines
-/// may fan out on their own worker pools per request.threads). Throws
+/// may fan out on their own worker threads per request.threads). Throws
 /// core::SolverError(kBadInput) for requests naming unknown tiers /
 /// circuits and propagates engine-level SolverErrors.
 DispatchResult dispatch(const core::JobRequest& request,

@@ -1,10 +1,10 @@
-// The daemon's heart: an asynchronous job executor over core::ThreadPool
-// with bounded admission, priority dispatch, a device-population
+// The daemon's heart: an asynchronous job executor on a fixed set of job
+// slots, with bounded admission, priority dispatch, a device-population
 // registry, and service metrics.
 //
 // Lifecycle state machine (terminal states marked *):
 //
-//   submit()           worker picks up            dispatch returns
+//   submit()            slot takes it             dispatch returns
 //   ───────▶ queued ──────────────────▶ running ──┬──▶ succeeded*
 //       │        │                         │      ├──▶ failed*     (Failure)
 //  429 ─┘        │ cancel()                │      ├──▶ cancelled*  (cancel())
@@ -26,33 +26,37 @@
 // cannot park the low lane forever). Ties prefer the client tag with
 // the fewest running jobs (fairness), then submission order.
 //
-// Concurrency model: the manager owns one ThreadPool of `workers` job
-// slots; each job occupies one slot for its whole run and fans out
-// further on its *own* engine threads (request.threads, clamped by the
-// per-job and manager caps). Status snapshots are taken under one mutex;
-// progress counters are atomics so engine worker threads never contend
-// with pollers.
+// Concurrency model: the manager owns `workers` slot threads and one
+// queue, pending_. A free slot waits under the manager's mutex until
+// pending_ holds a job, then takes the best one itself. Each job occupies
+// one slot for its whole run and fans out further on its *own* engine
+// threads (request.threads, clamped by the per-job and manager caps).
+// Status snapshots are taken under the same mutex; progress counters are
+// atomics so engine worker threads never contend with pollers.
 //
 // drain() flips the manager into shutdown: new submissions are rejected
-// (the daemon answers 503), running jobs get their stop flag set when
-// `hard` draining, and the call blocks until every slot is idle — the
-// SIGTERM path of msbistd.
+// (the daemon answers 503), queued and running jobs get their stop flag
+// set when `hard` draining, and the call blocks until pending_ is empty
+// and every slot is idle. A soft drain — msbistd's SIGTERM path — thus
+// runs every queued job to completion; a hard one still hands each
+// queued job to a slot, which resolves it cancelled and journals that.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/job.h"
 #include "core/outcome.h"
-#include "core/thread_pool.h"
 #include "production/batch.h"
 #include "service/journal.h"
 #include "service/metrics.h"
@@ -172,7 +176,7 @@ struct JournalStatus {
 class JobManager {
  public:
   explicit JobManager(JobManagerOptions options = {});
-  ~JobManager();  ///< drain(hard=true)
+  ~JobManager();  ///< drain(hard=true), then joins the slots
 
   JobManager(const JobManager&) = delete;
   JobManager& operator=(const JobManager&) = delete;
@@ -233,9 +237,11 @@ class JobManager {
 
   const JobManagerOptions& options() const { return options_; }
 
-  /// Stop accepting submissions and wait for every slot to go idle.
-  /// hard = also set every running job's stop flag (cooperative
-  /// cancellation), so the wait is bounded by one work unit.
+  /// Stop accepting submissions and wait until the dispatch queue is
+  /// empty and every slot is idle. hard = also set every queued and
+  /// running job's stop flag (cooperative cancellation): a running job
+  /// stops after its work unit in flight, and a queued one resolves
+  /// cancelled when a slot takes it.
   void drain(bool hard = false);
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
@@ -249,7 +255,9 @@ class JobManager {
  private:
   struct Job;
 
-  void run_next();
+  void slot_loop();
+  /// Pop the best job off pending_ (which must not be empty) and mark it
+  /// running.
   std::shared_ptr<Job> take_next_locked();
   void admit_locked(const core::JobRequest& request);
   void execute(const std::shared_ptr<Job>& job);
@@ -263,9 +271,15 @@ class JobManager {
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
-  /// The dispatch queue: queued (never cancelled) jobs in submission
-  /// order; take_next_locked() selects by effective priority.
+  /// The dispatch queue, the only one: queued (never cancelled) jobs in
+  /// submission order; a slot takes the job take_next_locked() selects
+  /// by effective priority.
   std::vector<std::shared_ptr<Job>> pending_;
+  std::condition_variable work_cv_;  ///< pending_ gained a job, or stop_
+  /// A slot finished a job, or a queued job was cancelled (drain waits).
+  std::condition_variable idle_cv_;
+  std::size_t running_ = 0;  ///< jobs the slots are executing
+  bool stop_ = false;        ///< destructor: slots exit once pending_ is empty
   /// client_tag -> its counts; client_stats() fills in each row's tag.
   std::map<std::string, ClientStats> tags_;
   std::map<std::string, std::vector<production::DieSpec>> populations_;
@@ -286,8 +300,8 @@ class JobManager {
   std::uint64_t recovered_jobs_ = 0;
   std::uint64_t resumed_jobs_ = 0;
   std::atomic<bool> draining_{false};
-  // Last: workers touch everything above, so the pool must die first.
-  std::unique_ptr<core::ThreadPool> pool_;
+  // Last: slots touch everything above; the destructor joins them.
+  std::vector<std::thread> slots_;
 };
 
 }  // namespace msbist::service

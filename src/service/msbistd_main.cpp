@@ -5,7 +5,8 @@
 // HTTP/1.1 listener, prints the bound address, and then parks in
 // sigwait. SIGTERM/SIGINT trigger the graceful drain: the listener
 // closes (in-flight responses finish), the job manager stops accepting
-// work and waits for running jobs to complete, and the process exits 0.
+// work and runs its queued and running jobs to completion, and the
+// process exits 0.
 //
 // Signals are blocked before any thread is spawned, so every worker
 // inherits the mask and only the main thread ever sees the signal —
@@ -173,8 +174,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Block the shutdown signals before any thread exists, so the pool and
-  // IO workers inherit the mask and sigwait below is the only receiver.
+  // Block the shutdown signals before any thread exists, so the job slots
+  // and IO workers inherit the mask and sigwait below is the only receiver.
   sigset_t signals;
   sigemptyset(&signals);
   sigaddset(&signals, SIGTERM);
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "msbistd: received %s, draining\n",
                  sig == SIGTERM ? "SIGTERM" : "SIGINT");
     server.stop();       // no new connections; in-flight responses finish
-    manager.drain(false); // running jobs complete, submissions rejected
+    manager.drain(false); // queued and running jobs complete, submissions rejected
     std::fprintf(stderr, "msbistd: drained, exiting\n");
     return 0;
   } catch (const std::exception& e) {

@@ -1,6 +1,6 @@
 // Unit tests for the Device fabrication model (and the paper's batch of
-// dies under production::run_batch), report tables, and the thread pool
-// and slot executor behind the parallel engines.
+// dies under production::run_batch), report tables, and the slot
+// executor behind the parallel engines.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -90,49 +90,11 @@ TEST(ReportTable, NumPrecision) {
   EXPECT_EQ(Table::num(-0.5, 1), "-0.5");
 }
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+TEST(ForEachSlot, DefaultThreadCountAtLeastOne) {
+  EXPECT_GE(default_thread_count(), 1u);
 }
 
-TEST(ThreadPool, ReusableAfterWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (batch + 1) * 10);
-  }
-}
-
-TEST(ThreadPool, ZeroThreadsThrows) {
-  EXPECT_THROW(ThreadPool(0), std::invalid_argument);
-}
-
-TEST(ThreadPool, DefaultThreadCountAtLeastOne) {
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingJobs) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor joins after draining the queue
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, ForEachSlotRunsEverySlotOnce) {
+TEST(ForEachSlot, RunsEverySlotOnce) {
   for (const std::size_t threads : {0u, 1u, 4u, 64u}) {
     std::vector<std::atomic<int>> hits(100);
     for_each_slot(hits.size(), threads, {},
@@ -144,7 +106,7 @@ TEST(ThreadPool, ForEachSlotRunsEverySlotOnce) {
   for_each_slot(0, 4, {}, [](std::size_t) { FAIL() << "no slot to run"; });
 }
 
-TEST(ThreadPool, ForEachSlotStopsClaimingOnceStopped) {
+TEST(ForEachSlot, StopsClaimingOnceStopped) {
   for (const std::size_t threads : {1u, 4u}) {
     std::atomic<std::size_t> ran{0};
     for_each_slot(
@@ -160,7 +122,7 @@ TEST(ThreadPool, ForEachSlotStopsClaimingOnceStopped) {
   EXPECT_EQ(ran.load(), 0u);
 }
 
-TEST(ThreadPool, ForEachSlotRethrowsTheLowestThrowingSlot) {
+TEST(ForEachSlot, RethrowsTheLowestThrowingSlot) {
   for (const std::size_t threads : {1u, 4u}) {
     std::atomic<std::size_t> ran{0};
     try {

@@ -7,7 +7,7 @@
 # Builds the tree with MSBIST_SANITIZE=thread (wired in the top-level
 # CMakeLists) and runs the concurrency-relevant tests: the fault/campaign
 # suites, the production batch engine (including the cross-thread-count
-# determinism test), the core ThreadPool tests, the sparse/lockstep
+# determinism test), the core slot-executor tests, the sparse/lockstep
 # batch engines (shared factorizations consumed across lanes), the
 # service stack (keep-alive HTTP workers, bounded-admission dispatch),
 # and the durability layer (journal appends from worker threads,
@@ -22,4 +22,4 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R '^(Campaign|CampaignParallel|CollapsedCampaign|Collapse|CollapseMap|Universe|SiteUniverse|Inject|ThreadPool|Production|SparseMatrix|SparseLu|BatchSparseLu|SparseBackend|BatchTransient|RunBatchLockstep|Service|KeepAlive|Admission|Durability|Journal|JobManager|Resume)\.'
+  -R '^(Campaign|CampaignParallel|CollapsedCampaign|Collapse|CollapseMap|Universe|SiteUniverse|Inject|ForEachSlot|Production|SparseMatrix|SparseLu|BatchSparseLu|SparseBackend|BatchTransient|RunBatchLockstep|Service|KeepAlive|Admission|Durability|Journal|JobManager|Resume)\.'
