@@ -120,12 +120,7 @@ bool apply_payload(const std::string& payload,
     table[job_id].request_json = request->dump();
     return true;
   }
-  if (kind == "state") {
-    const core::JsonValue* state = doc.find("state");
-    if (state == nullptr || !state->is_string()) return false;
-    table[job_id].state = state->as_string();
-    return true;
-  }
+  if (kind == "state") return true;  // an earlier daemon's job start: no-op
   if (kind == "checkpoint") {
     const core::JsonValue* total = doc.find("total");
     const core::JsonValue* units = doc.find("units");
@@ -161,7 +156,6 @@ bool apply_payload(const std::string& payload,
     RecoveredJob& job = table[job_id];
     job.has_result = true;
     job.result_state = state->as_string();
-    job.state = state->as_string();
     job.outcome_json = outcome->dump();
     job.report_kind = report_kind->as_string();
     job.report_json =
@@ -229,16 +223,6 @@ std::string admit_payload(std::uint64_t id, std::string_view request_json) {
   w.begin_object().member("type", "admit").member("id", id);
   w.key("request").raw_value(request_json);
   w.end_object();
-  return w.str();
-}
-
-std::string state_payload(std::uint64_t id, std::string_view state) {
-  core::JsonWriter w;
-  w.begin_object()
-      .member("type", "state")
-      .member("id", id)
-      .member("state", state)
-      .end_object();
   return w.str();
 }
 
@@ -441,10 +425,6 @@ bool Journal::write_table_locked() {
         !write_all_locked(frame(admit_payload(id, job.request_json)))) {
       return false;
     }
-    if (!job.state.empty() && !job.has_result &&
-        !write_all_locked(frame(state_payload(id, job.state)))) {
-      return false;
-    }
     if (!job.checkpoints.empty() &&
         !write_all_locked(frame(
             checkpoint_payload(id, job.checkpoint_total, job.checkpoints)))) {
@@ -490,13 +470,6 @@ void Journal::append_admit(std::uint64_t id, std::string_view request_json) {
   append_locked(admit_payload(id, request_json), /*always_sync=*/true);
 }
 
-void Journal::append_state(std::uint64_t id, std::string_view state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (degraded_) return;
-  table_[id].state = state;
-  append_locked(state_payload(id, state), /*always_sync=*/false);
-}
-
 void Journal::append_checkpoints(
     std::uint64_t id, std::size_t total,
     std::vector<std::pair<std::size_t, std::string>> units) {
@@ -520,7 +493,6 @@ void Journal::append_result(std::uint64_t id, std::string_view state,
   RecoveredJob& job = table_[id];
   job.has_result = true;
   job.result_state = state;
-  job.state = state;
   job.outcome_json = outcome_json;
   if (!failure_json.empty()) job.failure_json = failure_json;
   job.report_kind = report_kind;

@@ -19,7 +19,6 @@
 // reason to refuse startup. Payload types:
 //
 //   {"type":"admit","id":N,"request":{...}}          full JobRequest envelope
-//   {"type":"state","id":N,"state":"running"}        lifecycle transition
 //   {"type":"checkpoint","id":N,"total":T,"units":[[i,{...}],...]}
 //                                                    one executor slot's units
 //   {"type":"result","id":N,"state":"succeeded","outcome":{...},
@@ -33,18 +32,23 @@
 // the per-unit records of earlier daemons) is skipped and counted, so
 // its unit re-runs.
 //
+// Earlier daemons also journaled {"type":"state","id":N,"state":"running"}
+// when a job started. Nothing needs it: boot re-admits every job without
+// a result. Replay still reads such a record (a negative id is skipped
+// and counted, as for any record) and applies nothing.
+//
 // fsync policy. Admissions, results, and the shutdown marker are rare
-// and valuable: they fsync immediately. Checkpoints and state changes
-// are frequent and individually cheap to lose (a lost checkpoint
-// re-tests one slot): they batch, fsyncing every fsync_every_records
-// records. A SIGKILL loses only data never write()n — the page cache
-// survives process death — so batching only risks loss on power/kernel
-// failure, bounded to the batch window.
+// and valuable: they fsync immediately. Checkpoints are frequent and
+// individually cheap to lose (a lost checkpoint re-tests one slot): they
+// batch, fsyncing every fsync_every_records records. A SIGKILL loses
+// only data never write()n — the page cache survives process death — so
+// batching only risks loss on power/kernel failure, bounded to the batch
+// window.
 //
 // Segments and compaction. Records append to journal-NNNNNN.wal. At
 // open, the journal replays every segment and rewrites the *compacted*
-// state (per job: admit, latest state, its live checkpoints as one
-// record, result) into a fresh segment, deleting the old ones once that
+// state (per job: admit, its live checkpoints as one record, result)
+// into a fresh segment, deleting the old ones once that
 // rewrite is durable — so the log never accumulates history across
 // restarts. The same compaction
 // runs online once the bytes appended since the last compaction exceed
@@ -85,8 +89,8 @@ namespace msbist::service {
 struct JournalOptions {
   /// Directory holding the segments; created if absent.
   std::string state_dir;
-  /// Batched-class records (checkpoints, state changes) appended between
-  /// fsyncs. 1 = sync every record (the crash-test setting).
+  /// Batched-class records (checkpoints) appended between fsyncs.
+  /// 1 = sync every record (the crash-test setting).
   std::size_t fsync_every_records = 8;
   /// Online compaction threshold: once more than max(this, bytes the
   /// last compaction wrote) bytes have been appended since it, the
@@ -107,7 +111,6 @@ using ReportBuffer = std::shared_ptr<const std::string>;
 /// Everything the replay learned about one job.
 struct RecoveredJob {
   std::string request_json;  ///< admit envelope (JobRequest::to_json text)
-  std::string state;         ///< latest lifecycle state seen ("" = none)
   /// unit index -> checkpoint document (engine-specific).
   std::map<std::size_t, std::string> checkpoints;
   std::size_t checkpoint_total = 0;  ///< "total" of the latest checkpoint
@@ -162,7 +165,6 @@ class Journal {
   // stored as given, so they must be the canonical JSON that replay's
   // parse-and-dump reproduces (what core::JsonWriter emits).
   void append_admit(std::uint64_t id, std::string_view request_json);
-  void append_state(std::uint64_t id, std::string_view state);
   /// One executor slot's units — (unit index, checkpoint document)
   /// pairs — as one record: one write(2), at most one fsync.
   void append_checkpoints(

@@ -106,7 +106,6 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
   {
     Journal j(options_for(dir));
     j.append_admit(7, R"({"kind":"batch","device_count":3})");
-    j.append_state(7, "running");
     j.append_checkpoint(7, 0, 3, R"({"die":0})");
     j.append_checkpoint(7, 2, 3, R"({"die":2})");
     j.append_admit(8, R"({"kind":"testability"})");
@@ -125,7 +124,6 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
 
   const service::RecoveredJob& interrupted = state.jobs.at(7);
   EXPECT_EQ(interrupted.request_json, R"({"kind":"batch","device_count":3})");
-  EXPECT_EQ(interrupted.state, "running");
   EXPECT_FALSE(interrupted.has_result);
   ASSERT_EQ(interrupted.checkpoints.size(), 2u);
   EXPECT_EQ(interrupted.checkpoints.at(0), R"({"die":0})");
@@ -173,7 +171,6 @@ TEST(Journal, TornTailAndGarbageAreSkippedNotFatal) {
   RecoveredState state = Journal::replay(dir);
   EXPECT_EQ(state.skipped_records, 1u);
   ASSERT_EQ(state.jobs.size(), 1u);
-  EXPECT_EQ(state.jobs.at(1).state, "running");
   EXPECT_TRUE(state.jobs.at(1).checkpoints.empty());
 
   // Pile on every other corruption class: a bit-rotted payload under a
@@ -227,7 +224,6 @@ TEST(Journal, FailedBootRewriteKeepsTheOldSegments) {
   {
     Journal j(options_for(dir));
     j.append_admit(1, R"({"kind":"batch"})");
-    j.append_state(1, "running");
   }
   JournalOptions o = options_for(dir);
   o.write_override = [](int, const void*, std::size_t) -> ssize_t {
@@ -241,7 +237,6 @@ TEST(Journal, FailedBootRewriteKeepsTheOldSegments) {
   const RecoveredState state = Journal::replay(dir);
   ASSERT_EQ(state.jobs.count(1), 1u);
   EXPECT_EQ(state.jobs.at(1).request_json, R"({"kind":"batch"})");
-  EXPECT_EQ(state.jobs.at(1).state, "running");
 }
 
 TEST(Journal, ReopenCompactsToOneSegmentAndKeepsState) {
@@ -249,7 +244,6 @@ TEST(Journal, ReopenCompactsToOneSegmentAndKeepsState) {
   {
     Journal j(options_for(dir));
     j.append_admit(1, R"({"kind":"batch","device_count":4})");
-    j.append_state(1, "running");
     for (std::size_t unit = 0; unit < 4; ++unit) {
       // Supersede each checkpoint once: replay keeps the latest.
       j.append_checkpoint(1, unit, 4, R"({"try":1})");
@@ -324,7 +318,6 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
   {
     Journal j(o);
     j.append_admit(1, requests[0]);
-    j.append_state(1, "running");
     for (int pass = 0; pass < 3; ++pass) {  // superseded twice
       for (std::size_t unit = 0; unit < checkpoints.size(); ++unit) {
         j.append_checkpoint(1, unit, checkpoints.size(), checkpoints[unit]);
@@ -350,7 +343,6 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
     EXPECT_EQ(state.skipped_records, 0u) << when;
     const service::RecoveredJob& running = state.jobs.at(1);
     EXPECT_EQ(running.request_json, requests[0]) << when;
-    EXPECT_EQ(running.state, "running") << when;
     ASSERT_EQ(running.checkpoints.size(), checkpoints.size()) << when;
     for (std::size_t unit = 0; unit < checkpoints.size(); ++unit) {
       EXPECT_EQ(running.checkpoints.at(unit), checkpoints[unit]) << when;
