@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "analysis/runner.h"
-#include "core/job.h"
 #include "circuit/workspace.h"
 
 namespace msbist::circuit {
@@ -48,43 +47,6 @@ DcResult dc_operating_point(const Netlist& netlist, const DcOptions& opts) {
     f.analysis = "dc_operating_point";
     core::throw_failure(std::move(f));
   }
-}
-
-void DcSweepPointFailure::to_json(core::JsonWriter& w) const {
-  w.begin_object()
-      .member("index", static_cast<std::uint64_t>(index))
-      .member("value", value);
-  w.key("failure");
-  failure.to_json(w);
-  w.end_object();
-}
-
-core::Outcome DcSweepResult::outcome() const {
-  if (complete()) {
-    return core::Outcome::ok(std::to_string(values.size()) + " points solved");
-  }
-  return core::Outcome::fail(std::to_string(failures.size()) + " of " +
-                             std::to_string(values.size()) +
-                             " sweep points failed to solve");
-}
-
-void DcSweepResult::to_json(core::JsonWriter& w) const {
-  w.begin_object();
-  core::write_report_envelope(w, "dc_sweep");
-  w.key("outcome");
-  outcome().to_json(w);
-  w.key("sweep_values").begin_array();
-  for (double v : sweep_values) w.value(v);
-  w.end_array();
-  w.key("values").begin_array();
-  for (double v : values) w.value(v);  // NaN renders as null
-  w.end_array();
-  w.key("failures").begin_array();
-  for (const DcSweepPointFailure& f : failures) f.to_json(w);
-  w.end_array();
-  w.key("rescue");
-  rescue.to_json(w);
-  w.end_object();
 }
 
 DcSweepResult dc_sweep(Netlist& netlist, const std::vector<double>& values,

@@ -9,7 +9,6 @@
 #include "circuit/rescue.h"
 #include "circuit/solver.h"
 #include "core/error.h"
-#include "core/outcome.h"
 
 namespace msbist::circuit {
 
@@ -59,12 +58,10 @@ struct DcSweepPointFailure {
   std::size_t index = 0;     ///< position in the sweep vector
   double value = 0.0;        ///< the sweep value that failed
   core::Failure failure;
-
-  void to_json(core::JsonWriter& w) const;
 };
 
 /// Sweep output. A point the ladder could not save is *recorded*, never
-/// silently dropped: its probe voltage is NaN (JSON null), its sweep value
+/// silently dropped: its probe voltage is NaN, its sweep value
 /// and structured Failure land in `failures`, and the remaining points
 /// still solve (re-seeded from the last good solution).
 struct DcSweepResult {
@@ -74,8 +71,6 @@ struct DcSweepResult {
   RescueTrace rescue;
 
   bool complete() const { return failures.empty(); }
-  core::Outcome outcome() const;
-  void to_json(core::JsonWriter& w) const;
 };
 
 /// Sweep a parameterized DC analysis: `set_value` applies each sweep value

@@ -97,30 +97,9 @@ const char* to_string(RescueAttempt::Stage stage) {
   return "?";
 }
 
-void RescueAttempt::to_json(core::JsonWriter& w) const {
-  w.begin_object()
-      .member("stage", to_string(stage))
-      .member("parameter", parameter)
-      .member("succeeded", succeeded)
-      .member("code", core::to_string(code))
-      .member("time_s", time_s)
-      .member("detail", detail)
-      .end_object();
-}
-
 void RescueTrace::append(const RescueTrace& other) {
   attempts.insert(attempts.end(), other.attempts.begin(), other.attempts.end());
   rescued_points += other.rescued_points;
-}
-
-void RescueTrace::to_json(core::JsonWriter& w) const {
-  w.begin_object()
-      .member("used", used())
-      .member("rescued_points", static_cast<std::uint64_t>(rescued_points));
-  w.key("attempts").begin_array();
-  for (const RescueAttempt& a : attempts) a.to_json(w);
-  w.end_array();
-  w.end_object();
 }
 
 std::vector<double> solve_dc_with_rescue(const Netlist& netlist, StampContext ctx,

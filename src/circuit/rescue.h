@@ -23,7 +23,7 @@
 //      fails, so a failed attempt leaves no trace.
 //
 // Every attempt (failed or successful) is recorded in a RescueTrace that
-// analyses attach to their results, so a report can show *how* a point
+// analyses attach to their results, so a caller can see *how* a point
 // was saved. The ladder is strictly deterministic: a fixed attempt
 // sequence with fixed parameters, no timing, no randomness — two runs of
 // the same netlist produce identical traces and identical solutions.
@@ -74,8 +74,6 @@ struct RescueAttempt {
   core::ErrorCode code = core::ErrorCode::kNone;  ///< failure code when !succeeded
   double time_s = 0.0;   ///< transient time of the rescued point (0 for DC)
   std::string detail;
-
-  void to_json(core::JsonWriter& w) const;
 };
 
 const char* to_string(RescueAttempt::Stage stage);
@@ -89,7 +87,6 @@ struct RescueTrace {
 
   bool used() const { return !attempts.empty(); }
   void append(const RescueTrace& other);
-  void to_json(core::JsonWriter& w) const;
 };
 
 /// DC ladder: direct damped Newton, then gmin stepping, then source

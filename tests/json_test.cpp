@@ -44,7 +44,6 @@ static_assert(core::Serializable<production::DeviceOutcome>);
 static_assert(core::Serializable<production::BatchReport>);
 static_assert(core::Serializable<analysis::TestabilityReport>);
 static_assert(core::Serializable<faults::CollapsedUniverse>);
-static_assert(core::Serializable<circuit::DcSweepResult>);
 static_assert(core::Serializable<core::JobRequest>);
 
 TEST(JsonWriter, FlatObject) {
@@ -194,7 +193,6 @@ TEST(ReportEnvelope, EveryReportLeadsWithKindAndSchemaVersion) {
                   "testability_report");
   expect_envelope(core::to_json(faults::CollapsedUniverse{}),
                   "collapsed_universe");
-  expect_envelope(core::to_json(circuit::DcSweepResult{}), "dc_sweep");
 
   const production::BatchReport batch = production::run_batch(
       production::paper_population(), production::TestPlan::bist_only(), 2);
