@@ -115,7 +115,10 @@ JobRequest JobRequest::from_json(const JsonValue& v) {
       req.idempotency_key = require_string(val, "idempotency_key");
     } else if (key == "device_count") {
       req.device_count = require_size(val, "device_count");
-      if (req.device_count == 0) bad_request("device_count must be >= 1");
+      if (req.device_count == 0 || req.device_count > kMaxDeviceCount) {
+        bad_request("device_count must be in [1, " + std::to_string(kMaxDeviceCount) +
+                    "]");
+      }
     } else if (key == "batch_seed") {
       req.batch_seed = require_u64(val, "batch_seed");
     } else if (key == "population") {

@@ -87,6 +87,11 @@ struct JobLimits {
   void to_json(JsonWriter& w) const;
 };
 
+/// Largest device_count that POST /jobs and POST /populations accept.
+/// The engines allocate the whole population and one result slot per die
+/// up front (under 1 KB per die), so one lot stays near 240 MB.
+inline constexpr std::size_t kMaxDeviceCount = std::size_t{1} << 18;
+
 struct JobRequest {
   JobKind kind = JobKind::kBatch;
   std::string label;  ///< free-form tag echoed through status/results

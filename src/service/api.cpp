@@ -171,7 +171,8 @@ HttpResponse list_jobs(JobManager& manager) {
 
 /// POST /populations body:
 ///   {"name": "...", "device_count": N, "batch_seed": S}
-/// builds the canonical lockstep-screen population under that name.
+/// builds the canonical lockstep-screen population under that name
+/// (N in [1, core::kMaxDeviceCount], as for a job's device_count).
 HttpResponse register_population(JobManager& manager,
                                  const HttpRequest& req) {
   core::Failure bad;
@@ -196,8 +197,10 @@ HttpResponse register_population(JobManager& manager,
   }
   std::size_t device_count = 32;
   if (const core::JsonValue* v = doc.find("device_count")) {
-    if (!v->is_integer() || v->as_i64() <= 0) {
-      bad.detail = "\"device_count\" must be a positive integer";
+    // as_double first: as_u64 throws on a negative integer.
+    if (!v->is_integer() || v->as_double() < 1 || v->as_u64() > core::kMaxDeviceCount) {
+      bad.detail = "\"device_count\" must be an integer in [1, " +
+                   std::to_string(core::kMaxDeviceCount) + "]";
       return failure_response(400, bad);
     }
     device_count = static_cast<std::size_t>(v->as_u64());
