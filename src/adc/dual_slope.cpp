@@ -1,7 +1,9 @@
 #include "adc/dual_slope.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace msbist::adc {
@@ -79,7 +81,42 @@ std::uint32_t DualSlopeAdc::ideal_code(double vin) const {
 
 namespace {
 
-/// March up to kConversionLanes conversions of one config together.
+/// Two conversion lanes of doubles, and the lane mask a comparison of two
+/// such vectors gives (all ones where true). GCC/Clang vector extensions:
+/// under the default x86-64 flags each operation on them is one SSE2
+/// instruction, where the same loops over plain double arrays stay scalar.
+using Lanes2 = double __attribute__((vector_size(16)));
+using Mask2 = std::int64_t __attribute__((vector_size(16)));
+
+Lanes2 splat(double x) { return Lanes2{x, x}; }
+Mask2 mask_of(bool b) { return b ? ~Mask2{} : Mask2{}; }
+
+/// ScIntegratorModel::next_output on two lanes: its operations in its
+/// order, so each lane is bit-identical to the scalar cycle. The clamp is
+/// std::clamp's (NaN passes through) and compiles to maxpd/minpd.
+struct IntegratorLanes {
+  Lanes2 one, nonlinearity, run_down_gain, hold, offset, lo, hi;
+
+  explicit IntegratorLanes(const analog::ScIntegratorParams& p)
+      : one(splat(1.0)),
+        nonlinearity(splat(p.nonlinearity)),
+        run_down_gain(splat(1.0 + p.invert_gain_mismatch)),
+        hold(splat(1.0 - p.leak)),
+        offset(splat(p.offset_per_cycle)),
+        lo(splat(p.vout_min)),
+        hi(splat(p.vout_max)) {}
+
+  template <bool kInvert>
+  Lanes2 next_output(Lanes2 vout, Lanes2 step_gain, Lanes2 input_gain) const {
+    Lanes2 step = step_gain * (one + nonlinearity * vout) * input_gain;
+    if constexpr (kInvert) step = -step * run_down_gain;
+    const Lanes2 next = vout * hold + step + offset;
+    const Lanes2 above_lo = lo > next ? lo : next;
+    return hi < above_lo ? hi : above_lo;
+  }
+};
+
+/// March up to L conversions of one config together.
 ///
 /// Every conversion is a complete auto-zeroed cycle, so no analogue state
 /// survives between conversions and each lane starts from the same
@@ -92,12 +129,14 @@ namespace {
 /// latch the timed-out count; lanes still live when the cycle budget runs
 /// out (a frozen control FSM) never latch.
 ///
-/// L is the block width the loops are compiled for (lanes <= L live);
-/// a lone conversion gets L = 1 so its integrator output stays in a
-/// register.
+/// L is the block width the loops are compiled for (lanes <= L live),
+/// lane l living in element l % 2 of vector l / 2. Each per-clock pass is
+/// one loop over the L / 2 vectors.
 template <std::size_t L>
 void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
                  const double* vin, std::size_t lanes, ConversionResult* out) {
+  static_assert(L >= 2 && L % 2 == 0);
+  constexpr std::size_t V = L / 2;
   using analog::ScIntegratorModel;
   const double t_clk = 1.0 / cfg.clock_hz;
   // Local copies, so the compiler can keep the per-config terms in
@@ -107,43 +146,60 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
 
   // Per-conversion comparator noise, in call order: a fresh distribution
   // per conversion, drawn even when unused so the stream stays aligned
-  // across configurations with the same seed.
-  double v_plus[L] = {};
-  ScIntegratorModel::Drive input[L] = {};
-  bool live[L] = {};
+  // across configurations with the same seed. Unused lanes keep a zero
+  // drive; their state is never read.
+  Lanes2 v_plus[V] = {};
+  Lanes2 step_gain[V] = {};   // the integrate drive, per lane
+  Lanes2 input_gain[V] = {};
+  Mask2 live[V] = {};         // all ones while the lane's conversion runs
   for (std::size_t l = 0; l < lanes; ++l) {
     std::normal_distribution<double> noise_dist(0.0, 1.0);
     const double noise = cfg.comparator_noise_v > 0.0
                              ? cfg.comparator_noise_v * noise_dist(rng)
                              : (noise_dist(rng), 0.0);
-    v_plus[l] = cfg.comparator_threshold + noise;
+    v_plus[l / 2][l % 2] = cfg.comparator_threshold + noise;
     // A conversion's first comparator step, which follows its noise draw,
     // rejects a zero clock period.
     if (t_clk <= 0) {
       throw std::invalid_argument("ComparatorModel::step: dt must be > 0");
     }
     // Integrate phase: slope proportional to (Vref - Vin).
-    input[l] = ScIntegratorModel::drive(ip, cfg.vref - vin[l], /*invert=*/false);
-    live[l] = true;
+    const ScIntegratorModel::Drive d =
+        ScIntegratorModel::drive(ip, cfg.vref - vin[l], /*invert=*/false);
+    step_gain[l / 2][l % 2] = d.step_gain;
+    input_gain[l / 2][l % 2] = d.input_gain;
+    live[l / 2][l % 2] = -1;
   }
   // De-integration: constant downward slope proportional to Vref.
   const ScIntegratorModel::Drive reference =
       ScIntegratorModel::drive(ip, cfg.vref, /*invert=*/true);
+  const Lanes2 ref_step_gain = splat(reference.step_gain);
+  const Lanes2 ref_input_gain = splat(reference.input_gain);
+  const IntegratorLanes integrator(ip);
 
-  const double v_start = ScIntegratorModel(ip).output();
-  double vout[L];
-  double peak[L];
+  const Lanes2 v_start = splat(ScIntegratorModel(ip).output());
+  Lanes2 vout[V];
+  Lanes2 peak[V] = {};
+  // Each lane's committed comparator output (ComparatorState::out_high).
+  Mask2 high[V] = {};
+  for (Lanes2& v : vout) v = v_start;
+  // ComparatorModel::decide with no delay is one comparison against the
+  // hysteresis threshold, -h/2 when the output is high and +h/2 when low:
+  // the sign bit of h/2 flipped by the committed state (exact negation).
+  // A delayed comparator keeps its pending-edge timer per lane.
+  const bool delayed = !(cp.delay_s <= 0.0);
   analog::ComparatorState comp[L];
-  for (std::size_t l = 0; l < L; ++l) {
-    vout[l] = v_start;
-    peak[l] = 0.0;
-  }
+  const Lanes2 offset_v = splat(cp.offset_v);
+  const Mask2 half_hyst = std::bit_cast<Mask2>(splat(0.5 * cp.hysteresis_v));
+  const Mask2 sign_bit = std::bit_cast<Mask2>(splat(-0.0));
   // The comparator output level is read against the 2.5 V logic threshold.
   const bool high_reads_high = cp.v_high > 2.5;
   const bool low_reads_high = cp.v_low > 2.5;
+  const Mask2 high_reads = mask_of(high_reads_high);
+  const Mask2 low_reads = mask_of(low_reads_high);
   // Auto-zero: integrator preset to the baseline plus pedestal.
-  const double preset =
-      std::clamp(cfg.comparator_threshold + cfg.pedestal_v, ip.vout_min, ip.vout_max);
+  const Lanes2 preset = splat(
+      std::clamp(cfg.comparator_threshold + cfg.pedestal_v, ip.vout_min, ip.vout_max));
 
   digital::DualSlopeControl control(cfg.integrate_counts, cfg.timeout_counts,
                                     cfg.control_faults);
@@ -158,10 +214,10 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
     res.code = latch.q();
     res.conversion_time_s = static_cast<double>(cycle + 1) * t_clk;
     res.fall_time_s = static_cast<double>(control.deintegrate_clocks()) * t_clk;
-    res.integrator_peak_v = peak[l];
+    res.integrator_peak_v = peak[l / 2][l % 2];
     res.timed_out = timed_out;
     res.completed = true;
-    live[l] = false;
+    live[l / 2][l % 2] = 0;
   };
 
   // Hard cycle budget: a stuck control FSM must not hang the caller.
@@ -175,35 +231,52 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
     const std::uint32_t held = counter.count();
     if (o.counter_enable) counter.clock();
     // Every lane steps, live or not: the state of a finished or unused
-    // lane is never read again, and each pass below is one tight loop
-    // over the lanes. The comparator watches the integrator against the
-    // baseline threshold (output high once it has fallen back below Vth)
-    // before this clock's integrator update.
-    bool comp_high[L];
-    for (std::size_t l = 0; l < L; ++l) {
-      comp_high[l] =
-          analog::ComparatorModel::decide(cp, comp[l], v_plus[l], vout[l], t_clk)
-              ? high_reads_high
-              : low_reads_high;
+    // lane is never read again. The comparator watches the integrator
+    // against the baseline threshold (output high once it has fallen back
+    // below Vth) before this clock's integrator update.
+    if (!delayed) {
+      for (std::size_t v = 0; v < V; ++v) {
+        const Lanes2 vid = v_plus[v] - vout[v] + offset_v;
+        const Lanes2 threshold =
+            std::bit_cast<Lanes2>(half_hyst ^ (high[v] & sign_bit));
+        high[v] = vid > threshold;
+      }
+    } else {
+      for (std::size_t l = 0; l < L; ++l) {
+        high[l / 2][l % 2] =
+            analog::ComparatorModel::decide(cp, comp[l], v_plus[l / 2][l % 2],
+                                            vout[l / 2][l % 2], t_clk)
+                ? -1
+                : 0;
+      }
     }
     if (o.counter_clear) {
-      for (std::size_t l = 0; l < L; ++l) vout[l] = preset;
+      for (Lanes2& v : vout) v = preset;
     }
     if (o.connect_input) {
-      for (std::size_t l = 0; l < L; ++l) {
-        vout[l] = ScIntegratorModel::next_output(ip, input[l], vout[l]);
+      for (std::size_t v = 0; v < V; ++v) {
+        vout[v] = integrator.next_output<false>(vout[v], step_gain[v], input_gain[v]);
       }
     } else if (o.connect_ref) {
-      for (std::size_t l = 0; l < L; ++l) {
-        vout[l] = ScIntegratorModel::next_output(ip, reference, vout[l]);
+      for (Lanes2& v : vout) {
+        v = integrator.next_output<true>(v, ref_step_gain, ref_input_gain);
       }
     }
-    for (std::size_t l = 0; l < L; ++l) peak[l] = std::max(peak[l], vout[l]);
-    // Only a de-integration clock (the counter counting) ends conversions.
+    for (std::size_t v = 0; v < V; ++v) {
+      peak[v] = vout[v] > peak[v] ? vout[v] : peak[v];
+    }
+    // Only a de-integration clock (the counter counting) ends conversions:
+    // a live lane whose comparator reads high, or every live lane at the
+    // strobe. Most clocks end none, so test all lanes at once first.
     if (!o.counter_enable) continue;
+    Mask2 ending = {};
+    for (std::size_t v = 0; v < V; ++v) {
+      ending |= live[v] & ((high[v] & high_reads) | (~high[v] & low_reads));
+    }
+    if (!o.latch_strobe && (ending[0] | ending[1]) == 0) continue;
     for (std::size_t l = 0; l < L; ++l) {
-      if (!live[l]) continue;
-      if (comp_high[l]) {
+      if (live[l / 2][l % 2] == 0) continue;
+      if (high[l / 2][l % 2] != 0 ? high_reads_high : low_reads_high) {
         finish(l, held, /*timed_out=*/false);
         --remaining;
       } else if (o.latch_strobe) {
@@ -214,12 +287,12 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
   }
 
   for (std::size_t l = 0; l < lanes; ++l) {
-    if (!live[l]) continue;
+    if (live[l / 2][l % 2] == 0) continue;
     ConversionResult& res = out[l];
     res = ConversionResult{};
     res.code = digital::OutputLatch(kAdcLatchBits, cfg.latch_faults).q();
     res.fall_time_s = static_cast<double>(control.deintegrate_clocks()) * t_clk;
-    res.integrator_peak_v = peak[l];
+    res.integrator_peak_v = peak[l / 2][l % 2];
     res.timed_out = control.timed_out();
   }
 }
@@ -242,13 +315,20 @@ void DualSlopeAdc::convert_n(const double* vin, std::size_t n,
   (void)digital::BinaryCounter(kAdcCounterBits, cfg_.counter_faults);
   (void)digital::DualSlopeControl(cfg_.integrate_counts, cfg_.timeout_counts,
                                   cfg_.control_faults);
+  // A partial block runs the narrowest compiled width that holds it.
+  static_assert(kConversionLanes == 16);
   for (std::size_t first = 0; first < n; first += kConversionLanes) {
     const std::size_t lanes = std::min(kConversionLanes, n - first);
-    if (lanes == 1) {
-      march_block<1>(cfg_, noise_rng_, vin + first, lanes, out + first);
+    const double* in = vin + first;
+    ConversionResult* res = out + first;
+    if (lanes <= 2) {
+      march_block<2>(cfg_, noise_rng_, in, lanes, res);
+    } else if (lanes <= 4) {
+      march_block<4>(cfg_, noise_rng_, in, lanes, res);
+    } else if (lanes <= 8) {
+      march_block<8>(cfg_, noise_rng_, in, lanes, res);
     } else {
-      march_block<kConversionLanes>(cfg_, noise_rng_, vin + first, lanes,
-                                    out + first);
+      march_block<16>(cfg_, noise_rng_, in, lanes, res);
     }
   }
 }

@@ -49,9 +49,10 @@ class ComparatorModel {
 
   /// The decision step() makes, on explicit state: returns the committed
   /// output state after dt (dt > 0). The single definition shared by
-  /// step() and the dual-slope ADC's lane-batched conversion kernel, which
-  /// keeps one state per lane. Inline: runs once per simulation step,
-  /// millions of times per production batch.
+  /// step() and, for a comparator with a delay, the dual-slope ADC's
+  /// lane-batched conversion kernel, which keeps one state per lane (its
+  /// vector lanes repeat the zero-delay branch). Inline: runs once per
+  /// simulation step, millions of times per production batch.
   static bool decide(const ComparatorParams& p, ComparatorState& s,
                      double v_plus, double v_minus, double dt) {
     const double vid = v_plus - v_minus + p.offset_v;

@@ -74,11 +74,11 @@ class ScIntegratorModel {
     return vout_;
   }
 
-  /// drive() and next_output() are the single definition of a cycle,
-  /// shared by update() and the dual-slope ADC's lane-batched conversion
-  /// kernel, which computes each lane's drive once per phase and keeps
-  /// one output per lane. Inline: next_output runs once per ADC clock,
-  /// millions of times per production batch.
+  /// drive() and next_output() are the definition of a cycle update()
+  /// applies. The dual-slope ADC's lane-batched conversion kernel takes
+  /// each lane's drive once per phase and repeats next_output's
+  /// operations, in its order, on two lanes at a time (adc/dual_slope.cpp);
+  /// tests/adc_kernel_test.cpp holds every lane bit-identical to update().
   static Drive drive(const ScIntegratorParams& p, double vin, bool invert) {
     const double gain = (1.0 / p.cap_ratio) * (1.0 + p.ratio_error);
     return {gain * vin, 1.0 + p.input_nonlinearity * vin, invert};

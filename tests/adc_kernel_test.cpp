@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -123,6 +124,13 @@ std::vector<NamedConfig> kernel_configs() {
   c = DualSlopeAdcConfig{};
   c.comparator.delay_s = 0.0;
   out.push_back({"delay_zero", c});
+  c = ch;
+  // No delay, and hysteresis wider than the pedestal: after auto-zero the
+  // comparator holds the high state it took on the unpreset integrator
+  // until the integrator has risen past -h/2, and an input at or above
+  // vref keeps it there into de-integration.
+  c.comparator.hysteresis_v = 0.3;
+  out.push_back({"wide_hysteresis", c});
   c = DualSlopeAdcConfig{};
   c.comparator.delay_s = 25e-6;  // two and a half clocks
   c.comparator.hysteresis_v = 4e-3;
@@ -153,7 +161,10 @@ std::vector<NamedConfig> kernel_configs() {
   return out;
 }
 
-/// Inputs spanning below 0 V to above vref, with repeats; 37 is not a
+/// Inputs spanning below 0 V to above vref, with repeats, then NaN and
+/// both infinities: those drive the integrator to NaN or a rail, where
+/// the kernel's clamp, peak and comparator forms must still agree with
+/// std::clamp, std::max and ComparatorModel::decide. 40 is not a
 /// multiple of the lane width, so the last block is partial.
 std::vector<double> kernel_inputs() {
   std::vector<double> v;
@@ -162,6 +173,9 @@ std::vector<double> kernel_inputs() {
   v.push_back(1.0);
   v.push_back(2.5);
   v.push_back(0.0);
+  v.push_back(std::numeric_limits<double>::quiet_NaN());
+  v.push_back(std::numeric_limits<double>::infinity());
+  v.push_back(-std::numeric_limits<double>::infinity());
   return v;
 }
 
@@ -170,11 +184,17 @@ void expect_same(const ConversionResult& got, const ConversionResult& want,
   EXPECT_EQ(bits_of(got), bits_of(want)) << where;
 }
 
+// Every batch size up to two full blocks and one more, so each compiled
+// block width and every partial-block shape meets the reference, then
+// all the inputs at once.
 TEST(ConversionKernel, ConvertNMatchesPerClockReferenceBitForBit) {
   const std::vector<double> vin = kernel_inputs();
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 2 * kConversionLanes + 1; ++n) sizes.push_back(n);
+  sizes.push_back(vin.size());
+  ASSERT_LE(2 * kConversionLanes + 1, vin.size());
   for (const NamedConfig& nc : kernel_configs()) {
-    for (std::size_t n : {std::size_t{1}, kConversionLanes - 1, kConversionLanes,
-                          kConversionLanes + 1, vin.size()}) {
+    for (const std::size_t n : sizes) {
       DualSlopeAdc adc(nc.cfg);
       std::mt19937_64 rng(nc.cfg.noise_seed);
       std::vector<ConversionResult> got(n);

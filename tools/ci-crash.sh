@@ -39,7 +39,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-crash}"
-DIES="${2:-160}"
+# The lot must still be running when the SIGKILL lands: the first
+# progress poll answers about 0.25 s after the submit, and a full-spec
+# die takes about 1.5 ms on one engine thread, so a 160-die lot can
+# finish (and journal its result) before the kill lands.
+DIES="${2:-640}"
 KILL_AFTER="${3:-30}"
 LOCKSTEP_DIES=16384
 LOCKSTEP_BLOCK="$(sed -n 's/.*kLockstepBlockDies = \([0-9]*\);.*/\1/p' \
