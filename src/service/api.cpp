@@ -133,8 +133,7 @@ HttpResponse job_result(const JobSnapshot& snap) {
     w.key("outcome");
     snap.outcome.to_json(w);
     w.member("report_kind", snap.report_kind);
-    w.key("report").raw_value(snap.report_json ? std::string_view(*snap.report_json)
-                                               : "null");
+    w.key("report").raw_value(snap.report_json ? snap.report_json->text() : "null");
   } else if (snap.failure.code != core::ErrorCode::kNone) {
     w.key("failure");
     snap.failure.to_json(w);
@@ -273,6 +272,7 @@ HttpResponse healthz(JobManager& manager) {
     w.key("recovery")
         .begin_object()
         .member("clean_shutdown", journal.clean_shutdown)
+        .member("first_boot", journal.first_boot)
         .member("recovered_jobs", journal.recovered_jobs)
         .member("resumed_jobs", journal.resumed_jobs)
         .member("skipped_records", journal.gauges.skipped_records)

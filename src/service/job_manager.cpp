@@ -94,7 +94,7 @@ struct JobManager::Job {
   core::Failure failure;
   /// Shared with the journal's table (and, for a restored job, with the
   /// journal's recovered() snapshot until recover_jobs()): the one
-  /// retained copy.
+  /// retained copy, packed.
   ReportBuffer report_json;
   std::string report_kind;
   /// Size of the request's JSON text (the journaled admit envelope).
@@ -112,9 +112,10 @@ struct JobManager::Job {
   std::size_t resumed_units = 0; ///< units spliced instead of re-run
 
   /// What this job charges against JobManagerOptions::retain_bytes: its
-  /// request text and, once terminal, its report.
+  /// request text and, once terminal, its report's text (not its packed
+  /// size, so packing changes no job's retention).
   std::size_t retained_charge() const {
-    return request_bytes + (report_json ? report_json->size() : 0);
+    return request_bytes + (report_json ? report_json->raw_size() : 0);
   }
 };
 
@@ -234,7 +235,7 @@ void JobManager::recover_jobs() {
           retained_bytes_ += job->retained_charge();
           last_completed_ = id;
           journal_->append_result(id, "failed", "null",
-                                  core::to_json(job->failure), "", nullptr);
+                                  core::to_json(job->failure), "", "", nullptr);
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -271,6 +272,7 @@ JournalStatus JobManager::journal_status() {
   if (!journal_) return st;
   st.enabled = true;
   st.clean_shutdown = journal_->recovered().clean_shutdown;
+  st.first_boot = journal_->recovered().first_boot;
   st.degraded = journal_->degraded();
   st.gauges.journal_bytes = journal_->bytes();
   st.gauges.journal_segments = journal_->segments();
@@ -505,6 +507,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
   JobState final_state = JobState::kSucceeded;
   core::Outcome outcome;
   core::Failure failure;
+  std::string report_text;  // journaled, then dropped: the job keeps it packed
   ReportBuffer report_json;
   std::string report_kind;
   std::size_t resumed_units = 0;
@@ -526,9 +529,9 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
       }
     } else {
       outcome = std::move(result.outcome);
-      if (!result.report_json.empty()) {
-        report_json =
-            std::make_shared<const std::string>(std::move(result.report_json));
+      report_text = std::move(result.report_json);
+      if (!report_text.empty()) {
+        report_json = std::make_shared<const core::PackedText>(report_text);
       }
       report_kind = std::move(result.report_kind);
     }
@@ -549,8 +552,9 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     journal_->append_result(
         job->id, to_string(final_state), core::to_json(outcome),
         failure.code != core::ErrorCode::kNone ? core::to_json(failure) : "",
-        report_kind, report_json);
+        report_kind, report_text, report_json);
   }
+  report_text = std::string();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -565,7 +569,7 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     ClientStats& tag = tags_[job->request.client_tag];
     --tag.running;
     ++tag.completed;
-    if (job->report_json) retained_bytes_ += job->report_json->size();
+    if (job->report_json) retained_bytes_ += job->report_json->raw_size();
     last_completed_ = job->id;
     evict_terminal_locked();
   }
@@ -647,7 +651,7 @@ bool JobManager::cancel(std::uint64_t id) {
     metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
     last_completed_ = job.id;
     if (journal_) {
-      journal_->append_result(job.id, "cancelled", "null", "", "", nullptr);
+      journal_->append_result(job.id, "cancelled", "null", "", "", "", nullptr);
     }
     idle_cv_.notify_all();  // a drain may be waiting for pending_ to empty
   }

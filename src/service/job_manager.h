@@ -89,8 +89,9 @@ struct JobSnapshot {
   core::Outcome outcome;
   /// Structured error; meaningful in kFailed/kTimedOut.
   core::Failure failure;
-  /// Full report JSON; set in kSucceeded only. The job's own buffer,
-  /// shared rather than copied into every snapshot.
+  /// Full report JSON, packed (text() unpacks it); set in kSucceeded
+  /// only. The job's own buffer, shared rather than copied into every
+  /// snapshot.
   ReportBuffer report_json;
   std::string report_kind;
   double queued_seconds = 0.0;   ///< since service start
@@ -121,7 +122,8 @@ struct JobManagerOptions {
   /// the job's own limits.max_threads.
   std::size_t max_threads_per_job = 0;
   /// Byte budget of retained jobs: every job charges its request text
-  /// (JobRequest::to_json) and a terminal job also its report. Past the
+  /// (JobRequest::to_json) and a terminal job also its report's text
+  /// (held packed, charged at its unpacked size). Past the
   /// budget the oldest terminal jobs are evicted from status/result
   /// queries; live jobs never are, nor is the most recently completed
   /// job, so a report larger than the whole budget stays fetchable until
@@ -167,6 +169,7 @@ struct SubmitResult {
 struct JournalStatus {
   bool enabled = false;         ///< a --state-dir journal is attached
   bool clean_shutdown = false;  ///< previous process drained cleanly
+  bool first_boot = false;      ///< the state dir held no journal segment
   bool degraded = false;        ///< journal switched off by a write failure
   std::uint64_t recovered_jobs = 0;
   std::uint64_t resumed_jobs = 0;

@@ -158,8 +158,11 @@ bool apply_payload(const std::string& payload,
     job.result_state = state->as_string();
     job.outcome_json = outcome->dump();
     job.report_kind = report_kind->as_string();
-    job.report_json =
-        report->is_null() ? nullptr : std::make_shared<const std::string>(report->dump());
+    // Packed as the line is applied: a replay holds at most one report
+    // as text.
+    job.report_json = report->is_null()
+                          ? nullptr
+                          : std::make_shared<const core::PackedText>(report->dump());
     if (const core::JsonValue* failure = doc.find("failure")) {
       job.failure_json = failure->dump();
     }
@@ -245,11 +248,12 @@ std::string checkpoint_payload(std::uint64_t id, std::size_t total,
   return w.str();
 }
 
+/// `report_json`: the report document, "" for none (journaled as null).
 std::string result_payload(std::uint64_t id, std::string_view state,
                            std::string_view outcome_json,
                            std::string_view failure_json,
                            std::string_view report_kind,
-                           const ReportBuffer& report) {
+                           std::string_view report_json) {
   core::JsonWriter w;
   w.begin_object()
       .member("type", "result")
@@ -258,7 +262,7 @@ std::string result_payload(std::uint64_t id, std::string_view state,
   w.key("outcome").raw_value(outcome_json);
   if (!failure_json.empty()) w.key("failure").raw_value(failure_json);
   w.member("report_kind", report_kind);
-  w.key("report").raw_value(report ? std::string_view(*report) : "null");
+  w.key("report").raw_value(report_json.empty() ? "null" : report_json);
   w.end_object();
   return w.str();
 }
@@ -278,6 +282,7 @@ RecoveredState Journal::replay(const std::string& state_dir) {
   RecoveredState out;
   out.jobs = std::move(rep.table);
   out.clean_shutdown = rep.clean_shutdown;
+  out.first_boot = rep.segments.empty();
   out.skipped_records = rep.skipped;
   out.last_completed = rep.last_result;
   return out;
@@ -296,6 +301,7 @@ Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   ReplayOutcome rep = replay_dir(options_.state_dir);
   recovered_.jobs = rep.table;
   recovered_.clean_shutdown = rep.clean_shutdown;
+  recovered_.first_boot = rep.segments.empty();
   recovered_.skipped_records = rep.skipped;
   recovered_.last_completed = rep.last_result;
   last_result_ = rep.last_result;
@@ -420,7 +426,10 @@ void Journal::append_locked(std::string_view payload, bool always_sync) {
 }
 
 bool Journal::write_table_locked() {
-  const auto write_job = [this](std::uint64_t id, const RecoveredJob& job) {
+  // Reports are unpacked one at a time, into one reused buffer.
+  std::string report_text;
+  const auto write_job = [this, &report_text](std::uint64_t id,
+                                              const RecoveredJob& job) {
     if (!job.request_json.empty() &&
         !write_all_locked(frame(admit_payload(id, job.request_json)))) {
       return false;
@@ -430,10 +439,12 @@ bool Journal::write_table_locked() {
             checkpoint_payload(id, job.checkpoint_total, job.checkpoints)))) {
       return false;
     }
-    return !job.has_result ||
-           write_all_locked(frame(result_payload(
-               id, job.result_state, job.outcome_json, job.failure_json,
-               job.report_kind, job.report_json)));
+    if (!job.has_result) return true;
+    report_text.clear();
+    if (job.report_json) job.report_json->text(report_text);
+    return write_all_locked(frame(
+        result_payload(id, job.result_state, job.outcome_json,
+                       job.failure_json, job.report_kind, report_text)));
   };
   // Id order, but the newest result goes last, so a replay of the
   // rewrite still knows which job completed most recently.
@@ -485,11 +496,12 @@ void Journal::append_checkpoints(
 void Journal::append_result(std::uint64_t id, std::string_view state,
                             std::string_view outcome_json,
                             std::string_view failure_json,
-                            std::string_view report_kind, ReportBuffer report) {
+                            std::string_view report_kind,
+                            std::string_view report_json, ReportBuffer report) {
   std::lock_guard<std::mutex> lock(mu_);
   if (degraded_) return;
-  const std::string payload = result_payload(id, state, outcome_json,
-                                             failure_json, report_kind, report);
+  const std::string payload = result_payload(
+      id, state, outcome_json, failure_json, report_kind, report_json);
   RecoveredJob& job = table_[id];
   job.has_result = true;
   job.result_state = state;

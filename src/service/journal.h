@@ -65,6 +65,13 @@
 // compaction. Compaction writes the job whose result was journaled last
 // at the end, so a replay still recovers it as last_completed.
 //
+// Report buffers. The table holds each report packed (core::PackedText,
+// shared with the JobManager), never as text: append_result journals the
+// caller's text and keeps its packed buffer, compaction unpacks one
+// report at a time into a reused buffer, and replay packs each report as
+// its line is applied, so a boot holds at most one report unpacked. The
+// bytes on disk are the same JSON either way.
+//
 // Failure posture. The journal is an availability feature and must
 // never become an outage: any append-path failure (ENOSPC, EIO, short
 // write) flips the journal into degraded mode — one warning on stderr,
@@ -84,6 +91,8 @@
 
 #include <sys/types.h>
 
+#include "core/pack.h"
+
 namespace msbist::service {
 
 struct JournalOptions {
@@ -102,11 +111,11 @@ struct JournalOptions {
       write_override;
 };
 
-/// A terminal job's report document, retained once: the JobManager's job,
-/// the journal's compaction table and, until recovery adopts it, the
-/// boot-time recovered() snapshot share one buffer. Null when the job has
-/// no report.
-using ReportBuffer = std::shared_ptr<const std::string>;
+/// A terminal job's report document, retained once and packed: the
+/// JobManager's job, the journal's compaction table and, until recovery
+/// adopts it, the boot-time recovered() snapshot share one buffer. Null
+/// when the job has no report.
+using ReportBuffer = std::shared_ptr<const core::PackedText>;
 
 /// Everything the replay learned about one job.
 struct RecoveredJob {
@@ -129,6 +138,9 @@ struct RecoveredState {
   /// True when the previous process drained and wrote the marker as its
   /// last record: nothing was interrupted.
   bool clean_shutdown = false;
+  /// True when the state directory held no segment: no previous process
+  /// journaled here, so nothing can have been interrupted either.
+  bool first_boot = false;
   /// Lines whose checksum or JSON failed verification (torn tail, rot).
   std::size_t skipped_records = 0;
   /// Id of the job whose result record replayed last (0 = none): the
@@ -155,7 +167,8 @@ class Journal {
   const RecoveredState& recovered() const { return recovered_; }
   /// Hand the snapshot's jobs to their new owner and drop them here, so
   /// the snapshot stops pinning restored reports and checkpoint maps for
-  /// the life of the process; clean_shutdown and skipped_records stay.
+  /// the life of the process; clean_shutdown, first_boot and
+  /// skipped_records stay.
   std::map<std::uint64_t, RecoveredJob> take_recovered_jobs();
 
   // Append one record. All appends are thread-safe and never throw: a
@@ -175,12 +188,14 @@ class Journal {
                          std::size_t total, std::string_view data_json) {
     append_checkpoints(id, total, {{unit, std::string(data_json)}});
   }
-  /// The table keeps `report` itself, not a copy (null = no report,
-  /// journaled as JSON null).
+  /// `report_json` is journaled as given ("" = no report, journaled as
+  /// JSON null); the table keeps `report`, the same text packed (null
+  /// when there is none), itself, not a copy, so this never unpacks.
   void append_result(std::uint64_t id, std::string_view state,
                      std::string_view outcome_json,
                      std::string_view failure_json,  // "" = no failure
-                     std::string_view report_kind, ReportBuffer report);
+                     std::string_view report_kind,
+                     std::string_view report_json, ReportBuffer report);
   void append_clean_shutdown();
 
   /// Drop a job from the compaction table and release its report

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
     // left interrupted (no-op without --state-dir / after clean drains).
     manager.recover_jobs();
     const msbist::service::JournalStatus recovery = manager.journal_status();
-    if (recovery.enabled && !recovery.clean_shutdown) {
+    // A first boot on an empty --state-dir has no previous life to report.
+    if (recovery.enabled && !recovery.clean_shutdown && !recovery.first_boot) {
       std::fprintf(stderr,
                    "msbistd: unclean shutdown detected: recovered %llu "
                    "job(s), resuming %llu from checkpoints (%llu corrupt "

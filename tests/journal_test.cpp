@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -72,8 +73,8 @@ JournalOptions options_for(const std::string& dir) {
   return o;
 }
 
-service::ReportBuffer report(std::string json) {
-  return std::make_shared<const std::string>(std::move(json));
+service::ReportBuffer report(std::string_view json) {
+  return std::make_shared<const core::PackedText>(json);
 }
 
 TEST(Crc32, KnownVectors) {
@@ -82,6 +83,42 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(core::crc32(""), 0u);
   EXPECT_EQ(core::crc32_hex(0xCBF43926u), "cbf43926");
   EXPECT_EQ(core::crc32_hex(0x0000ABCDu), "0000abcd");
+}
+
+/// CRC-32 one bit at a time, with no table: the reference crc32() must
+/// equal at every length and alignment.
+std::uint32_t bitwise_crc32(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, EqualsTheBitwiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937_64 rng(2718);
+  std::string buffer(72, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng() & 0xFF);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view piece =
+          std::string_view(buffer).substr(offset, length);
+      EXPECT_EQ(core::crc32(piece), bitwise_crc32(piece))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, RunningChecksumOfPiecesEqualsTheWhole) {
+  const std::string text = R"({"type":"result","id":12,"report":{"pad":"xyz"}})";
+  for (std::size_t split = 0; split <= text.size(); ++split) {
+    const std::string a = text.substr(0, split);
+    const std::string b = text.substr(split);
+    EXPECT_EQ(core::crc32(b, core::crc32(a)), core::crc32(a + b)) << split;
+  }
 }
 
 TEST(Journal, FrameIsChecksumSpacePayloadNewline) {
@@ -109,9 +146,9 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
     j.append_checkpoint(7, 0, 3, R"({"die":0})");
     j.append_checkpoint(7, 2, 3, R"({"die":2})");
     j.append_admit(8, R"({"kind":"testability"})");
+    const std::string doc = R"({"kind":"testability_report"})";
     j.append_result(8, "succeeded", R"({"pass":true,"detail":"ok"})", "",
-                    "testability_report",
-                    report(R"({"kind":"testability_report"})"));
+                    "testability_report", doc, report(doc));
     EXPECT_FALSE(j.degraded());
     EXPECT_GT(j.bytes(), 0u);
     EXPECT_EQ(j.segments(), 1u);
@@ -137,9 +174,34 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
   EXPECT_TRUE(finished.failure_json.empty());
   EXPECT_EQ(finished.report_kind, "testability_report");
   ASSERT_NE(finished.report_json, nullptr);
-  EXPECT_EQ(*finished.report_json, R"({"kind":"testability_report"})");
+  EXPECT_EQ(finished.report_json->text(), R"({"kind":"testability_report"})");
   // A result clears the job's checkpoints: finished jobs need no resume.
   EXPECT_TRUE(finished.checkpoints.empty());
+}
+
+// A first boot is a state dir with no segment: not a shutdown of any
+// kind. Every later boot knows whether the previous life drained.
+TEST(Journal, FirstBootIsAStateDirWithNoSegment) {
+  const std::string dir = fresh_state_dir("first_boot");
+  {
+    Journal j(options_for(dir));
+    EXPECT_TRUE(j.recovered().first_boot);
+    EXPECT_FALSE(j.recovered().clean_shutdown);
+    j.append_clean_shutdown();
+  }
+  {
+    // A clean drain, then a reboot.
+    Journal j(options_for(dir));
+    EXPECT_FALSE(j.recovered().first_boot);
+    EXPECT_TRUE(j.recovered().clean_shutdown);
+    j.append_admit(1, R"({"kind":"batch"})");
+  }
+  // A crash: no marker after the last record.
+  const Journal j(options_for(dir));
+  EXPECT_FALSE(j.recovered().first_boot);
+  EXPECT_FALSE(j.recovered().clean_shutdown);
+  EXPECT_FALSE(Journal::replay(dir).first_boot);
+  EXPECT_TRUE(Journal::replay(dir + "/never_created").first_boot);
 }
 
 TEST(Journal, CleanShutdownMarkerOnlyCountsWhenLast) {
@@ -327,11 +389,11 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
     j.append_admit(2, requests[1]);
     const service::ReportBuffer shared = report(batch_report);
     j.append_result(2, "succeeded", R"({"pass":true,"detail":"3/3"})", "",
-                    "batch_report", shared);
+                    "batch_report", batch_report, shared);
     // The table keeps the caller's buffer, not a copy.
     EXPECT_EQ(shared.use_count(), 2);
     j.append_admit(3, requests[0]);
-    j.append_result(3, "failed", "null", failure, "", nullptr);
+    j.append_result(3, "failed", "null", failure, "", "", nullptr);
     appended += batch_report.size();
     EXPECT_FALSE(j.degraded());
     // Compaction dropped the superseded checkpoints.
@@ -350,7 +412,7 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
     const service::RecoveredJob& done = state.jobs.at(2);
     EXPECT_EQ(done.request_json, requests[1]) << when;
     ASSERT_NE(done.report_json, nullptr) << when;
-    EXPECT_EQ(*done.report_json, batch_report) << when;
+    EXPECT_EQ(done.report_json->text(), batch_report) << when;
     const service::RecoveredJob& failed = state.jobs.at(3);
     EXPECT_EQ(failed.failure_json, failure) << when;
     EXPECT_EQ(failed.outcome_json, "null") << when;
@@ -373,13 +435,14 @@ TEST(Journal, ForgottenJobsLeaveTheLogAtTheNextCompaction) {
   const JournalOptions o = options_for(dir);
   {
     Journal j(o);
-    std::weak_ptr<const std::string> first_report;
+    std::weak_ptr<const core::PackedText> first_report;
     for (std::uint64_t id = 1; id <= 4; ++id) {
-      service::ReportBuffer buffer = report(R"({"pass":true})");
+      const std::string doc = R"({"pass":true})";
+      service::ReportBuffer buffer = report(doc);
       if (id == 1) first_report = buffer;
       j.append_admit(id, R"({"kind":"testability"})");
       j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                      "testability_report", std::move(buffer));
+                      "testability_report", doc, std::move(buffer));
     }
     j.append_admit(5, R"({"kind":"batch"})");  // live
     j.forget(1);
@@ -430,8 +493,9 @@ TEST(Journal, CompactionWritesAtMostTwiceWhatWasAppended) {
     next_is_record = true;
     j.append_admit(id, request);
     next_is_record = true;
+    const std::string doc = R"({"pad":")" + body + R"("})";
     j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                    "batch_report", report(R"({"pad":")" + body + R"("})"));
+                    "batch_report", doc, report(doc));
   }
   EXPECT_FALSE(j.degraded());
   EXPECT_GT(j.compactions(), 0u);
@@ -464,7 +528,7 @@ TEST(Journal, WriteFailureDegradesInsteadOfThrowing) {
 
   // Post-degrade appends are silent no-ops — never a crash, never a
   // second warning.
-  j.append_result(1, "succeeded", R"({"pass":true,"detail":""})", "", "",
+  j.append_result(1, "succeeded", R"({"pass":true,"detail":""})", "", "", "",
                   nullptr);
   j.append_clean_shutdown();
   j.sync();

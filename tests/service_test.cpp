@@ -945,6 +945,46 @@ TEST(Durability, ResultsSurviveCleanRestart) {
   }
 }
 
+// Retained reports are held packed. A result fetched after a restart is
+// byte-identical to the one fetched before it, whether the restart
+// replays the original result record (the second life) or the one the
+// second boot's compaction rewrote from the packed buffer (the third).
+// /healthz tells the first boot on an empty state dir from later ones.
+TEST(Durability, PackedResultsServeTheSameBytesAcrossRestarts) {
+  const std::string dir = fresh_state_dir("packed_results");
+  const std::string bodies[] = {
+      R"({"kind":"batch","device_count":6,"batch_seed":21,)"
+      R"("full_spec":true,"threads":2})",
+      R"({"kind":"lockstep_batch","device_count":256,"batch_seed":22,)"
+      R"("threads":2})"};
+  std::vector<std::pair<std::uint64_t, std::string>> results;
+  {
+    ServiceFixture fx(durable_options(dir));
+    const JsonValue health = parse_json(fx.request("GET", "/healthz").body);
+    EXPECT_TRUE(health.find("recovery")->find("first_boot")->as_bool());
+    EXPECT_FALSE(health.find("recovery")->find("clean_shutdown")->as_bool());
+    for (const std::string& body : bodies) {
+      const std::uint64_t id = fx.submit(body);
+      ASSERT_EQ(fx.await_terminal(id).find("state")->as_string(), "succeeded");
+      const auto resp = fx.request("GET", "/jobs/" + std::to_string(id) + "/result");
+      ASSERT_EQ(resp.status, 200);
+      results.emplace_back(id, resp.body);
+    }
+  }
+  for (int life = 2; life <= 3; ++life) {
+    ServiceFixture fx(durable_options(dir));
+    fx.manager.recover_jobs();
+    const JsonValue health = parse_json(fx.request("GET", "/healthz").body);
+    EXPECT_FALSE(health.find("recovery")->find("first_boot")->as_bool()) << life;
+    EXPECT_TRUE(health.find("recovery")->find("clean_shutdown")->as_bool()) << life;
+    for (const auto& [id, before] : results) {
+      const auto resp = fx.request("GET", "/jobs/" + std::to_string(id) + "/result");
+      ASSERT_EQ(resp.status, 200) << "life " << life << " job " << id;
+      EXPECT_EQ(resp.body, before) << "life " << life << " job " << id;
+    }
+  }
+}
+
 TEST(Durability, UncleanJournalRecoversResumesAndCompletes) {
   const std::string dir = fresh_state_dir("unclean_resume");
   const std::string body =
@@ -1099,7 +1139,7 @@ TEST(Durability, CancelledLotJournalsOnlyDiesThatRanAndResumesToControl) {
   ASSERT_EQ(done.state, service::JobState::kSucceeded);
   EXPECT_EQ(done.resumed_units, job.checkpoints.size());
   ASSERT_NE(done.report_json, nullptr);
-  EXPECT_EQ(strip_timing(parse_json(*done.report_json)).dump(),
+  EXPECT_EQ(strip_timing(parse_json(done.report_json->text())).dump(),
             strip_timing(parse_json(control.report_json)).dump());
 }
 
@@ -1155,7 +1195,7 @@ TEST(Durability, CancelledCampaignJournalsOnlyFaultsThatRanAndResumesToControl) 
   ASSERT_EQ(done.state, service::JobState::kSucceeded);
   EXPECT_EQ(done.resumed_units, job.checkpoints.size());
   ASSERT_NE(done.report_json, nullptr);
-  EXPECT_EQ(strip_timing(parse_json(*done.report_json)).dump(),
+  EXPECT_EQ(strip_timing(parse_json(done.report_json->text())).dump(),
             strip_timing(parse_json(control.report_json)).dump());
 }
 
@@ -1294,7 +1334,7 @@ TEST(Durability, RestoredReportIsFreedOnceEvicted) {
   o.retain_bytes = charge + charge / 2;
   service::JobManager manager(o);
   manager.recover_jobs();
-  std::weak_ptr<const std::string> restored;
+  std::weak_ptr<const core::PackedText> restored;
   {
     const std::optional<service::JobSnapshot> snap = manager.get(restored_id);
     ASSERT_TRUE(snap.has_value());
@@ -1370,17 +1410,18 @@ TEST(Durability, BootForgetsReplayedJobsItCannotAdopt) {
     jo.fsync_every_records = 1;
     service::Journal journal(jo);
     journal.append_admit(1, R"({"kind":"no_such_kind"})");
-    journal.append_result(1, "succeeded", outcome, "", "batch_report",
-                          std::make_shared<const std::string>("{}"));
+    journal.append_result(1, "succeeded", outcome, "", "batch_report", "{}",
+                          std::make_shared<const core::PackedText>("{}"));
     journal.append_admit(2, R"({"kind":"no_such_kind"})");
     journal.append_checkpoint(2, 0, 4, "{}");
     journal.append_checkpoint(3, 0, 4, "{}");
-    journal.append_result(4, "succeeded", outcome, "", "batch_report",
-                          std::make_shared<const std::string>("{}"));
+    journal.append_result(4, "succeeded", outcome, "", "batch_report", "{}",
+                          std::make_shared<const core::PackedText>("{}"));
     journal.append_admit(5, core::to_json(kept));
+    const std::string kept_report = service::dispatch(kept).report_json;
     journal.append_result(5, "succeeded", outcome, "", "batch_report",
-                          std::make_shared<const std::string>(
-                              service::dispatch(kept).report_json));
+                          kept_report,
+                          std::make_shared<const core::PackedText>(kept_report));
   }
   ASSERT_EQ(journaled_ids(dir), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 
@@ -1507,13 +1548,13 @@ TEST(JobManager, OversizedResultStaysFetchableUntilANewerJobCompletes) {
     const service::JobSnapshot done = await_job(manager, id);
     ASSERT_EQ(done.state, service::JobState::kSucceeded);
     ASSERT_NE(done.report_json, nullptr);
-    report = *done.report_json;
+    report = done.report_json->text();
     ASSERT_GT(report.size(), o.retain_bytes);
     for (int poll = 0; poll < 3; ++poll) {
       const std::optional<service::JobSnapshot> snap = manager.get(id);
       ASSERT_TRUE(snap.has_value()) << "poll " << poll;
       ASSERT_NE(snap->report_json, nullptr);
-      EXPECT_EQ(*snap->report_json, report);
+      EXPECT_EQ(snap->report_json->text(), report);
     }
     EXPECT_EQ(manager.retained_bytes(), core::to_json(screen).size() + report.size());
   }
@@ -1529,7 +1570,7 @@ TEST(JobManager, OversizedResultStaysFetchableUntilANewerJobCompletes) {
     const std::optional<service::JobSnapshot> restored = manager.get(id);
     ASSERT_TRUE(restored.has_value());
     ASSERT_NE(restored->report_json, nullptr);
-    EXPECT_EQ(*restored->report_json, report);
+    EXPECT_EQ(restored->report_json->text(), report);
 
     newer = manager.submit(small);
     ASSERT_EQ(await_job(manager, newer).state, service::JobState::kSucceeded);
