@@ -1,7 +1,6 @@
 #include "adc/dual_slope.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -91,31 +90,6 @@ using Mask2 = std::int64_t __attribute__((vector_size(16)));
 Lanes2 splat(double x) { return Lanes2{x, x}; }
 Mask2 mask_of(bool b) { return b ? ~Mask2{} : Mask2{}; }
 
-/// ScIntegratorModel::next_output on two lanes: its operations in its
-/// order, so each lane is bit-identical to the scalar cycle. The clamp is
-/// std::clamp's (NaN passes through) and compiles to maxpd/minpd.
-struct IntegratorLanes {
-  Lanes2 one, nonlinearity, run_down_gain, hold, offset, lo, hi;
-
-  explicit IntegratorLanes(const analog::ScIntegratorParams& p)
-      : one(splat(1.0)),
-        nonlinearity(splat(p.nonlinearity)),
-        run_down_gain(splat(1.0 + p.invert_gain_mismatch)),
-        hold(splat(1.0 - p.leak)),
-        offset(splat(p.offset_per_cycle)),
-        lo(splat(p.vout_min)),
-        hi(splat(p.vout_max)) {}
-
-  template <bool kInvert>
-  Lanes2 next_output(Lanes2 vout, Lanes2 step_gain, Lanes2 input_gain) const {
-    Lanes2 step = step_gain * (one + nonlinearity * vout) * input_gain;
-    if constexpr (kInvert) step = -step * run_down_gain;
-    const Lanes2 next = vout * hold + step + offset;
-    const Lanes2 above_lo = lo > next ? lo : next;
-    return hi < above_lo ? hi : above_lo;
-  }
-};
-
 /// March up to L conversions of one config together.
 ///
 /// Every conversion is a complete auto-zeroed cycle, so no analogue state
@@ -131,7 +105,8 @@ struct IntegratorLanes {
 ///
 /// L is the block width the loops are compiled for (lanes <= L live),
 /// lane l living in element l % 2 of vector l / 2. Each per-clock pass is
-/// one loop over the L / 2 vectors.
+/// one loop over the L / 2 vectors that runs the scalar models' own
+/// ComparatorModel::raw_high and ScIntegratorModel::next_output on them.
 template <std::size_t L>
 void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
                  const double* vin, std::size_t lanes, ConversionResult* out) {
@@ -175,7 +150,6 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
       ScIntegratorModel::drive(ip, cfg.vref, /*invert=*/true);
   const Lanes2 ref_step_gain = splat(reference.step_gain);
   const Lanes2 ref_input_gain = splat(reference.input_gain);
-  const IntegratorLanes integrator(ip);
 
   const Lanes2 v_start = splat(ScIntegratorModel(ip).output());
   Lanes2 vout[V];
@@ -183,15 +157,10 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
   // Each lane's committed comparator output (ComparatorState::out_high).
   Mask2 high[V] = {};
   for (Lanes2& v : vout) v = v_start;
-  // ComparatorModel::decide with no delay is one comparison against the
-  // hysteresis threshold, -h/2 when the output is high and +h/2 when low:
-  // the sign bit of h/2 flipped by the committed state (exact negation).
-  // A delayed comparator keeps its pending-edge timer per lane.
+  // ComparatorModel::decide with no delay commits its raw comparison at
+  // once; a delayed comparator keeps its pending-edge timer per lane.
   const bool delayed = !(cp.delay_s <= 0.0);
   analog::ComparatorState comp[L];
-  const Lanes2 offset_v = splat(cp.offset_v);
-  const Mask2 half_hyst = std::bit_cast<Mask2>(splat(0.5 * cp.hysteresis_v));
-  const Mask2 sign_bit = std::bit_cast<Mask2>(splat(-0.0));
   // The comparator output level is read against the 2.5 V logic threshold.
   const bool high_reads_high = cp.v_high > 2.5;
   const bool low_reads_high = cp.v_low > 2.5;
@@ -236,10 +205,7 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
     // below Vth) before this clock's integrator update.
     if (!delayed) {
       for (std::size_t v = 0; v < V; ++v) {
-        const Lanes2 vid = v_plus[v] - vout[v] + offset_v;
-        const Lanes2 threshold =
-            std::bit_cast<Lanes2>(half_hyst ^ (high[v] & sign_bit));
-        high[v] = vid > threshold;
+        high[v] = analog::ComparatorModel::raw_high(cp, high[v], v_plus[v], vout[v]);
       }
     } else {
       for (std::size_t l = 0; l < L; ++l) {
@@ -255,11 +221,13 @@ void march_block(const DualSlopeAdcConfig& cfg, std::mt19937_64& rng,
     }
     if (o.connect_input) {
       for (std::size_t v = 0; v < V; ++v) {
-        vout[v] = integrator.next_output<false>(vout[v], step_gain[v], input_gain[v]);
+        vout[v] = ScIntegratorModel::next_output(ip, step_gain[v], input_gain[v],
+                                                 /*invert=*/false, vout[v]);
       }
     } else if (o.connect_ref) {
       for (Lanes2& v : vout) {
-        v = integrator.next_output<true>(v, ref_step_gain, ref_input_gain);
+        v = ScIntegratorModel::next_output(ip, ref_step_gain, ref_input_gain,
+                                           /*invert=*/true, v);
       }
     }
     for (std::size_t v = 0; v < V; ++v) {
@@ -315,20 +283,14 @@ void DualSlopeAdc::convert_n(const double* vin, std::size_t n,
   (void)digital::BinaryCounter(kAdcCounterBits, cfg_.counter_faults);
   (void)digital::DualSlopeControl(cfg_.integrate_counts, cfg_.timeout_counts,
                                   cfg_.control_faults);
-  // A partial block runs the narrowest compiled width that holds it.
-  static_assert(kConversionLanes == 16);
+  // A lone conversion (or a pair) runs one vector; every other block runs
+  // the full width.
   for (std::size_t first = 0; first < n; first += kConversionLanes) {
     const std::size_t lanes = std::min(kConversionLanes, n - first);
-    const double* in = vin + first;
-    ConversionResult* res = out + first;
     if (lanes <= 2) {
-      march_block<2>(cfg_, noise_rng_, in, lanes, res);
-    } else if (lanes <= 4) {
-      march_block<4>(cfg_, noise_rng_, in, lanes, res);
-    } else if (lanes <= 8) {
-      march_block<8>(cfg_, noise_rng_, in, lanes, res);
+      march_block<2>(cfg_, noise_rng_, vin + first, lanes, out + first);
     } else {
-      march_block<16>(cfg_, noise_rng_, in, lanes, res);
+      march_block<kConversionLanes>(cfg_, noise_rng_, vin + first, lanes, out + first);
     }
   }
 }

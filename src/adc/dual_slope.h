@@ -42,9 +42,9 @@ inline constexpr std::uint32_t kAdcCounterBits = 10;
 inline constexpr std::uint32_t kAdcLatchBits = 10;
 
 /// Conversions DualSlopeAdc::convert_n marches together in one pass of
-/// its kernel, as eight two-double vectors; a shorter block runs the
-/// narrowest compiled width (2, 4 or 8) that holds it. DESIGN.md §10
-/// records the lane-width sweep behind the value.
+/// its kernel, as eight two-double vectors; a block of one or two
+/// conversions runs a single vector. DESIGN.md §10 records the
+/// lane-width sweep behind the value.
 inline constexpr std::size_t kConversionLanes = 16;
 
 struct DualSlopeAdcConfig {

@@ -47,19 +47,30 @@ class ComparatorModel {
                                                         : params_.v_low;
   }
 
-  /// The decision step() makes, on explicit state: returns the committed
-  /// output state after dt (dt > 0). The single definition shared by
-  /// step() and, for a comparator with a delay, the dual-slope ADC's
-  /// lane-batched conversion kernel, which keeps one state per lane (its
-  /// vector lanes repeat the zero-delay branch). Inline: runs once per
-  /// simulation step, millions of times per production batch.
-  static bool decide(const ComparatorParams& p, ComparatorState& s,
-                     double v_plus, double v_minus, double dt) {
-    const double vid = v_plus - v_minus + p.offset_v;
+  /// The comparison decide() makes before its delay: whether the input
+  /// clears the hysteresis threshold, given the committed output state.
+  /// T is double with a bool state, or, in the dual-slope ADC's
+  /// lane-batched conversion kernel (whose zero-delay comparators commit
+  /// it at once), a two-double GCC/Clang vector with its lane mask.
+  template <typename T, typename State>
+  static auto raw_high(const ComparatorParams& p, State out_high, T v_plus,
+                       T v_minus) {
+    const T vid = v_plus - v_minus + p.offset_v;
     // Hysteresis around zero: the comparison target shifts away from the
     // current committed state.
     const double half_hyst = 0.5 * p.hysteresis_v;
-    const bool raw = s.out_high ? (vid > -half_hyst) : (vid > half_hyst);
+    return vid > (out_high ? -half_hyst : half_hyst);
+  }
+
+  /// The decision step() makes, on explicit state: returns the committed
+  /// output state after dt (dt > 0). The single definition shared by
+  /// step() and, for a comparator with a delay, the dual-slope ADC's
+  /// lane-batched conversion kernel, which keeps one state per lane.
+  /// Inline: runs once per simulation step, millions of times per
+  /// production batch.
+  static bool decide(const ComparatorParams& p, ComparatorState& s,
+                     double v_plus, double v_minus, double dt) {
+    const bool raw = raw_high(p, s.out_high, v_plus, v_minus);
 
     if (p.delay_s <= 0.0) {
       s.out_high = raw;

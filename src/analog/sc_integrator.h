@@ -70,27 +70,34 @@ class ScIntegratorModel {
   /// Positive direction integrates up; pass invert=true for the dual-slope
   /// run-down phase (switch control flips the sampled polarity).
   double update(double vin, bool invert = false) {
-    vout_ = next_output(params_, drive(params_, vin, invert), vout_);
+    const Drive d = drive(params_, vin, invert);
+    vout_ = next_output(params_, d.step_gain, d.input_gain, d.invert, vout_);
     return vout_;
   }
 
-  /// drive() and next_output() are the definition of a cycle update()
-  /// applies. The dual-slope ADC's lane-batched conversion kernel takes
-  /// each lane's drive once per phase and repeats next_output's
-  /// operations, in its order, on two lanes at a time (adc/dual_slope.cpp);
-  /// tests/adc_kernel_test.cpp holds every lane bit-identical to update().
+  /// drive() and next_output() are the single definition of a cycle,
+  /// shared by update() and the dual-slope ADC's lane-batched conversion
+  /// kernel, which computes each lane's drive once per phase and runs
+  /// next_output on two lanes at a time: T is double here and a
+  /// two-double GCC/Clang vector there, whose operators take the scalar
+  /// parameters lane-wise. Inline: next_output runs once per ADC clock,
+  /// millions of times per production batch.
   static Drive drive(const ScIntegratorParams& p, double vin, bool invert) {
     const double gain = (1.0 / p.cap_ratio) * (1.0 + p.ratio_error);
     return {gain * vin, 1.0 + p.input_nonlinearity * vin, invert};
   }
-  static double next_output(const ScIntegratorParams& p, const Drive& d,
-                            double vout) {
+  template <typename T>
+  static T next_output(const ScIntegratorParams& p, T step_gain, T input_gain,
+                       bool invert, T vout) {
     // The nonlinearity models capacitor voltage-coefficient effects: the
     // per-cycle step depends weakly on the present output level.
-    double step = d.step_gain * (1.0 + p.nonlinearity * vout) * d.input_gain;
-    if (d.invert) step = -step * (1.0 + p.invert_gain_mismatch);
-    const double next = vout * (1.0 - p.leak) + step + p.offset_per_cycle;
-    return std::clamp(next, p.vout_min, p.vout_max);
+    T step = step_gain * (1.0 + p.nonlinearity * vout) * input_gain;
+    if (invert) step = -step * (1.0 + p.invert_gain_mismatch);
+    const T next = vout * (1.0 - p.leak) + step + p.offset_per_cycle;
+    // std::clamp(next, vout_min, vout_max) bit for bit, NaN included,
+    // written with ?: so that it also applies lane-wise.
+    const T above_min = p.vout_min > next ? p.vout_min : next;
+    return p.vout_max < above_min ? p.vout_max : above_min;
   }
 
   double output() const { return vout_; }
