@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace msbist::core {
@@ -75,13 +76,25 @@ class JsonWriter {
   /// produced by another JsonWriter, embedded into a response envelope).
   /// The text is emitted verbatim — the caller vouches for its validity.
   JsonWriter& raw_value(std::string_view json) { return raw(json); }
+  /// raw_value for a document that `append(std::string& out)` writes onto
+  /// the end of the output itself (a packed report unpacks there, with no
+  /// temporary copy).
+  template <class Append>
+  JsonWriter& raw_value_from(Append&& append) {
+    separate();
+    append(out_);
+    return *this;
+  }
 
   /// The finished document. Throws if containers are still open.
-  const std::string& str() const {
-    if (!stack_.empty()) {
-      throw std::logic_error("JsonWriter: str() with unclosed containers");
-    }
+  const std::string& str() const& {
+    check_closed();
     return out_;
+  }
+  /// The finished document, moved out of a writer that is done with it.
+  std::string str() && {
+    check_closed();
+    return std::move(out_);
   }
 
  private:
@@ -89,6 +102,12 @@ class JsonWriter {
     char closer;
     bool has_item = false;
   };
+
+  void check_closed() const {
+    if (!stack_.empty()) {
+      throw std::logic_error("JsonWriter: str() with unclosed containers");
+    }
+  }
 
   JsonWriter& open(char opener, char closer) {
     separate();

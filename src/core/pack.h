@@ -87,6 +87,14 @@ inline void pack_sequence(std::string& out, std::string_view literals,
   if (match_nibble == 15) pack_varint(out, match_code - 15);
 }
 
+/// Copy n bytes in 16-byte steps: up to 15 bytes past dst + n are
+/// written and past src + n read, so the caller checks that both buffers
+/// have that room. Most sequences are a few bytes long, and one fixed
+/// 16-byte move is far cheaper than a memcpy of a variable count.
+inline void pack_copy16(char* dst, const char* src, std::size_t n) {
+  for (std::size_t k = 0; k < n; k += 16) std::memcpy(dst + k, src + k, 16);
+}
+
 [[noreturn]] inline void unpack_fail(const char* what) {
   throw std::runtime_error(std::string("core::unpack: ") + what);
 }
@@ -140,14 +148,15 @@ inline std::string pack(std::string_view raw) {
   return out;
 }
 
-/// Decode pack() output into `out` (replacing its contents, reusing its
-/// capacity). `raw_size` is the packed text's size; a stream that does not
-/// decode to exactly that many bytes throws std::runtime_error.
-inline void unpack_into(std::string_view packed, std::size_t raw_size,
-                        std::string& out) {
+/// Decode pack() output onto the end of `out`. `raw_size` is the packed
+/// text's size; a stream that does not decode to exactly that many bytes
+/// throws std::runtime_error (what it appended by then is unspecified).
+inline void unpack_append(std::string_view packed, std::size_t raw_size,
+                          std::string& out) {
   using namespace detail;
-  out.resize(raw_size);
-  char* const dst = out.data();
+  const std::size_t start = out.size();
+  out.resize(start + raw_size);
+  char* const dst = out.data() + start;
   std::size_t at = 0;  // bytes written
   std::size_t in = 0;  // bytes read
   const auto length = [&](std::size_t nibble) {
@@ -170,7 +179,13 @@ inline void unpack_into(std::string_view packed, std::size_t raw_size,
     if (literals > packed.size() - in || literals > raw_size - at) {
       unpack_fail("literals overrun");
     }
-    std::memcpy(dst + at, packed.data() + in, literals);
+    // Bytes written past a copy lie ahead of `at` and are rewritten by the
+    // copies after it before anything reads them.
+    if (packed.size() - in - literals >= 15 && raw_size - at - literals >= 15) {
+      pack_copy16(dst + at, packed.data() + in, literals);
+    } else {
+      std::memcpy(dst + at, packed.data() + in, literals);
+    }
     in += literals;
     at += literals;
     if (in == packed.size()) {
@@ -184,7 +199,10 @@ inline void unpack_into(std::string_view packed, std::size_t raw_size,
     if (offset == 0 || offset > at) unpack_fail("offset outside the output");
     const std::size_t len = length(token & 0x0F) + kPackMinMatch;
     if (len > raw_size - at) unpack_fail("match overruns the raw size");
-    if (offset >= len) {
+    if (offset >= 16 && raw_size - at - len >= 15) {
+      // Each step reads only bytes already final, at least 16 back.
+      pack_copy16(dst + at, dst + at - offset, len);
+    } else if (offset >= len) {
       std::memcpy(dst + at, dst + at - offset, len);
     } else {
       for (std::size_t k = 0; k < len; ++k) dst[at + k] = dst[at + k - offset];
@@ -196,7 +214,7 @@ inline void unpack_into(std::string_view packed, std::size_t raw_size,
 
 inline std::string unpack(std::string_view packed, std::size_t raw_size) {
   std::string out;
-  unpack_into(packed, raw_size, out);
+  unpack_append(packed, raw_size, out);
   return out;
 }
 
@@ -211,8 +229,11 @@ class PackedText {
   /// Size of the text itself, what the retention budget charges.
   std::size_t raw_size() const { return raw_size_; }
   std::string text() const { return unpack(packed_, raw_size_); }
-  /// The text into `out`, reusing its capacity.
-  void text(std::string& out) const { unpack_into(packed_, raw_size_, out); }
+  /// The text onto the end of `out`: into a reused buffer, or straight
+  /// into the document that embeds it.
+  void append_text(std::string& out) const {
+    unpack_append(packed_, raw_size_, out);
+  }
 
  private:
   std::string packed_;

@@ -133,13 +133,19 @@ HttpResponse job_result(const JobSnapshot& snap) {
     w.key("outcome");
     snap.outcome.to_json(w);
     w.member("report_kind", snap.report_kind);
-    w.key("report").raw_value(snap.report_json ? snap.report_json->text() : "null");
+    w.key("report");
+    if (snap.report_json) {
+      // Unpacked straight into the response, which is moved, not copied.
+      w.raw_value_from([&](std::string& out) { snap.report_json->append_text(out); });
+    } else {
+      w.raw_value("null");
+    }
   } else if (snap.failure.code != core::ErrorCode::kNone) {
     w.key("failure");
     snap.failure.to_json(w);
   }
   w.end_object();
-  return HttpResponse::json(200, w.str());
+  return HttpResponse::json(200, std::move(w).str());
 }
 
 HttpResponse cancel_job(JobManager& manager, std::uint64_t id) {

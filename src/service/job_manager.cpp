@@ -235,7 +235,7 @@ void JobManager::recover_jobs() {
           retained_bytes_ += job->retained_charge();
           last_completed_ = id;
           journal_->append_result(id, "failed", "null",
-                                  core::to_json(job->failure), "", "", nullptr);
+                                  core::to_json(job->failure));
           metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -508,7 +508,6 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
   core::Outcome outcome;
   core::Failure failure;
   std::string report_text;  // journaled, then dropped: the job keeps it packed
-  ReportBuffer report_json;
   std::string report_kind;
   std::size_t resumed_units = 0;
   try {
@@ -530,9 +529,6 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     } else {
       outcome = std::move(result.outcome);
       report_text = std::move(result.report_json);
-      if (!report_text.empty()) {
-        report_json = std::make_shared<const core::PackedText>(report_text);
-      }
       report_kind = std::move(result.report_kind);
     }
   } catch (const core::SolverError& e) {
@@ -547,13 +543,15 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
 
   // WAL ordering: the terminal record hits the journal before memory —
   // a crash between the two re-runs nothing (the journal already knows
-  // the verdict). The result fsyncs immediately.
-  if (journal_) {
-    journal_->append_result(
-        job->id, to_string(final_state), core::to_json(outcome),
-        failure.code != core::ErrorCode::kNone ? core::to_json(failure) : "",
-        report_kind, report_text, report_json);
-  }
+  // the verdict). The result fsyncs immediately. The report is packed
+  // once, by the journal when there is one.
+  ReportBuffer report_json =
+      journal_ ? journal_->append_result(
+                     job->id, to_string(final_state), core::to_json(outcome),
+                     failure.code != core::ErrorCode::kNone ? core::to_json(failure)
+                                                            : "",
+                     report_kind, report_text)
+               : pack_report(report_text);
   report_text = std::string();
 
   {
@@ -651,7 +649,7 @@ bool JobManager::cancel(std::uint64_t id) {
     metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
     last_completed_ = job.id;
     if (journal_) {
-      journal_->append_result(job.id, "cancelled", "null", "", "", "", nullptr);
+      journal_->append_result(job.id, "cancelled", "null", "");
     }
     idle_cv_.notify_all();  // a drain may be waiting for pending_ to empty
   }

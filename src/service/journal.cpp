@@ -160,9 +160,7 @@ bool apply_payload(const std::string& payload,
     job.report_kind = report_kind->as_string();
     // Packed as the line is applied: a replay holds at most one report
     // as text.
-    job.report_json = report->is_null()
-                          ? nullptr
-                          : std::make_shared<const core::PackedText>(report->dump());
+    job.report_json = report->is_null() ? nullptr : pack_report(report->dump());
     if (const core::JsonValue* failure = doc.find("failure")) {
       job.failure_json = failure->dump();
     }
@@ -441,7 +439,7 @@ bool Journal::write_table_locked() {
     }
     if (!job.has_result) return true;
     report_text.clear();
-    if (job.report_json) job.report_json->text(report_text);
+    if (job.report_json) job.report_json->append_text(report_text);
     return write_all_locked(frame(
         result_payload(id, job.result_state, job.outcome_json,
                        job.failure_json, job.report_kind, report_text)));
@@ -493,13 +491,14 @@ void Journal::append_checkpoints(
   append_locked(payload, /*always_sync=*/false);
 }
 
-void Journal::append_result(std::uint64_t id, std::string_view state,
-                            std::string_view outcome_json,
-                            std::string_view failure_json,
-                            std::string_view report_kind,
-                            std::string_view report_json, ReportBuffer report) {
+ReportBuffer Journal::append_result(std::uint64_t id, std::string_view state,
+                                    std::string_view outcome_json,
+                                    std::string_view failure_json,
+                                    std::string_view report_kind,
+                                    std::string_view report_json) {
+  ReportBuffer report = pack_report(report_json);
   std::lock_guard<std::mutex> lock(mu_);
-  if (degraded_) return;
+  if (degraded_) return report;
   const std::string payload = result_payload(
       id, state, outcome_json, failure_json, report_kind, report_json);
   RecoveredJob& job = table_[id];
@@ -508,11 +507,12 @@ void Journal::append_result(std::uint64_t id, std::string_view state,
   job.outcome_json = outcome_json;
   if (!failure_json.empty()) job.failure_json = failure_json;
   job.report_kind = report_kind;
-  job.report_json = std::move(report);
+  job.report_json = report;
   // A finished job needs no resume state; drop the bulk now.
   job.checkpoints.clear();
   last_result_ = id;
   append_locked(payload, /*always_sync=*/true);
+  return report;
 }
 
 void Journal::append_clean_shutdown() {

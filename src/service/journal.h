@@ -67,10 +67,11 @@
 //
 // Report buffers. The table holds each report packed (core::PackedText,
 // shared with the JobManager), never as text: append_result journals the
-// caller's text and keeps its packed buffer, compaction unpacks one
-// report at a time into a reused buffer, and replay packs each report as
-// its line is applied, so a boot holds at most one report unpacked. The
-// bytes on disk are the same JSON either way.
+// caller's text, packs it once and returns that buffer for the caller to
+// retain, compaction unpacks one report at a time into a reused buffer,
+// and replay packs each report as its line is applied, so a boot holds
+// at most one report unpacked. The bytes on disk are the same JSON either
+// way.
 //
 // Failure posture. The journal is an availability feature and must
 // never become an outage: any append-path failure (ENOSPC, EIO, short
@@ -116,6 +117,12 @@ struct JournalOptions {
 /// adopts it, the boot-time recovered() snapshot share one buffer. Null
 /// when the job has no report.
 using ReportBuffer = std::shared_ptr<const core::PackedText>;
+
+/// The buffer of a report document ("" = no report: null).
+inline ReportBuffer pack_report(std::string_view report_json) {
+  if (report_json.empty()) return nullptr;
+  return std::make_shared<const core::PackedText>(report_json);
+}
 
 /// Everything the replay learned about one job.
 struct RecoveredJob {
@@ -189,13 +196,14 @@ class Journal {
     append_checkpoints(id, total, {{unit, std::string(data_json)}});
   }
   /// `report_json` is journaled as given ("" = no report, journaled as
-  /// JSON null); the table keeps `report`, the same text packed (null
-  /// when there is none), itself, not a copy, so this never unpacks.
-  void append_result(std::uint64_t id, std::string_view state,
-                     std::string_view outcome_json,
-                     std::string_view failure_json,  // "" = no failure
-                     std::string_view report_kind,
-                     std::string_view report_json, ReportBuffer report);
+  /// JSON null) and packed once; the table keeps that buffer, and it is
+  /// returned for the caller to retain rather than pack again. A degraded
+  /// journal still packs and returns it.
+  ReportBuffer append_result(std::uint64_t id, std::string_view state,
+                             std::string_view outcome_json,
+                             std::string_view failure_json,  // "" = no failure
+                             std::string_view report_kind = "",
+                             std::string_view report_json = "");
   void append_clean_shutdown();
 
   /// Drop a job from the compaction table and release its report

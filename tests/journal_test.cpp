@@ -73,10 +73,6 @@ JournalOptions options_for(const std::string& dir) {
   return o;
 }
 
-service::ReportBuffer report(std::string_view json) {
-  return std::make_shared<const core::PackedText>(json);
-}
-
 TEST(Crc32, KnownVectors) {
   // The standard CRC-32 (IEEE 802.3) check value.
   EXPECT_EQ(core::crc32("123456789"), 0xCBF43926u);
@@ -146,9 +142,8 @@ TEST(Journal, LifecycleRoundTripsThroughReplay) {
     j.append_checkpoint(7, 0, 3, R"({"die":0})");
     j.append_checkpoint(7, 2, 3, R"({"die":2})");
     j.append_admit(8, R"({"kind":"testability"})");
-    const std::string doc = R"({"kind":"testability_report"})";
     j.append_result(8, "succeeded", R"({"pass":true,"detail":"ok"})", "",
-                    "testability_report", doc, report(doc));
+                    "testability_report", R"({"kind":"testability_report"})");
     EXPECT_FALSE(j.degraded());
     EXPECT_GT(j.bytes(), 0u);
     EXPECT_EQ(j.segments(), 1u);
@@ -387,13 +382,14 @@ TEST(Journal, AppendedDocumentsReplayByteIdenticalThroughCompaction) {
       }
     }
     j.append_admit(2, requests[1]);
-    const service::ReportBuffer shared = report(batch_report);
-    j.append_result(2, "succeeded", R"({"pass":true,"detail":"3/3"})", "",
-                    "batch_report", batch_report, shared);
-    // The table keeps the caller's buffer, not a copy.
+    const service::ReportBuffer shared =
+        j.append_result(2, "succeeded", R"({"pass":true,"detail":"3/3"})", "",
+                        "batch_report", batch_report);
+    // The table keeps the buffer it returns, not a copy.
     EXPECT_EQ(shared.use_count(), 2);
+    EXPECT_EQ(shared->text(), batch_report);
     j.append_admit(3, requests[0]);
-    j.append_result(3, "failed", "null", failure, "", "", nullptr);
+    EXPECT_EQ(j.append_result(3, "failed", "null", failure), nullptr);
     appended += batch_report.size();
     EXPECT_FALSE(j.degraded());
     // Compaction dropped the superseded checkpoints.
@@ -437,12 +433,11 @@ TEST(Journal, ForgottenJobsLeaveTheLogAtTheNextCompaction) {
     Journal j(o);
     std::weak_ptr<const core::PackedText> first_report;
     for (std::uint64_t id = 1; id <= 4; ++id) {
-      const std::string doc = R"({"pass":true})";
-      service::ReportBuffer buffer = report(doc);
-      if (id == 1) first_report = buffer;
       j.append_admit(id, R"({"kind":"testability"})");
-      j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                      "testability_report", doc, std::move(buffer));
+      const service::ReportBuffer buffer =
+          j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
+                          "testability_report", R"({"pass":true})");
+      if (id == 1) first_report = buffer;
     }
     j.append_admit(5, R"({"kind":"batch"})");  // live
     j.forget(1);
@@ -493,9 +488,8 @@ TEST(Journal, CompactionWritesAtMostTwiceWhatWasAppended) {
     next_is_record = true;
     j.append_admit(id, request);
     next_is_record = true;
-    const std::string doc = R"({"pad":")" + body + R"("})";
     j.append_result(id, "succeeded", R"({"pass":true,"detail":""})", "",
-                    "batch_report", doc, report(doc));
+                    "batch_report", R"({"pad":")" + body + R"("})");
   }
   EXPECT_FALSE(j.degraded());
   EXPECT_GT(j.compactions(), 0u);
@@ -527,9 +521,12 @@ TEST(Journal, WriteFailureDegradesInsteadOfThrowing) {
   EXPECT_EQ(j.segments(), 0u);
 
   // Post-degrade appends are silent no-ops — never a crash, never a
-  // second warning.
-  j.append_result(1, "succeeded", R"({"pass":true,"detail":""})", "", "", "",
-                  nullptr);
+  // second warning — but a result's report is still packed for the
+  // caller to retain.
+  const service::ReportBuffer report = j.append_result(
+      1, "succeeded", R"({"pass":true,"detail":""})", "", "batch_report", "{}");
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->text(), "{}");
   j.append_clean_shutdown();
   j.sync();
   EXPECT_EQ(j.degraded_events(), 1u);

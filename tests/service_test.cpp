@@ -1410,18 +1410,14 @@ TEST(Durability, BootForgetsReplayedJobsItCannotAdopt) {
     jo.fsync_every_records = 1;
     service::Journal journal(jo);
     journal.append_admit(1, R"({"kind":"no_such_kind"})");
-    journal.append_result(1, "succeeded", outcome, "", "batch_report", "{}",
-                          std::make_shared<const core::PackedText>("{}"));
+    journal.append_result(1, "succeeded", outcome, "", "batch_report", "{}");
     journal.append_admit(2, R"({"kind":"no_such_kind"})");
     journal.append_checkpoint(2, 0, 4, "{}");
     journal.append_checkpoint(3, 0, 4, "{}");
-    journal.append_result(4, "succeeded", outcome, "", "batch_report", "{}",
-                          std::make_shared<const core::PackedText>("{}"));
+    journal.append_result(4, "succeeded", outcome, "", "batch_report", "{}");
     journal.append_admit(5, core::to_json(kept));
-    const std::string kept_report = service::dispatch(kept).report_json;
     journal.append_result(5, "succeeded", outcome, "", "batch_report",
-                          kept_report,
-                          std::make_shared<const core::PackedText>(kept_report));
+                          service::dispatch(kept).report_json);
   }
   ASSERT_EQ(journaled_ids(dir), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 
