@@ -4,17 +4,15 @@
 // Header-only and dependency-free like core/json.h: the journal frames
 // each record line as "<crc32-hex> <payload>" so recovery can tell a
 // torn or bit-rotted tail from a valid record without trusting the
-// payload parser. A result record carries a whole report (hundreds of
-// kilobytes for a lot), and a lockstep job journals megabytes, so the
-// checksum is slice-by-8: eight compile-time tables fold eight bytes per
-// step, about five times faster than the byte-at-a-time walk it replaces
-// and bit-identical to it (big-endian hosts still run that walk).
+// payload parser. The table is built at compile time; crc32() over a
+// buffer is the standard byte-at-a-time table walk. That is not free: a
+// result record carries a whole report, so a 4,096-die lockstep job
+// checksums about 2 MB, a few milliseconds (ROADMAP.md tracks a faster
+// walk).
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -22,52 +20,30 @@ namespace msbist::core {
 
 namespace detail {
 
-/// kCrc32Tables[0] is the classic byte table; kCrc32Tables[k][b] is the
-/// CRC of byte b followed by k zero bytes.
-consteval std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> tables{};
+consteval std::array<std::uint32_t, 256> make_crc32_table() {
+  std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    tables[0][i] = c;
+    table[i] = c;
   }
-  for (std::size_t k = 1; k < 8; ++k) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables[k - 1][i];
-      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
-    }
-  }
-  return tables;
+  return table;
 }
 
-inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables =
-    make_crc32_tables();
+inline constexpr std::array<std::uint32_t, 256> kCrc32Table =
+    make_crc32_table();
 
 }  // namespace detail
 
 /// CRC-32 of `data`, optionally continuing a running checksum (pass the
 /// previous return value as `seed` to checksum a buffer in pieces).
 inline std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0) {
-  const auto& t = detail::kCrc32Tables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const char* p = data.data();
-  std::size_t n = data.size();
-  if constexpr (std::endian::native == std::endian::little) {
-    for (; n >= 8; p += 8, n -= 8) {
-      std::uint32_t lo;
-      std::uint32_t hi;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= c;
-      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    }
-  }
-  for (; n > 0; ++p, --n) {
-    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
+  for (const char ch : data) {
+    c = detail::kCrc32Table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^
+        (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
