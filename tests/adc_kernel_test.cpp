@@ -163,9 +163,9 @@ std::vector<NamedConfig> kernel_configs() {
 
 /// Inputs spanning below 0 V to above vref, with repeats, then NaN and
 /// both infinities: those drive the integrator to NaN or a rail, where
-/// the kernel's clamp, peak and comparator forms must still agree with
-/// std::clamp, std::max and ComparatorModel::decide. 40 is not a
-/// multiple of the lane width, so the last block is partial.
+/// the vector instances of the models' clamp and comparison, and the
+/// kernel's peak, must still agree with the scalar ones and std::max.
+/// 40 is not a multiple of the lane width, so the last block is partial.
 std::vector<double> kernel_inputs() {
   std::vector<double> v;
   for (int i = 0; i < 33; ++i) v.push_back(-0.3 + 0.1 * i);  // -0.3 .. 2.9 V

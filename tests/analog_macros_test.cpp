@@ -2,7 +2,12 @@
 // integrator) and the transistor-level OP1 cell.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "analog/comparator.h"
 #include "analog/opamp.h"
@@ -94,6 +99,23 @@ TEST(ComparatorModelTest, GlitchShorterThanDelayIgnored) {
   EXPECT_FALSE(cmp.output_high());
 }
 
+// The hysteresis comparison is shared with the dual-slope kernel's
+// vector lanes, so its unordered case is pinned here: a NaN input never
+// clears the threshold, and the output falls low whatever its state.
+TEST(ComparatorModelTest, NaNInputReadsLow) {
+  ComparatorParams p;
+  p.delay_s = 0.0;
+  p.hysteresis_v = 0.2;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool high : {false, true}) {
+    ComparatorModel cmp(p);
+    cmp.reset(high);
+    EXPECT_DOUBLE_EQ(cmp.step(nan, 0.0, 1e-6), p.v_low) << high;
+    cmp.reset(high);
+    EXPECT_DOUBLE_EQ(cmp.step(0.0, nan, 1e-6), p.v_low) << high;
+  }
+}
+
 TEST(ScIntegratorModelTest, MatchesDesignEquation) {
   // Ideal model must track H(z) = z^-1/(k (1-z^-1)) driven step-wise.
   ScIntegratorParams p;
@@ -136,6 +158,30 @@ TEST(ScIntegratorModelTest, SaturationClamps) {
   ScIntegratorModel integ(p);
   for (int i = 0; i < 100; ++i) integ.update(5.0);
   EXPECT_DOUBLE_EQ(integ.output(), p.vout_max);
+}
+
+// next_output writes its clamp with ?: so that the dual-slope kernel's
+// vector lanes share it; it must stay std::clamp bit for bit, NaN
+// (passed through), infinities and signed zeros included.
+TEST(ScIntegratorModelTest, ClampIsStdClampBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] :
+       {std::pair{0.0, 5.0}, std::pair{-0.0, 1.0}, std::pair{-1.0, 0.0}}) {
+    ScIntegratorParams p;
+    p.vout_min = lo;
+    p.vout_max = hi;
+    // From a -0 output, with a -0 offset and no leak or nonlinearity, the
+    // unclamped cycle value is the step itself, signed zeros included.
+    p.offset_per_cycle = -0.0;
+    for (const double next : {-inf, -2.0, -0.0, 0.0, 0.5, 1.0, 5.0, 7.0, inf, nan}) {
+      const double got =
+          ScIntegratorModel::next_output(p, next, 1.0, /*invert=*/false, -0.0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(std::clamp(next, lo, hi)))
+          << next << " in [" << lo << ", " << hi << "]";
+    }
+  }
 }
 
 TEST(ScIntegratorModelTest, NonlinearityBendsRamp) {
