@@ -57,9 +57,14 @@ class ComparatorModel {
                        T v_minus) {
     const T vid = v_plus - v_minus + p.offset_v;
     // Hysteresis around zero: the comparison target shifts away from the
-    // current committed state.
+    // current committed state, to -h/2 while high and +h/2 while low.
     const double half_hyst = 0.5 * p.hysteresis_v;
-    return vid > (out_high ? -half_hyst : half_hyst);
+    const auto above_high_target = vid > -half_hyst;
+    const auto above_low_target = vid > half_hyst;
+    // out_high ? above_high_target : above_low_target, selected with & and
+    // ^ so that a lane mask selects lane-wise without leaving the vector
+    // unit (a ?: on an integer mask compiles to per-lane branches).
+    return above_low_target ^ (out_high & (above_high_target ^ above_low_target));
   }
 
   /// The decision step() makes, on explicit state: returns the committed
