@@ -23,6 +23,12 @@ namespace msbist::core {
 
 class JsonWriter {
  public:
+  JsonWriter() = default;
+  /// A writer whose document follows `prefix` in its output (str()
+  /// returns both): the journal renders a record after room for its
+  /// checksum this way, so framing the record copies nothing.
+  explicit JsonWriter(std::string prefix) : out_(std::move(prefix)) {}
+
   JsonWriter& begin_object() { return open('{', '}'); }
   JsonWriter& end_object() { return close('}'); }
   JsonWriter& begin_array() { return open('[', ']'); }

@@ -47,12 +47,34 @@ tsrt::CircuitKind parse_circuit(const std::string& name) {
               "\" (expected op1_follower or sc_integrator_comparator)");
 }
 
+/// The progress count of one dispatch, shared with the `written`
+/// callbacks of its checkpoint hook, which may run after it returns.
+class ProgressTally {
+ public:
+  ProgressTally(std::size_t total,
+                std::function<void(std::size_t, std::size_t)> progress)
+      : total_(total), progress_(std::move(progress)) {}
+
+  /// `units` more count as done.
+  void tick(std::size_t units) {
+    const std::size_t done =
+        done_.fetch_add(units, std::memory_order_relaxed) + units;
+    if (progress_) progress_(done, total_);
+  }
+
+ private:
+  const std::size_t total_;
+  const std::function<void(std::size_t, std::size_t)> progress_;
+  std::atomic<std::size_t> done_{0};
+};
+
 /// The unit accounting every resumable job shares (lots and campaigns).
 /// The resume table keeps only in-range checkpoints that decode — any
 /// other unit simply re-runs, a corrupt checkpoint never fails the job.
 /// Each executor slot the engine actually runs reports its units'
-/// checkpoints together and then ticks progress, counting on from the
-/// restored units; units a stop left unrun do neither. A job whose
+/// checkpoints together; they tick progress, counting on from the
+/// restored units, once the checkpoint hook says they are written (at
+/// once without a hook). Units a stop left unrun do neither. A job whose
 /// restored plus completed units fall short of the work list returns the
 /// explicit "stopped" non-answer, never the partial report. `Resume` is
 /// the engine's resume table (production::BatchResume or
@@ -65,7 +87,10 @@ class UnitLedger {
   UnitLedger(std::size_t total, const DispatchHooks& hooks,
              Unit (*decode)(const core::JsonValue&),
              std::string (*encode)(const Unit&))
-      : total_(total), hooks_(hooks), encode_(encode) {
+      : total_(total),
+        hooks_(hooks),
+        encode_(encode),
+        progress_(std::make_shared<ProgressTally>(total, hooks.progress)) {
     if (hooks.resume != nullptr) {
       for (const auto& [unit, payload] : *hooks.resume) {
         if (unit >= total) continue;
@@ -77,7 +102,7 @@ class UnitLedger {
       }
     }
     done_.store(resume.completed.size(), std::memory_order_relaxed);
-    if (hooks.progress) hooks.progress(resume.completed.size(), total);
+    progress_->tick(resume.completed.size());
   }
 
   /// The restored units, for the engine to splice instead of re-running.
@@ -87,15 +112,18 @@ class UnitLedger {
   /// results, `index_of` maps each to its unit index. Thread-safe.
   template <typename IndexOf>
   void complete(std::span<const Unit> units, IndexOf index_of) {
-    if (hooks_.unit_complete) {
-      SlotCheckpoints slot;
-      slot.reserve(units.size());
-      for (const Unit& u : units) slot.emplace_back(index_of(u), encode_(u));
-      hooks_.unit_complete(total_, std::move(slot));
+    done_.fetch_add(units.size(), std::memory_order_relaxed);
+    if (!hooks_.unit_complete) {
+      progress_->tick(units.size());
+      return;
     }
-    const std::size_t n =
-        done_.fetch_add(units.size(), std::memory_order_relaxed) + units.size();
-    if (hooks_.progress) hooks_.progress(n, total_);
+    SlotCheckpoints slot;
+    slot.reserve(units.size());
+    for (const Unit& u : units) slot.emplace_back(index_of(u), encode_(u));
+    hooks_.unit_complete(total_, std::move(slot),
+                         [progress = progress_, n = units.size()] {
+                           progress->tick(n);
+                         });
   }
 
   /// Record the resumed-unit count in `res`; when the engine returned
@@ -112,7 +140,9 @@ class UnitLedger {
   std::size_t total_;
   const DispatchHooks& hooks_;
   std::string (*encode_)(const Unit&);
+  /// Restored and completed units: what settle() judges.
   std::atomic<std::size_t> done_{0};
+  std::shared_ptr<ProgressTally> progress_;
 };
 
 /// A lot engine (run_batch or run_batch_lockstep) bound to its request,

@@ -38,6 +38,8 @@ namespace msbist::service {
 /// One executor slot's checkpoints: (unit index, engine checkpoint
 /// document) pairs, in the order the slot tested them.
 using SlotCheckpoints = std::vector<std::pair<std::size_t, std::string>>;
+/// Called once a slot's checkpoints are written (see unit_complete).
+using SlotWritten = std::function<void()>;
 
 /// Executor-provided hooks. All are optional and must be thread-safe:
 /// the engines invoke them from worker threads.
@@ -51,15 +53,21 @@ struct DispatchHooks {
   core::StopFn should_stop;
   /// Incremental progress: units completed so far / total units, ticked
   /// once per executor slot. With a resume, `done` starts at the
-  /// restored-unit count. Lockstep dies complete a block at a time.
+  /// restored-unit count. Lockstep dies complete a block at a time. With
+  /// unit_complete set, a slot's tick waits for its `written` call, so it
+  /// may come from another thread, after dispatch has returned.
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Checkpoint hook: fired once per executor slot actually executed in
   /// this run — one batch die, one lockstep block of up to
   /// kLockstepBlockDies dies, one campaign fault; never for restored
   /// units — with only that slot's units and their engine checkpoint
   /// documents. The executor journals them as one record for crash
-  /// resume.
-  std::function<void(std::size_t total, SlotCheckpoints units)> unit_complete;
+  /// resume and calls `written` exactly once, from any thread, once that
+  /// record is written (or will never be): only then do the units count
+  /// in progress. `written` stays valid after dispatch returns.
+  std::function<void(std::size_t total, SlotCheckpoints units,
+                     SlotWritten written)>
+      unit_complete;
   /// Prior-run checkpoints to splice instead of re-executing: unit index
   /// -> a checkpoint document a previous unit_complete reported (not owned;
   /// must outlive the dispatch call). Entries that fail to decode or

@@ -99,6 +99,9 @@ struct JobManager::Job {
   std::string report_kind;
   /// Size of the request's JSON text (the journaled admit envelope).
   std::size_t request_bytes = 0;
+  /// The journal's ticket for the admit record (0 = none or restored):
+  /// a duplicate submit waits for it too.
+  Journal::Ticket admitted = 0;
   double queued_seconds = 0.0;
   double started_seconds = 0.0;
   double finished_seconds = 0.0;
@@ -188,7 +191,6 @@ void JobManager::restore_terminal_jobs() {
     if (!job->request.idempotency_key.empty()) {
       idempotency_[job->request.idempotency_key] = id;
     }
-    ++recovered_jobs_;
     metrics_.jobs_recovered.fetch_add(1, std::memory_order_relaxed);
   }
   last_completed_ = journal_->recovered().last_completed;
@@ -216,7 +218,6 @@ void JobManager::recover_jobs() {
       job->id = id;
       job->request_bytes = rec.request_json.size();
       job->recovered = true;
-      ++recovered_jobs_;
       metrics_.jobs_recovered.fetch_add(1, std::memory_order_relaxed);
 
       if (!job->request.population.empty()) {
@@ -255,7 +256,6 @@ void JobManager::recover_jobs() {
         idempotency_[job->request.idempotency_key] = id;
       }
       if (!job->resume_data.empty()) {
-        ++resumed_jobs_;
         metrics_.jobs_resumed.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -267,6 +267,8 @@ void JobManager::recover_jobs() {
   work_cv_.notify_all();
 }
 
+// Takes no lock: the journal publishes its status as atomics, so a scrape
+// never waits on the disk.
 JournalStatus JobManager::journal_status() {
   JournalStatus st;
   if (!journal_) return st;
@@ -274,19 +276,25 @@ JournalStatus JobManager::journal_status() {
   st.clean_shutdown = journal_->recovered().clean_shutdown;
   st.first_boot = journal_->recovered().first_boot;
   st.degraded = journal_->degraded();
+  st.recovered_jobs = metrics_.jobs_recovered.load(std::memory_order_relaxed);
+  st.resumed_jobs = metrics_.jobs_resumed.load(std::memory_order_relaxed);
   st.gauges.journal_bytes = journal_->bytes();
   st.gauges.journal_segments = journal_->segments();
   st.gauges.skipped_records = journal_->recovered().skipped_records;
+  st.gauges.backlog_bytes = journal_->backlog_bytes();
   // These counters live in the journal; mirror them into the atomics the
   // /metrics document reads.
   metrics_.journal_degraded.store(journal_->degraded_events(),
                                   std::memory_order_relaxed);
   metrics_.journal_fsyncs.store(journal_->fsyncs(), std::memory_order_relaxed);
+  metrics_.journal_fsync_seconds.store(journal_->fsync_seconds(),
+                                       std::memory_order_relaxed);
   metrics_.journal_compactions.store(journal_->compactions(),
                                      std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  st.recovered_jobs = recovered_jobs_;
-  st.resumed_jobs = resumed_jobs_;
+  metrics_.journal_compaction_seconds.store(journal_->compaction_seconds(),
+                                            std::memory_order_relaxed);
+  metrics_.journal_backlog_waits.store(journal_->backlog_waits(),
+                                       std::memory_order_relaxed);
   return st;
 }
 
@@ -323,16 +331,24 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
   job->request_bytes = request_json.size();
 
   std::uint64_t id = 0;
+  Journal::Ticket admitted = 0;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     // Idempotent resubmit: a key the executor already accepted answers
     // with the existing job — before admission control, because a retry
     // of an accepted job must not bounce off a full queue.
     if (!job->request.idempotency_key.empty()) {
       const auto it = idempotency_.find(job->request.idempotency_key);
-      if (it != idempotency_.end() && jobs_.count(it->second) != 0) {
+      const auto held =
+          it == idempotency_.end() ? jobs_.end() : jobs_.find(it->second);
+      if (held != jobs_.end()) {
         metrics_.jobs_deduplicated.fetch_add(1, std::memory_order_relaxed);
-        return {it->second, true};
+        id = held->first;
+        admitted = held->second->admitted;
+        lock.unlock();
+        // Never acknowledge a job before its admission is durable.
+        if (journal_) journal_->wait(admitted);
+        return {id, true};
       }
     }
     if (!job->request.population.empty()) {
@@ -360,13 +376,21 @@ SubmitResult JobManager::submit_request(core::JobRequest request) {
     }
     retained_bytes_ += job->retained_charge();
     evict_terminal_locked();
-    // Journal the admission before the 202 leaves the process: a crash
-    // after this point re-admits the job instead of forgetting it. The
-    // journal has its own lock and never throws (it degrades).
-    if (journal_) journal_->append_admit(id, request_json);
+    // Queued here, before a slot can take the job, so the admission
+    // precedes every record of the job; the journal never throws (it
+    // degrades).
+    if (journal_) {
+      admitted = journal_->queue_admit(id, request_json);
+      job->admitted = admitted;
+    }
   }
   metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
   work_cv_.notify_one();
+  // The admission is written and fsynced before the 202 leaves the
+  // process: a crash after this point re-admits the job instead of
+  // forgetting it. Waited for outside mu_, so status reads and the
+  // slots never wait on the disk behind a submit.
+  if (journal_) journal_->wait(admitted);
   return {id, false};
 }
 
@@ -493,10 +517,15 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
     job->done.store(done, std::memory_order_relaxed);
   };
   if (journal_) {
+    // The slot's units count as done once the journal's writer has
+    // written their record, so a unit the daemon reports done survives a
+    // SIGKILL.
     Journal* journal = journal_.get();
     hooks.unit_complete = [journal, job](std::size_t total,
-                                         SlotCheckpoints units) {
-      journal->append_checkpoints(job->id, total, std::move(units));
+                                         SlotCheckpoints units,
+                                         SlotWritten written) {
+      journal->append_checkpoints(job->id, total, std::move(units),
+                                  std::move(written));
     };
   }
   // resume_data is only ever filled by recover_jobs() before the job is
@@ -543,8 +572,10 @@ void JobManager::execute(const std::shared_ptr<Job>& job) {
 
   // WAL ordering: the terminal record hits the journal before memory —
   // a crash between the two re-runs nothing (the journal already knows
-  // the verdict). The result fsyncs immediately. The report is packed
-  // once, by the journal when there is one.
+  // the verdict). append_result returns once the result is written and
+  // fsynced, after every checkpoint record of the job, so progress is
+  // complete by then. The report is packed once, by the journal when
+  // there is one.
   ReportBuffer report_json =
       journal_ ? journal_->append_result(
                      job->id, to_string(final_state), core::to_json(outcome),

@@ -32,7 +32,11 @@
 // one slot for its whole run and fans out further on its *own* engine
 // threads (request.threads, clamped by the per-job and manager caps).
 // Status snapshots are taken under the same mutex; progress counters are
-// atomics so engine worker threads never contend with pollers.
+// atomics so engine worker threads never contend with pollers. Nothing
+// holds the mutex while it waits on the journal's disk: a submit queues
+// its admit record under it and waits outside, and engine threads queue
+// checkpoints that the journal's own writer thread writes. Only a cancel
+// of a queued job journals its result under the mutex (a rare path).
 //
 // drain() flips the manager into shutdown: new submissions are rejected
 // (the daemon answers 503), queued and running jobs get their stop flag
@@ -211,8 +215,9 @@ class JobManager {
   void recover_jobs();
 
   /// Durability status snapshot for /healthz and /metrics (all-zeros
-  /// when running without state_dir). Non-const: it refreshes the
-  /// journal_degraded metric from the journal's counter.
+  /// when running without state_dir). Takes no lock and never waits on
+  /// the disk. Non-const: it refreshes the journal counters in metrics()
+  /// from the journal's own.
   JournalStatus journal_status();
 
   std::optional<JobSnapshot> get(std::uint64_t id) const;
@@ -300,8 +305,6 @@ class JobManager {
   /// The journal was told to forget a job; recover_jobs() then compacts
   /// once, dropping what the boot compaction rewrote.
   bool journal_forgot_ = false;
-  std::uint64_t recovered_jobs_ = 0;
-  std::uint64_t resumed_jobs_ = 0;
   std::atomic<bool> draining_{false};
   // Last: slots touch everything above; the destructor joins them.
   std::vector<std::thread> slots_;

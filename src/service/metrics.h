@@ -113,6 +113,8 @@ struct JournalGauges {
   std::uint64_t journal_bytes = 0;       ///< live segment size
   std::uint64_t journal_segments = 0;    ///< segment files on disk
   std::uint64_t skipped_records = 0;     ///< corrupt lines skipped at boot
+  /// Documents queued for the journal's writer and not yet written.
+  std::uint64_t backlog_bytes = 0;
 };
 
 /// All counters the daemon exports. Field names are the wire names.
@@ -152,10 +154,17 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> units_resumed{0};
   /// Journal append-path failures that flipped durability off.
   std::atomic<std::uint64_t> journal_degraded{0};
-  /// fsync(2) calls and compactions of the journal since boot (see
-  /// Journal::fsyncs and Journal::compactions).
+  /// fsync(2) calls and compactions of the journal since boot, and the
+  /// seconds its writer spent in each (see Journal::fsyncs,
+  /// Journal::compactions and their _seconds): with journal_backlog_bytes
+  /// they show whether the disk keeps up.
   std::atomic<std::uint64_t> journal_fsyncs{0};
+  std::atomic<double> journal_fsync_seconds{0.0};
   std::atomic<std::uint64_t> journal_compactions{0};
+  std::atomic<double> journal_compaction_seconds{0.0};
+  /// Appends that waited for the journal's writer to drain a full queue
+  /// (Journal::backlog_waits).
+  std::atomic<std::uint64_t> journal_backlog_waits{0};
   /// Duplicate submissions answered from the idempotency index.
   std::atomic<std::uint64_t> jobs_deduplicated{0};
 
@@ -209,8 +218,14 @@ struct ServiceMetrics {
         .member("journal_degraded",
                 journal_degraded.load(std::memory_order_relaxed))
         .member("journal_fsyncs", journal_fsyncs.load(std::memory_order_relaxed))
+        .member("journal_fsync_seconds",
+                journal_fsync_seconds.load(std::memory_order_relaxed))
         .member("journal_compactions",
                 journal_compactions.load(std::memory_order_relaxed))
+        .member("journal_compaction_seconds",
+                journal_compaction_seconds.load(std::memory_order_relaxed))
+        .member("journal_backlog_waits",
+                journal_backlog_waits.load(std::memory_order_relaxed))
         .member("jobs_deduplicated",
                 jobs_deduplicated.load(std::memory_order_relaxed))
         .end_object();
@@ -225,6 +240,7 @@ struct ServiceMetrics {
         .member("journal_bytes", journal.journal_bytes)
         .member("journal_segments", journal.journal_segments)
         .member("journal_skipped_records", journal.skipped_records)
+        .member("journal_backlog_bytes", journal.backlog_bytes)
         .end_object();
     w.key("clients").begin_object();
     for (const ClientStats& row : clients) {

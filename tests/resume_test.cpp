@@ -67,10 +67,12 @@ auto each_unit(std::function<void(std::size_t unit, std::size_t total,
                                   const std::string& checkpoint_json)>
                    fn) {
   return [fn = std::move(fn)](std::size_t total,
-                              const service::SlotCheckpoints& units) {
+                              const service::SlotCheckpoints& units,
+                              const service::SlotWritten& written) {
     for (const auto& [unit, checkpoint_json] : units) {
       fn(unit, total, checkpoint_json);
     }
+    written();
   };
 }
 

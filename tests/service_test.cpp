@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -997,10 +998,12 @@ TEST(Durability, UncleanJournalRecoversResumesAndCompletes) {
   const service::DispatchResult control = service::dispatch(req);
   std::map<std::size_t, std::string> checkpoints;
   service::DispatchHooks capture;
-  capture.unit_complete = [&](std::size_t, const service::SlotCheckpoints& units) {
+  capture.unit_complete = [&](std::size_t, const service::SlotCheckpoints& units,
+                              const service::SlotWritten& written) {
     for (const auto& [unit, cp] : units) {
       if (unit < 2) checkpoints[unit] = cp;
     }
+    written();
   };
   service::dispatch(req, capture);
   ASSERT_EQ(checkpoints.size(), 2u);
@@ -1205,10 +1208,25 @@ TEST(Durability, TimedOutLockstepJournalsOnlyMarchedBlocks) {
   // The timeout must outlast the work before the first block claim
   // (building the population and its result slots: 0.16 s under TSan on
   // a 4-vCPU VM, 0.3 s with six such jobs sharing it) and fall short of
-  // the whole lot (1.75 s in Release on 2 threads without fsync there).
-  const core::JobRequest req = core::JobRequest::from_json_text(
-      R"({"kind":"lockstep_batch","device_count":16384,"batch_seed":31,)"
-      R"("threads":2,"limits":{"wall_timeout_s":0.6}})");
+  // the whole lot. The lot is sized from a measured die time, so the
+  // timeout lands mid-lot however fast the engine and the journal are:
+  // about four timeouts' worth of dies, at least 16384.
+  core::JobRequest req;
+  req.kind = core::JobKind::kLockstepBatch;
+  req.batch_seed = 31;
+  req.threads = 2;
+  req.device_count = 2048;
+  const auto probe_start = std::chrono::steady_clock::now();
+  ASSERT_FALSE(service::dispatch(req).stopped);
+  const double die_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    probe_start)
+          .count() /
+      static_cast<double>(req.device_count);
+  req.limits.wall_timeout_s = 0.6;
+  req.device_count = std::clamp<std::size_t>(
+      static_cast<std::size_t>(4.0 * req.limits.wall_timeout_s / die_seconds),
+      16384, core::kMaxDeviceCount);
   std::uint64_t id = 0;
   {
     service::JobManager manager(durable_options(dir));
@@ -1291,12 +1309,13 @@ TEST(Durability, LockstepLotJournalsOneRecordPerBlock) {
     jo.state_dir = dir;
     service::Journal journal(jo);
     service::DispatchHooks hooks;
-    hooks.unit_complete = [&](std::size_t total, service::SlotCheckpoints units) {
+    hooks.unit_complete = [&](std::size_t total, service::SlotCheckpoints units,
+                              service::SlotWritten written) {
       {
         std::lock_guard<std::mutex> lock(mu);
         for (const auto& [unit, checkpoint] : units) reported[unit] = checkpoint;
       }
-      journal.append_checkpoints(1, total, std::move(units));
+      journal.append_checkpoints(1, total, std::move(units), std::move(written));
     };
     ASSERT_FALSE(service::dispatch(req, hooks).stopped);
   }
@@ -1309,6 +1328,84 @@ TEST(Durability, LockstepLotJournalsOneRecordPerBlock) {
   const service::RecoveredJob& job = replayed.jobs.at(1);
   EXPECT_EQ(job.checkpoint_total, req.device_count);
   EXPECT_EQ(job.checkpoints, reported);
+}
+
+// /metrics shows how the journal's writer keeps up: the seconds it spent
+// in fsync(2) and in compactions, and its queue.
+TEST(Durability, MetricsShowJournalTimingsAndBacklog) {
+  ServiceFixture fx(durable_options(fresh_state_dir("journal_timings")));
+  const std::uint64_t id = fx.submit(
+      R"({"kind":"batch","device_count":2,"batch_seed":5,"tiers":["digital"],)"
+      R"("threads":1})");
+  ASSERT_EQ(fx.await_terminal(id).find("state")->as_string(), "succeeded");
+  const JsonValue m = parse_json(fx.request("GET", "/metrics").body);
+  const JsonValue* counters = m.find("counters");
+  // The boot compaction's, then at least one group commit (a job this
+  // small can queue its admit, checkpoints and result before the writer
+  // wakes).
+  EXPECT_GE(counters->find("journal_fsyncs")->as_u64(), 2u);
+  EXPECT_GT(counters->find("journal_fsync_seconds")->as_double(), 0.0);
+  EXPECT_EQ(counters->find("journal_compactions")->as_u64(), 0u);
+  EXPECT_EQ(counters->find("journal_compaction_seconds")->as_double(), 0.0);
+  EXPECT_EQ(counters->find("journal_backlog_waits")->as_u64(), 0u);
+  EXPECT_EQ(m.find("gauges")->find("journal_backlog_bytes")->as_u64(), 0u);
+}
+
+// A unit counts in progress only once its checkpoint record is written,
+// so a unit the daemon reported done survives a SIGKILL. Wired the way
+// JobManager wires its hooks, over a journal whose writer is held inside
+// the first block's write: dispatch returns with both blocks queued and
+// no progress past the initial tick, and the ticks follow the writes.
+TEST(Durability, ProgressCountsASlotOnlyOnceItsRecordIsWritten) {
+  constexpr std::size_t kBlock = production::kLockstepBlockDies;
+  const std::string dir = fresh_state_dir("progress_after_write");
+  core::JobRequest req;
+  req.kind = core::JobKind::kLockstepBatch;
+  req.device_count = 2 * kBlock;
+  req.batch_seed = 43;
+  req.threads = 1;
+
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool released = false;
+  std::mutex mu;  // progress ticks come from the journal's writer
+  std::vector<std::size_t> ticks;
+
+  service::JournalOptions jo;
+  jo.state_dir = dir;
+  bool first_write = true;
+  jo.write_override = [&](int fd, const void* buf, std::size_t count) -> ssize_t {
+    if (std::exchange(first_write, false)) {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      gate_cv.wait_for(lock, std::chrono::minutes(1), [&] { return released; });
+    }
+    return ::write(fd, buf, count);
+  };
+  service::Journal journal(jo);
+  service::DispatchHooks hooks;
+  hooks.progress = [&](std::size_t done, std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ticks.push_back(done);
+  };
+  hooks.unit_complete = [&](std::size_t total, service::SlotCheckpoints units,
+                            service::SlotWritten written) {
+    journal.append_checkpoints(1, total, std::move(units), std::move(written));
+  };
+  ASSERT_FALSE(service::dispatch(req, hooks).stopped);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(ticks, std::vector<std::size_t>{0});
+  }
+  {
+    const std::lock_guard<std::mutex> lock(gate_mu);
+    released = true;
+  }
+  gate_cv.notify_all();
+  journal.sync();
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(ticks, (std::vector<std::size_t>{0, kBlock, 2 * kBlock}));
+  EXPECT_EQ(service::Journal::replay(dir).jobs.at(1).checkpoints.size(),
+            2 * kBlock);
 }
 
 // Recovery adopts the boot snapshot's jobs and drops the snapshot, so a

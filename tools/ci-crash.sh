@@ -9,8 +9,11 @@
 #
 #   tools/ci-crash.sh [build-dir] [dies] [kill-after-dies]
 #
-# dies / kill-after-dies size the batch scenario; the lockstep scenario
-# is a 16384-die screen on 2 engine threads, killed once 2 blocks of
+# dies / kill-after-dies size the batch scenario. Without dies, the lot
+# is sized from a calibration lot's measured time per die, so that it
+# runs about LOT_SECONDS (3 s) and the SIGKILL lands mid-job whatever a
+# die costs (at least 640 dies). The lockstep scenario is a 16384-die
+# screen on 2 engine threads, killed once 2 blocks of
 # production::kLockstepBlockDies have landed; the campaign scenario runs
 # the 12-fault sc_integrator_comparator universe on 1 engine thread,
 # killed once 3 faults have landed.
@@ -39,12 +42,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-crash}"
-# The lot must still be running when the SIGKILL lands: the first
-# progress poll answers about 0.25 s after the submit, and a full-spec
-# die takes about 1.5 ms on one engine thread, so a 160-die lot can
-# finish (and journal its result) before the kill lands.
-DIES="${2:-640}"
+# The lot must still be running when the SIGKILL lands, and the first
+# progress poll answers about 0.25 s after the submit: a fixed die count
+# stops being mid-job once dies get fast enough (a 160-die lot began
+# finishing before the kill when a full-spec die took about 1.5 ms on
+# one engine thread).
+DIES="${2:-}"
 KILL_AFTER="${3:-30}"
+LOT_SECONDS=3
 LOCKSTEP_DIES=16384
 LOCKSTEP_BLOCK="$(sed -n 's/.*kLockstepBlockDies = \([0-9]*\);.*/\1/p' \
   src/production/batch.h)"
@@ -69,9 +74,10 @@ trap cleanup EXIT
 boot() {
   log="$(mktemp)"
   # --fsync-every 1: the crash-test setting — every checkpoint record
-  # (one die, lockstep block or fault) is write()n AND fsync()ed before
-  # the next one starts, so a SIGKILL at any instant loses at most the
-  # work in flight.
+  # (one die, lockstep block or fault) is fsync()ed once the journal's
+  # writer has written it. A unit counts as done in /jobs progress only
+  # once its record is write()n, and a SIGKILL loses nothing written, so
+  # every unit a poll reported done before the kill is journaled.
   "$BUILD_DIR"/src/msbistd --port 0 --workers 1 \
     --state-dir "$STATE_DIR" --fsync-every 1 "$@" >"$log" 2>&1 &
   daemon=$!
@@ -100,6 +106,26 @@ await_result() { # await_result PORT ID OUT_FILE
 }
 
 echo "[]" > CRASHTEST.json
+
+# --- Calibration: size the batch lot from a measured time per die ------
+if [ -z "$DIES" ]; then
+  rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
+  boot
+  curl -sSf -X POST "http://127.0.0.1:$port/jobs" \
+    -d '{"kind":"batch","device_count":200,"batch_seed":776,"full_spec":true,"threads":1,"label":"crash-calibration"}' \
+    > /dev/null
+  await_result "$port" 1 calibration-result.json
+  kill -TERM "$daemon"; wait "$daemon" || true
+  daemon=""
+  DIES="$(python3 -c '
+import json, math, sys
+report = json.load(open("calibration-result.json"))["report"]
+die_s = report["wall_seconds"] / len(report["devices"])
+print(min(max(640, math.ceil(float(sys.argv[1]) / die_s)), 1 << 18))
+' "$LOT_SECONDS")"
+  rm -f calibration-result.json
+  echo "crash gate: batch lot sized to $DIES dies (about $LOT_SECONDS s of work)"
+fi
 
 # crash_scenario NAME JOB_BODY UNITS KILL_AFTER [daemon args...]
 crash_scenario() {
@@ -245,8 +271,9 @@ crash_scenario lockstep \
 \"idempotency_key\":\"crash-gate-screen\"}" \
   "$LOCKSTEP_DIES" "$((2 * LOCKSTEP_BLOCK))"
 
-# Campaign checkpoints land one per fault on one engine thread, each
-# fsync()ed before the next fault starts (boot's --fsync-every 1).
+# Campaign checkpoints land one per fault on one engine thread; a fault
+# counts as done once its record is written (and boot's --fsync-every 1
+# fsyncs each).
 crash_scenario campaign \
   "{\"kind\":\"fault_campaign\",\"circuit\":\"sc_integrator_comparator\",\
 \"threads\":1,\"label\":\"crash-campaign\",\
