@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace msbist::adc {
@@ -185,29 +184,6 @@ AdcMetrics compute_metrics(const TransitionLevels& t, double lsb_ideal,
     m.max_abs_inl = std::max(m.max_abs_inl, std::abs(m.inl_lsb[k]));
   }
   return m;
-}
-
-std::vector<double> histogram_dnl(const std::vector<std::uint32_t>& codes) {
-  if (codes.empty()) return {};
-  std::map<std::uint32_t, std::size_t> hist;
-  for (std::uint32_t c : codes) ++hist[c];
-  if (hist.size() < 3) return {};
-  // Drop the two edge bins (partially covered by the ramp).
-  const std::uint32_t lo = hist.begin()->first;
-  const std::uint32_t hi = hist.rbegin()->first;
-  std::vector<double> counts;
-  for (std::uint32_t c = lo + 1; c < hi; ++c) {
-    const auto it = hist.find(c);
-    counts.push_back(it == hist.end() ? 0.0 : static_cast<double>(it->second));
-  }
-  if (counts.empty()) return {};
-  double mean = 0.0;
-  for (double c : counts) mean += c;
-  mean /= static_cast<double>(counts.size());
-  if (mean <= 0.0) return {};
-  std::vector<double> dnl(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) dnl[i] = counts[i] / mean - 1.0;
-  return dnl;
 }
 
 }  // namespace msbist::adc

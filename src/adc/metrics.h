@@ -9,8 +9,9 @@
 //   gain     = (LSB_meas - LSB_ideal) * span / LSB_ideal
 //   DNL[k]   = (T[k+1] - T[k]) / LSB_meas - 1
 //   INL[k]   = (T[k] - (T[first] + k LSB_meas)) / LSB_meas
-// Transition levels are found either by a fine ramp sweep or by the
-// histogram method; both are provided.
+// Transition levels are found by a fine ramp sweep; a servo (bisection)
+// search locates one transition at a time and serves as the sweep's
+// independent check.
 #pragma once
 
 #include <cstdint>
@@ -114,10 +115,5 @@ struct AdcMetrics {
 /// first-transition voltage define the nominal transfer.
 AdcMetrics compute_metrics(const TransitionLevels& t, double lsb_ideal,
                            double ideal_first_transition_v);
-
-/// Histogram (code-density) DNL from a linear-ramp code record: DNL[k] =
-/// count[k]/mean_count - 1 for interior codes. The ramp must span slightly
-/// beyond both ends of the measured code range.
-std::vector<double> histogram_dnl(const std::vector<std::uint32_t>& codes);
 
 }  // namespace msbist::adc

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/runner.h"
+#include "circuit/workspace.h"
 #include "dsp/sparse.h"
 
 namespace msbist::circuit {
@@ -111,38 +112,26 @@ bool has_named_branch(const Element& el) {
 }
 
 /// A sparse pattern every lane shares — variant 0's stamp coordinates
-/// plus the gmin node diagonals, exactly as the scalar workspace
-/// harvests them — and the lanes' values over it. Each lane is assembled
-/// densely in a scratch matrix (the scalar workspace's accumulation) and
-/// then taken: its pattern entries, the only ones a stamp can touch, are
-/// moved into the entry-major SoA slab and zeroed for the next lane.
+/// through mna_pattern, exactly as the scalar workspace builds it — and
+/// the lanes' values over it. Each lane is assembled densely in a scratch
+/// matrix (the scalar workspace's accumulation) and then taken: its
+/// pattern entries, the only ones a stamp can touch, are moved into the
+/// entry-major SoA slab and zeroed for the next lane.
 struct SharedPattern {
-  dsp::SparseMatrix matrix;
-  std::vector<std::size_t> dense;  ///< row-major dense offset of entry p
-  std::vector<double> soa;         ///< soa[p * lanes + v]
+  MnaPattern mna;
+  std::vector<double> soa;  ///< soa[p * lanes + v]
 
   void build(std::vector<std::pair<int, int>> coords, std::size_t unknowns,
              std::size_t nodes, std::size_t lanes) {
-    for (std::size_t node = 0; node < nodes; ++node) {
-      coords.emplace_back(static_cast<int>(node), static_cast<int>(node));
-    }
-    matrix = dsp::SparseMatrix::from_pattern(unknowns, unknowns,
-                                             std::move(coords));
-    dense.resize(matrix.nnz());
-    std::size_t p = 0;
-    for (std::size_t r = 0; r < unknowns; ++r) {
-      for (int q = matrix.row_ptr()[r]; q < matrix.row_ptr()[r + 1]; ++q, ++p) {
-        dense[p] = r * unknowns + static_cast<std::size_t>(matrix.col_idx()[q]);
-      }
-    }
-    soa.assign(matrix.nnz() * lanes, 0.0);
+    mna = mna_pattern(std::move(coords), unknowns, nodes);
+    soa.assign(mna.matrix.nnz() * lanes, 0.0);
   }
 
   void take(dsp::Matrix& scratch, std::size_t v, std::size_t lanes) {
     double* d = scratch.data();
-    for (std::size_t p = 0; p < dense.size(); ++p) {
-      soa[p * lanes + v] = d[dense[p]];
-      d[dense[p]] = 0.0;
+    for (std::size_t p = 0; p < mna.dense.size(); ++p) {
+      soa[p * lanes + v] = d[mna.dense[p]];
+      d[mna.dense[p]] = 0.0;
     }
   }
 
@@ -150,9 +139,9 @@ struct SharedPattern {
   /// against its pivot sequence in one batch pass.
   void factor(dsp::SparseLu& shared, dsp::BatchSparseLu& batch,
               std::size_t lanes) {
-    double* pv = matrix.values();
-    for (std::size_t p = 0; p < dense.size(); ++p) pv[p] = soa[p * lanes];
-    shared.factor(matrix);
+    double* pv = mna.matrix.values();
+    for (std::size_t p = 0; p < mna.dense.size(); ++p) pv[p] = soa[p * lanes];
+    shared.factor(mna.matrix);
     batch.bind(shared, lanes);
     batch.refactor_batch(soa.data());
   }
@@ -463,7 +452,7 @@ BatchTransientReport BatchTransient::run(
   BatchTransientReport report;
   report.stats.variants = nvar;
   report.stats.unknowns = unknowns;
-  report.stats.pattern_nnz = march.matrix.nnz();
+  report.stats.pattern_nnz = march.mna.matrix.nnz();
   report.stats.steps = steps;
   report.stats.symbolic_analyses = shared.stats().analyses;
   report.stats.pivot_fallbacks = batch.fallback_count();

@@ -6,7 +6,7 @@
 //
 // Layering (bottom-up):
 //   dsp      — signal processing: FFT, convolution/correlation, PRBS,
-//              state-space and z-domain models, matrices
+//              state-space models, dense and sparse matrices
 //   circuit  — MNA circuit simulator: MOS level-1, DC, AC + transient
 //   analysis — netlist ERC: static pass pipeline run before any solve
 //   analog   — behavioural macro library + transistor-level OP1 / SC cells
@@ -70,13 +70,11 @@
 #include "dsp/fft.h"
 #include "dsp/matrix.h"
 #include "dsp/noise.h"
-#include "dsp/polynomial.h"
 #include "dsp/prbs.h"
 #include "dsp/spectrum.h"
 #include "dsp/state_space.h"
 #include "dsp/vec.h"
 #include "dsp/window.h"
-#include "dsp/ztransfer.h"
 #include "faults/campaign.h"
 #include "faults/collapse.h"
 #include "faults/parametric.h"

@@ -90,14 +90,6 @@ std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
   return r;
 }
 
-Matrix Matrix::transpose() const {
-  Matrix r(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = 0; j < cols_; ++j) r(j, i) = (*this)(i, j);
-  }
-  return r;
-}
-
 double Matrix::inf_norm() const {
   double best = 0.0;
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -190,20 +182,6 @@ double LuDecomposition::determinant() const {
 
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
   return LuDecomposition(a).solve(b);
-}
-
-Matrix inverse(const Matrix& a) {
-  const LuDecomposition lu(a);
-  const std::size_t n = a.rows();
-  Matrix inv(n, n);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    e[c] = 1.0;
-    const std::vector<double> col = lu.solve(e);
-    for (std::size_t r = 0; r < n; ++r) inv(r, c) = col[r];
-    e[c] = 0.0;
-  }
-  return inv;
 }
 
 Matrix expm(const Matrix& a) {

@@ -1,9 +1,11 @@
 // Small dense real matrices.
 //
 // Circuit MNA systems and state-space models in this library are tiny
-// (tens of unknowns), so a straightforward row-major dense matrix with
-// partial-pivot LU, matrix exponential, and QR eigenvalues covers every
-// numerical need without external dependencies.
+// (tens of unknowns), so a straightforward row-major dense matrix covers
+// MNA assembly (factored by dsp::SparseLu, dsp/sparse.h), AC analysis and
+// the ARX normal equations (partial-pivot LU), state-space discretization
+// (matrix exponential) and pole extraction (QR eigenvalues) without
+// external dependencies.
 #pragma once
 
 #include <complex>
@@ -44,7 +46,6 @@ class Matrix {
   Matrix operator*(double k) const;
   std::vector<double> operator*(const std::vector<double>& v) const;
 
-  Matrix transpose() const;
   /// Maximum absolute row sum (induced infinity norm).
   double inf_norm() const;
 
@@ -99,9 +100,6 @@ class LuDecomposition {
 
 /// Solve A x = b (one-shot convenience).
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b);
-
-/// Matrix inverse via LU. Throws on singular input.
-Matrix inverse(const Matrix& a);
 
 /// Matrix exponential e^A by scaling-and-squaring with a Taylor core.
 /// Accurate to near machine precision for the well-conditioned, modest-norm

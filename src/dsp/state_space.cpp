@@ -1,11 +1,62 @@
 #include "dsp/state_space.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/polynomial.h"
-
 namespace msbist::dsp {
+
+namespace {
+
+/// Monic polynomial with the given roots, highest power first. Complex
+/// roots must come in conjugate pairs (checked; throws otherwise) so the
+/// coefficients are real.
+std::vector<double> poly_from_roots(const std::vector<std::complex<double>>& roots) {
+  // Multiply out (x - r) factors with complex coefficients, then check the
+  // imaginary parts cancel (conjugate-pair requirement).
+  std::vector<std::complex<double>> acc{{1.0, 0.0}};
+  for (const auto& r : roots) {
+    std::vector<std::complex<double>> next(acc.size() + 1, {0.0, 0.0});
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      next[i] += acc[i];
+      next[i + 1] -= acc[i] * r;
+    }
+    acc = std::move(next);
+  }
+  std::vector<double> out(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    const double scale_ref = std::max(1.0, std::abs(acc[i]));
+    if (std::abs(acc[i].imag()) > 1e-9 * scale_ref) {
+      throw std::invalid_argument(
+          "poly_from_roots: complex roots must come in conjugate pairs");
+    }
+    out[i] = acc[i].real();
+  }
+  return out;
+}
+
+/// e^{A dt}, taken as the top-left block of the zero-order-hold
+/// exponential expm([[A B],[0 0]] dt). The augmented matrix's norm sets
+/// expm's scaling, so this block keeps every impulse sample bit-identical
+/// to the full ZOH discretization the pole comparison was built on;
+/// expm(A dt) alone could round differently.
+Matrix transition(const Matrix& a, const Matrix& b, double dt) {
+  if (dt <= 0) throw std::invalid_argument("StateSpace: dt must be > 0");
+  const std::size_t n = a.rows();
+  Matrix aug(n + 1, n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) aug(i, j) = a(i, j) * dt;
+    aug(i, n) = b(i, 0) * dt;
+  }
+  const Matrix e = expm(aug);
+  Matrix ad(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) ad(i, j) = e(i, j);
+  }
+  return ad;
+}
+
+}  // namespace
 
 StateSpace::StateSpace(Matrix a, Matrix b, Matrix c, double d)
     : a_(std::move(a)), b_(std::move(b)), c_(std::move(c)), d_(d) {
@@ -24,18 +75,18 @@ StateSpace StateSpace::from_zpk(const std::vector<std::complex<double>>& zeros,
   if (zeros.size() > poles.size()) {
     throw std::invalid_argument("from_zpk: more zeros than poles (improper system)");
   }
-  Poly num = poly_from_roots(zeros);
+  std::vector<double> num = poly_from_roots(zeros);
   for (double& c : num) c *= gain;
-  const Poly den = poly_from_roots(poles);
+  const std::vector<double> den = poly_from_roots(poles);
   return from_transfer_function(num, den);
 }
 
 StateSpace StateSpace::from_transfer_function(const std::vector<double>& num_in,
                                               const std::vector<double>& den_in) {
-  Poly den = den_in;
+  std::vector<double> den = den_in;
   while (!den.empty() && den.front() == 0.0) den.erase(den.begin());
   if (den.empty()) throw std::invalid_argument("from_transfer_function: zero denominator");
-  Poly num = num_in;
+  std::vector<double> num = num_in;
   while (!num.empty() && num.front() == 0.0) num.erase(num.begin());
   if (num.size() > den.size()) {
     throw std::invalid_argument("from_transfer_function: improper transfer function");
@@ -45,7 +96,7 @@ StateSpace StateSpace::from_transfer_function(const std::vector<double>& num_in,
   for (double& c : den) c /= lead;
   for (double& c : num) c /= lead;
   // Pad the numerator to the denominator length.
-  Poly n_pad(den.size(), 0.0);
+  std::vector<double> n_pad(den.size(), 0.0);
   std::copy(num.begin(), num.end(), n_pad.end() - static_cast<std::ptrdiff_t>(num.size()));
 
   const std::size_t order = den.size() - 1;
@@ -65,39 +116,6 @@ StateSpace StateSpace::from_transfer_function(const std::vector<double>& num_in,
   return StateSpace(std::move(a), std::move(b), std::move(c), d);
 }
 
-std::vector<std::complex<double>> StateSpace::poles() const {
-  if (order() == 0) return {};
-  return eigenvalues(a_);
-}
-
-bool StateSpace::is_stable() const {
-  for (const auto& p : poles()) {
-    if (p.real() >= 0.0) return false;
-  }
-  return true;
-}
-
-StateSpace::Discrete StateSpace::discretize(double dt) const {
-  if (dt <= 0) throw std::invalid_argument("StateSpace: dt must be > 0");
-  const std::size_t n = order();
-  // Augmented-matrix ZOH: expm([[A B],[0 0]] dt) = [[Ad Bd],[0 I]].
-  // Works even when A is singular (e.g. an ideal integrator).
-  Matrix aug(n + 1, n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) aug(i, j) = a_(i, j) * dt;
-    aug(i, n) = b_(i, 0) * dt;
-  }
-  const Matrix e = expm(aug);
-  Discrete d;
-  d.ad = Matrix(n, n);
-  d.bd = Matrix(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) d.ad(i, j) = e(i, j);
-    d.bd(i, 0) = e(i, n);
-  }
-  return d;
-}
-
 std::vector<double> StateSpace::impulse(double dt, std::size_t n) const {
   std::vector<double> y(n, 0.0);
   if (n == 0) return y;
@@ -105,7 +123,7 @@ std::vector<double> StateSpace::impulse(double dt, std::size_t n) const {
     y[0] = d_ / dt;
     return y;
   }
-  const Discrete dsc = discretize(dt);
+  const Matrix ad = transition(a_, b_, dt);
   // Continuous impulse response h(t) = C e^{At} B (+ D delta(t)).
   std::vector<double> x(order());
   for (std::size_t i = 0; i < order(); ++i) x[i] = b_(i, 0);
@@ -113,45 +131,10 @@ std::vector<double> StateSpace::impulse(double dt, std::size_t n) const {
     double out = 0.0;
     for (std::size_t i = 0; i < order(); ++i) out += c_(0, i) * x[i];
     y[k] = out;
-    x = dsc.ad * x;
+    x = ad * x;
   }
   y[0] += d_ / dt;
   return y;
-}
-
-std::vector<double> StateSpace::step(double dt, std::size_t n) const {
-  return lsim(std::vector<double>(n, 1.0), dt);
-}
-
-std::vector<double> StateSpace::lsim(const std::vector<double>& u, double dt) const {
-  std::vector<double> y(u.size(), 0.0);
-  if (u.empty()) return y;
-  if (order() == 0) {
-    for (std::size_t k = 0; k < u.size(); ++k) y[k] = d_ * u[k];
-    return y;
-  }
-  const Discrete dsc = discretize(dt);
-  std::vector<double> x(order(), 0.0);
-  for (std::size_t k = 0; k < u.size(); ++k) {
-    double out = d_ * u[k];
-    for (std::size_t i = 0; i < order(); ++i) out += c_(0, i) * x[i];
-    y[k] = out;
-    // x_{k+1} = Ad x_k + Bd u_k (input held over the interval).
-    std::vector<double> xn = dsc.ad * x;
-    for (std::size_t i = 0; i < order(); ++i) xn[i] += dsc.bd(i, 0) * u[k];
-    x = std::move(xn);
-  }
-  return y;
-}
-
-double StateSpace::dc_gain() const {
-  if (order() == 0) return d_;
-  std::vector<double> bv(order());
-  for (std::size_t i = 0; i < order(); ++i) bv[i] = b_(i, 0);
-  const std::vector<double> x = solve(a_, bv);
-  double g = d_;
-  for (std::size_t i = 0; i < order(); ++i) g -= c_(0, i) * x[i];
-  return g;
 }
 
 }  // namespace msbist::dsp

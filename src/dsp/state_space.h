@@ -3,9 +3,9 @@
 // The paper's second testing approach builds state-space representations of
 // the fault-free and faulty circuits from their poles/zeros/constants
 // (HSPICE -> Matlab in 1996) and compares impulse responses. StateSpace is
-// the Matlab substitute: construction from a transfer function, exact
-// zero-order-hold discretization via the matrix exponential, and impulse /
-// step / arbitrary-input simulation.
+// the Matlab substitute: construction from poles, zeros and gain (or a
+// transfer function), and the impulse response sampled through the exact
+// discretization of the matrix exponential.
 #pragma once
 
 #include <complex>
@@ -42,35 +42,12 @@ class StateSpace {
   const Matrix& c() const { return c_; }
   double d() const { return d_; }
 
-  /// Poles of the system (eigenvalues of A).
-  std::vector<std::complex<double>> poles() const;
-
-  /// True when all poles have strictly negative real part.
-  bool is_stable() const;
-
   /// Impulse response sampled at dt for n samples (the response to a unit
   /// Dirac impulse; the direct-feedthrough D term contributes only at t=0
   /// and is reported as D/dt, the discrete-impulse convention).
   std::vector<double> impulse(double dt, std::size_t n) const;
 
-  /// Unit step response sampled at dt for n samples.
-  std::vector<double> step(double dt, std::size_t n) const;
-
-  /// Response to an arbitrary uniformly-sampled input held constant over
-  /// each sample interval (zero-order hold), from zero initial state.
-  std::vector<double> lsim(const std::vector<double>& u, double dt) const;
-
-  /// DC gain H(0) = D - C A^{-1} B. Throws if A is singular (pole at s=0).
-  double dc_gain() const;
-
  private:
-  struct Discrete {
-    Matrix ad;
-    Matrix bd;
-  };
-  /// Exact ZOH discretization at step dt.
-  Discrete discretize(double dt) const;
-
   Matrix a_, b_, c_;
   double d_ = 0.0;
 };

@@ -11,10 +11,8 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
@@ -134,10 +132,8 @@ const char* status_text(int status) {
   }
 }
 
-struct HttpServer::ConnQueue {
+struct HttpServer::Connections {
   std::mutex mu;
-  std::condition_variable cv;
-  std::deque<int> fds;
   /// Connections currently inside serve_connection: stop() shuts their
   /// read side down so idle keep-alive waits end immediately.
   std::vector<int> active;
@@ -147,7 +143,7 @@ struct HttpServer::ConnQueue {
 HttpServer::HttpServer(Options options, HttpHandler handler)
     : options_(std::move(options)),
       handler_(std::move(handler)),
-      queue_(new ConnQueue) {
+      conns_(new Connections) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("http: socket() failed: " +
@@ -185,75 +181,54 @@ HttpServer::HttpServer(Options options, HttpHandler handler)
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
   {
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    if (queue_->stop) return;
-    queue_->stop = true;
-  }
-  // Unblock accept(): shutdown makes a blocked accept return on Linux
-  // (EINVAL), and a not-yet-blocked accept fails the same way. Only
-  // close and clear the fd after the accept thread has joined — it
-  // still reads listen_fd_, and closing early could hand a reused fd
-  // number to its in-flight accept().
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  close_fd(listen_fd_);
-  listen_fd_ = -1;
-  {
+    std::lock_guard<std::mutex> lock(conns_->mu);
+    if (conns_->stop) return;
+    conns_->stop = true;
     // Read-side shutdown only: a worker blocked waiting for the next
     // keep-alive request wakes with EOF and exits its connection loop,
     // while an in-flight response still flushes.
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    for (int fd : queue_->active) ::shutdown(fd, SHUT_RD);
+    for (int fd : conns_->active) ::shutdown(fd, SHUT_RD);
   }
-  queue_->cv.notify_all();
+  // Unblock accept(): shutdown makes every blocked accept return on Linux
+  // (EINVAL), and a not-yet-blocked accept fails the same way. Only close
+  // the fd after the workers have joined — they still read listen_fd_,
+  // and closing early could hand a reused fd number to an in-flight
+  // accept(). Connections still in the listen backlog are reset.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Connections accepted but never served: close without response.
-  for (int fd : queue_->fds) close_fd(fd);
-  queue_->fds.clear();
+  close_fd(listen_fd_);
+  listen_fd_ = -1;
 }
 
-void HttpServer::accept_loop() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by stop()
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_->mu);
-      if (queue_->stop) {
-        close_fd(fd);
-        return;
-      }
-      queue_->fds.push_back(fd);
-    }
-    queue_->cv.notify_one();
-  }
+bool HttpServer::stopping() const {
+  std::lock_guard<std::mutex> lock(conns_->mu);
+  return conns_->stop;
 }
 
 void HttpServer::worker_loop() {
   while (true) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_->mu);
-      queue_->cv.wait(lock, [this] { return queue_->stop || !queue_->fds.empty(); });
-      if (!queue_->fds.empty()) {
-        fd = queue_->fds.front();
-        queue_->fds.pop_front();
-      } else if (queue_->stop) {
-        return;
-      }
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd >= 0) {
+      serve_connection(fd);
+      continue;
     }
-    if (fd >= 0) serve_connection(fd);
+    const int err = errno;
+    if (stopping()) return;
+    // Any other failure leaves the listener usable: out of descriptors
+    // (EMFILE, ENFILE) or memory, or a peer that reset before it was
+    // accepted. Accept again; back off first unless the failure was a
+    // one-off that a retry clears.
+    if (err != EINTR && err != ECONNABORTED) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
   }
 }
 
@@ -415,11 +390,11 @@ void HttpServer::serve_connection(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   {
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    queue_->active.push_back(fd);
+    std::lock_guard<std::mutex> lock(conns_->mu);
+    conns_->active.push_back(fd);
     // stop() may already have swept the active list: make sure this
     // connection cannot sit in an idle read afterwards.
-    if (queue_->stop) ::shutdown(fd, SHUT_RD);
+    if (conns_->stop) ::shutdown(fd, SHUT_RD);
   }
 
   std::string buf;
@@ -453,12 +428,7 @@ void HttpServer::serve_connection(int fd) {
     } catch (...) {
       resp = error_response(500, "unknown handler error");
     }
-    bool stopping = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_->mu);
-      stopping = queue_->stop;
-    }
-    bool keep = !stopping && !connection_has_token(req, "close") &&
+    bool keep = !stopping() && !connection_has_token(req, "close") &&
                 (options_.max_requests_per_connection == 0 ||
                  served < options_.max_requests_per_connection);
     // HTTP/1.0 defaults to close; honor an explicit keep-alive ask.
@@ -470,9 +440,9 @@ void HttpServer::serve_connection(int fd) {
   }
 
   {
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    auto it = std::find(queue_->active.begin(), queue_->active.end(), fd);
-    if (it != queue_->active.end()) queue_->active.erase(it);
+    std::lock_guard<std::mutex> lock(conns_->mu);
+    auto it = std::find(conns_->active.begin(), conns_->active.end(), fd);
+    if (it != conns_->active.end()) conns_->active.erase(it);
   }
   close_fd(fd);
 }

@@ -1,14 +1,16 @@
 // Dependency-free HTTP/1.1 server over blocking POSIX sockets.
 //
 // The daemon serves sustained closed-loop load from CI and operator
-// tooling, so the transport speaks persistent HTTP/1.1: one accept
-// thread hands connections to a fixed pool of connection workers; each
-// worker runs a per-connection request loop (request line, headers,
-// Content-Length body -> router handler -> response) until the client
-// sends "Connection: close", the idle timeout expires between
-// requests, the per-connection request cap is reached, or the server
-// is stopping. No TLS, no chunked encoding — every feature left out is
-// a feature that cannot break a production tester at 3 a.m.
+// tooling, so the transport speaks persistent HTTP/1.1: a fixed pool of
+// connection workers each accept() on the listener themselves and run a
+// per-connection request loop (request line, headers, Content-Length
+// body -> router handler -> response) until the client sends
+// "Connection: close", the idle timeout expires between requests, the
+// per-connection request cap is reached, or the server is stopping.
+// Connections that arrive while every worker is busy wait in the
+// kernel's listen backlog (Options::backlog). No TLS, no chunked
+// encoding — every feature left out is a feature that cannot break a
+// production tester at 3 a.m.
 //
 // The head is parsed before the body is read, so the body length is the
 // value of the Content-Length header. Every error response the server
@@ -25,6 +27,9 @@
 //     SO_SNDTIMEO; a timed-out read mid-request drops the connection.
 //   * Idle keep-alive peers               -> closed after idle_timeout_s
 //     waiting for the next request (silently: nothing to answer).
+//   * accept() failing (out of descriptors, a peer that reset first)
+//                                         -> the worker accepts again,
+//     after a short back-off; only stop() ends accepting.
 //   * stop()                              -> active connections get a
 //     read-side shutdown, so in-flight responses still flush but no
 //     further requests are read.
@@ -100,8 +105,7 @@ class HttpServer {
   };
 
   /// Binds and listens immediately (throws std::runtime_error on
-  /// failure: port in use, bad address), then starts the accept thread
-  /// and workers.
+  /// failure: port in use, bad address), then starts the workers.
   HttpServer(Options options, HttpHandler handler);
   ~HttpServer();  ///< stop()
 
@@ -111,25 +115,24 @@ class HttpServer {
   /// The actually bound port (resolves an ephemeral bind).
   std::uint16_t port() const { return port_; }
 
-  /// Close the listener and join every thread. In-flight responses
+  /// Close the listener and join every worker. In-flight responses
   /// finish (active connections are shut down read-side only);
-  /// queued-but-unread connections are closed. Idempotent.
+  /// connections still in the listen backlog are reset. Idempotent.
   void stop();
 
  private:
-  void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
+  bool stopping() const;
 
   Options options_;
   HttpHandler handler_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  struct ConnQueue;
-  std::unique_ptr<ConnQueue> queue_;
+  struct Connections;
+  std::unique_ptr<Connections> conns_;
 };
 
 /// Reason-phrase for the status codes the service emits.

@@ -269,7 +269,7 @@ void JobManager::recover_jobs() {
 
 // Takes no lock: the journal publishes its status as atomics, so a scrape
 // never waits on the disk.
-JournalStatus JobManager::journal_status() {
+JournalStatus JobManager::journal_status() const {
   JournalStatus st;
   if (!journal_) return st;
   st.enabled = true;
@@ -282,19 +282,12 @@ JournalStatus JobManager::journal_status() {
   st.gauges.journal_segments = journal_->segments();
   st.gauges.skipped_records = journal_->recovered().skipped_records;
   st.gauges.backlog_bytes = journal_->backlog_bytes();
-  // These counters live in the journal; mirror them into the atomics the
-  // /metrics document reads.
-  metrics_.journal_degraded.store(journal_->degraded_events(),
-                                  std::memory_order_relaxed);
-  metrics_.journal_fsyncs.store(journal_->fsyncs(), std::memory_order_relaxed);
-  metrics_.journal_fsync_seconds.store(journal_->fsync_seconds(),
-                                       std::memory_order_relaxed);
-  metrics_.journal_compactions.store(journal_->compactions(),
-                                     std::memory_order_relaxed);
-  metrics_.journal_compaction_seconds.store(journal_->compaction_seconds(),
-                                            std::memory_order_relaxed);
-  metrics_.journal_backlog_waits.store(journal_->backlog_waits(),
-                                       std::memory_order_relaxed);
+  st.gauges.degraded_events = journal_->degraded_events();
+  st.gauges.fsyncs = journal_->fsyncs();
+  st.gauges.fsync_seconds = journal_->fsync_seconds();
+  st.gauges.compactions = journal_->compactions();
+  st.gauges.compaction_seconds = journal_->compaction_seconds();
+  st.gauges.backlog_waits = journal_->backlog_waits();
   return st;
 }
 

@@ -214,11 +214,10 @@ class JobManager {
   /// replays a job the manager dropped.
   void recover_jobs();
 
-  /// Durability status snapshot for /healthz and /metrics (all-zeros
-  /// when running without state_dir). Takes no lock and never waits on
-  /// the disk. Non-const: it refreshes the journal counters in metrics()
-  /// from the journal's own.
-  JournalStatus journal_status();
+  /// Durability status snapshot for /healthz and /metrics, the journal's
+  /// own counters included (all-zeros when running without state_dir).
+  /// Takes no lock and never waits on the disk.
+  JournalStatus journal_status() const;
 
   std::optional<JobSnapshot> get(std::uint64_t id) const;
   std::vector<JobSnapshot> list() const;

@@ -107,14 +107,27 @@ struct ServiceGauges {
   std::uint64_t retain_budget_bytes = 0;
 };
 
-/// Durability gauges sampled from the journal at scrape time (zeros
-/// when the daemon runs without --state-dir).
+/// What /metrics reads from the journal at scrape time: its gauges and
+/// its own counters since boot (zeros when the daemon runs without
+/// --state-dir).
 struct JournalGauges {
   std::uint64_t journal_bytes = 0;       ///< live segment size
   std::uint64_t journal_segments = 0;    ///< segment files on disk
   std::uint64_t skipped_records = 0;     ///< corrupt lines skipped at boot
   /// Documents queued for the journal's writer and not yet written.
   std::uint64_t backlog_bytes = 0;
+  /// Append-path failures that flipped durability off.
+  std::uint64_t degraded_events = 0;
+  /// fsync(2) calls and compactions, and the seconds the journal's writer
+  /// spent in each (Journal::fsyncs, Journal::compactions and their
+  /// _seconds): with backlog_bytes they show whether the disk keeps up.
+  std::uint64_t fsyncs = 0;
+  double fsync_seconds = 0.0;
+  std::uint64_t compactions = 0;
+  double compaction_seconds = 0.0;
+  /// Appends that waited for the writer to drain a full queue
+  /// (Journal::backlog_waits).
+  std::uint64_t backlog_waits = 0;
 };
 
 /// All counters the daemon exports. Field names are the wire names.
@@ -152,19 +165,6 @@ struct ServiceMetrics {
   /// Work units (dies / faults) restored from checkpoints instead of
   /// re-simulated across all resumed jobs.
   std::atomic<std::uint64_t> units_resumed{0};
-  /// Journal append-path failures that flipped durability off.
-  std::atomic<std::uint64_t> journal_degraded{0};
-  /// fsync(2) calls and compactions of the journal since boot, and the
-  /// seconds its writer spent in each (see Journal::fsyncs,
-  /// Journal::compactions and their _seconds): with journal_backlog_bytes
-  /// they show whether the disk keeps up.
-  std::atomic<std::uint64_t> journal_fsyncs{0};
-  std::atomic<double> journal_fsync_seconds{0.0};
-  std::atomic<std::uint64_t> journal_compactions{0};
-  std::atomic<double> journal_compaction_seconds{0.0};
-  /// Appends that waited for the journal's writer to drain a full queue
-  /// (Journal::backlog_waits).
-  std::atomic<std::uint64_t> journal_backlog_waits{0};
   /// Duplicate submissions answered from the idempotency index.
   std::atomic<std::uint64_t> jobs_deduplicated{0};
 
@@ -179,7 +179,8 @@ struct ServiceMetrics {
   }
 
   /// The /metrics document (gauges and the per-client rows are supplied
-  /// by the caller, which owns the job table).
+  /// by the caller, which owns the job table; the journal_* counters come
+  /// from `journal`, which owns them).
   void to_json(core::JsonWriter& w, const ServiceGauges& gauges,
                double uptime_seconds,
                const std::vector<ClientStats>& clients,
@@ -215,17 +216,12 @@ struct ServiceMetrics {
         .member("jobs_recovered", jobs_recovered.load(std::memory_order_relaxed))
         .member("jobs_resumed", jobs_resumed.load(std::memory_order_relaxed))
         .member("units_resumed", units_resumed.load(std::memory_order_relaxed))
-        .member("journal_degraded",
-                journal_degraded.load(std::memory_order_relaxed))
-        .member("journal_fsyncs", journal_fsyncs.load(std::memory_order_relaxed))
-        .member("journal_fsync_seconds",
-                journal_fsync_seconds.load(std::memory_order_relaxed))
-        .member("journal_compactions",
-                journal_compactions.load(std::memory_order_relaxed))
-        .member("journal_compaction_seconds",
-                journal_compaction_seconds.load(std::memory_order_relaxed))
-        .member("journal_backlog_waits",
-                journal_backlog_waits.load(std::memory_order_relaxed))
+        .member("journal_degraded", journal.degraded_events)
+        .member("journal_fsyncs", journal.fsyncs)
+        .member("journal_fsync_seconds", journal.fsync_seconds)
+        .member("journal_compactions", journal.compactions)
+        .member("journal_compaction_seconds", journal.compaction_seconds)
+        .member("journal_backlog_waits", journal.backlog_waits)
         .member("jobs_deduplicated",
                 jobs_deduplicated.load(std::memory_order_relaxed))
         .end_object();

@@ -9,16 +9,16 @@
 // at switched-capacitor cycle boundaries:
 //     v_out[n+1] = a v_out[n] + b v_in[n] + c
 // which for the fault-free integrator recovers a ~= 1, b ~= 1/6.8
-// (H(z) = b z^-1 / (1 - a z^-1), the paper's design equation). The fitted
-// model becomes a discrete state-space system; impulse responses of the
-// fault-free and faulty fits are compared with the same detection-instance
-// metric as approach 1.
+// (H(z) = b z^-1 / (1 - a z^-1), the paper's design equation). A
+// first-order model needs no state-space machinery: its impulse response
+// is the recursion h[0] = 0, h[1] = b, h[k] = a h[k-1]. Impulse responses
+// of the fault-free and faulty fits are compared with the same
+// detection-instance metric as approach 1.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "dsp/ztransfer.h"
 #include "tsrt/detector.h"
 
 namespace msbist::tsrt {
@@ -30,11 +30,8 @@ struct ArxFit {
   double c = 0.0;  ///< constant drive (offsets, stuck levels)
   double residual_rms = 0.0;
 
-  /// The fitted transfer function H(z) = b z^-1 / (1 - a z^-1)
-  /// (the constant c is an offset, not part of the signal path).
-  dsp::ZTransfer transfer() const;
-
-  /// Impulse response of the fitted model, n samples.
+  /// Impulse response of the fitted H(z) = b z^-1 / (1 - a z^-1), n
+  /// samples (the constant c is an offset, not part of the signal path).
   std::vector<double> impulse(std::size_t n) const;
 };
 

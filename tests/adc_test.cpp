@@ -281,21 +281,6 @@ TEST(Metrics, MonotonicSweepKeepsFlagTrue) {
   EXPECT_TRUE(tl.reverse_transitions.empty());
 }
 
-TEST(Metrics, HistogramDnlFlatForIdeal) {
-  std::vector<std::uint32_t> codes;
-  for (int i = 0; i < 5000; ++i) {
-    codes.push_back(ideal_quantizer(0.01)(0.0001 * static_cast<double>(i)));
-  }
-  const auto dnl = histogram_dnl(codes);
-  ASSERT_FALSE(dnl.empty());
-  for (double d : dnl) EXPECT_NEAR(d, 0.0, 0.05);
-}
-
-TEST(Metrics, HistogramDnlEmptyInputs) {
-  EXPECT_TRUE(histogram_dnl({}).empty());
-  EXPECT_TRUE(histogram_dnl({1u, 1u}).empty());
-}
-
 TEST(Metrics, ValidationThrows) {
   EXPECT_THROW(measure_transitions_ramp(ideal_quantizer(0.01), 1.0, 0.0, 0.001),
                std::invalid_argument);

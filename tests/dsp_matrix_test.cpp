@@ -66,11 +66,6 @@ TEST(Matrix, MatrixVectorProduct) {
   EXPECT_DOUBLE_EQ(r[1], 7.0);
 }
 
-TEST(Matrix, TransposeInvolution) {
-  const Matrix a = random_matrix(5, 2);
-  EXPECT_LT(max_abs_diff(a.transpose().transpose(), a), 1e-15);
-}
-
 TEST(Lu, SolvesKnownSystem) {
   const Matrix a({{2.0, 1.0}, {1.0, 3.0}});
   const auto x = solve(a, {3.0, 5.0});
@@ -104,12 +99,6 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
   const auto x = solve(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(Inverse, TimesOriginalIsIdentity) {
-  const Matrix a = random_matrix(6, 77);
-  const Matrix ai = inverse(a);
-  EXPECT_LT(max_abs_diff(a * ai, Matrix::identity(6)), 1e-9);
 }
 
 TEST(Expm, ZeroMatrixGivesIdentity) {

@@ -190,6 +190,21 @@ TEST(Arx, ImpulseOfFitMatchesTheory) {
   EXPECT_NEAR(h[3], 0.5, 1e-12);
 }
 
+TEST(Arx, ScIntegratorImpulseIsDelayedStep) {
+  // The paper's design equation H(z) = z^-1/(k(1-z^-1)) is the fit a = 1,
+  // b = 1/k: impulse response 0, 1/k, 1/k, ... (an accumulator).
+  const double k = 6.8;
+  ArxFit fit;
+  fit.a = 1.0;
+  fit.b = 1.0 / k;
+  const auto h = fit.impulse(6);
+  ASSERT_EQ(h.size(), 6u);
+  EXPECT_NEAR(h[0], 0.0, 1e-15);
+  for (std::size_t i = 1; i < h.size(); ++i) EXPECT_NEAR(h[i], 1.0 / k, 1e-12);
+  EXPECT_TRUE(fit.impulse(0).empty());
+  EXPECT_EQ(fit.impulse(1), std::vector<double>{0.0});
+}
+
 TEST(Arx, ValidationThrows) {
   EXPECT_THROW(fit_arx({1.0}, {1.0}), std::invalid_argument);
   EXPECT_THROW(fit_arx(std::vector<double>(10, 0.0), std::vector<double>(9, 0.0)),

@@ -10,13 +10,14 @@
 #   tools/ci-crash.sh [build-dir] [dies] [kill-after-dies]
 #
 # dies / kill-after-dies size the batch scenario. Without dies, the lot
-# is sized from a calibration lot's measured time per die, so that it
-# runs about LOT_SECONDS (3 s) and the SIGKILL lands mid-job whatever a
-# die costs (at least 640 dies). The lockstep scenario is a 16384-die
-# screen on 2 engine threads, killed once 2 blocks of
-# production::kLockstepBlockDies have landed; the campaign scenario runs
-# the 12-fault sc_integrator_comparator universe on 1 engine thread,
-# killed once 3 faults have landed.
+# is sized from a calibration job's measured time per die, run under the
+# same daemon settings, so that it runs about LOT_SECONDS (3 s) and the
+# SIGKILL lands mid-job whatever a die costs (at least 640 dies). The
+# lockstep scenario, a screen on 2 engine threads killed once 2 blocks of
+# production::kLockstepBlockDies have landed, is sized the same way (at
+# least 16384 dies). Neither lot exceeds core::kMaxDeviceCount. The
+# campaign scenario runs the 12-fault sc_integrator_comparator universe
+# on 1 engine thread, killed once 3 faults have landed.
 #
 # Assertions, per scenario (a "unit" is a die, or a fault in a campaign):
 #   1. The restarted daemon detects the unclean shutdown, re-admits the
@@ -50,10 +51,13 @@ BUILD_DIR="${1:-build-crash}"
 DIES="${2:-}"
 KILL_AFTER="${3:-30}"
 LOT_SECONDS=3
-LOCKSTEP_DIES=16384
 LOCKSTEP_BLOCK="$(sed -n 's/.*kLockstepBlockDies = \([0-9]*\);.*/\1/p' \
   src/production/batch.h)"
 [ -n "$LOCKSTEP_BLOCK" ] || { echo "kLockstepBlockDies not found"; exit 1; }
+MAX_DIES_SHIFT="$(sed -n 's/.*kMaxDeviceCount = std::size_t{1} << \([0-9]*\);.*/\1/p' \
+  src/core/job.h)"
+[ -n "$MAX_DIES_SHIFT" ] || { echo "kMaxDeviceCount not found"; exit 1; }
+MAX_DIES=$((1 << MAX_DIES_SHIFT))
 STATE_DIR="$(mktemp -d)"
 
 # Release without -Werror, same as the bench/load gates: GCC 12's
@@ -107,25 +111,39 @@ await_result() { # await_result PORT ID OUT_FILE
 
 echo "[]" > CRASHTEST.json
 
-# --- Calibration: size the batch lot from a measured time per die ------
-if [ -z "$DIES" ]; then
+# --- Calibration: size each lot from a measured time per die ----------
+# calibrate_lot VAR FLOOR JOB_FIELDS: run one calibration job (JOB_FIELDS
+# is a job body's members, device_count included) under the same boot as
+# the crash runs, and set VAR to the lot that takes about LOT_SECONDS at
+# its time per die: at least FLOOR dies, at most MAX_DIES.
+calibrate_lot() {
+  local var="$1" floor="$2" fields="$3" sized
   rm -rf "$STATE_DIR"; mkdir -p "$STATE_DIR"
   boot
   curl -sSf -X POST "http://127.0.0.1:$port/jobs" \
-    -d '{"kind":"batch","device_count":200,"batch_seed":776,"full_spec":true,"threads":1,"label":"crash-calibration"}' \
-    > /dev/null
+    -d "{$fields,\"label\":\"crash-calibration\"}" > /dev/null
   await_result "$port" 1 calibration-result.json
   kill -TERM "$daemon"; wait "$daemon" || true
   daemon=""
-  DIES="$(python3 -c '
+  sized="$(python3 -c '
 import json, math, sys
+seconds, floor, cap = float(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 report = json.load(open("calibration-result.json"))["report"]
 die_s = report["wall_seconds"] / len(report["devices"])
-print(min(max(640, math.ceil(float(sys.argv[1]) / die_s)), 1 << 18))
-' "$LOT_SECONDS")"
+print(min(max(floor, math.ceil(seconds / die_s)), cap))
+' "$LOT_SECONDS" "$floor" "$MAX_DIES")"
   rm -f calibration-result.json
+  printf -v "$var" '%s' "$sized"
+}
+
+if [ -z "$DIES" ]; then
+  calibrate_lot DIES 640 \
+    '"kind":"batch","device_count":200,"batch_seed":776,"full_spec":true,"threads":1'
   echo "crash gate: batch lot sized to $DIES dies (about $LOT_SECONDS s of work)"
 fi
+calibrate_lot LOCKSTEP_DIES 16384 \
+  '"kind":"lockstep_batch","device_count":16384,"batch_seed":776,"threads":2'
+echo "crash gate: lockstep lot sized to $LOCKSTEP_DIES dies (about $LOT_SECONDS s of work)"
 
 # crash_scenario NAME JOB_BODY UNITS KILL_AFTER [daemon args...]
 crash_scenario() {
